@@ -71,7 +71,8 @@ def cmd_verify(args) -> int:
         _emit(rep)
         return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
                 "unsupported": EXIT_VACUOUS}[rep["verdict"]]
-    rep = darmon.verify_darmon(F, args.level, num_primes=args.primes)
+    rep = darmon.verify_darmon(F, args.level, num_primes=args.primes,
+                               bound=args.bound)
     _emit(rep.as_dict())
     _save_cache(F, args)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS}[rep.verdict]

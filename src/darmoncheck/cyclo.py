@@ -263,20 +263,20 @@ def alpha_exponents(F: QuadField, n: int) -> tuple[tuple[int, ...], tuple[int, .
     """Exponent lists (plus, minus) with alpha_n = prod (zeta_nf^a - 1)^{w(a)}.
 
     The product runs over the residues a mod nf with a = 1 mod n; the sign
-    is the quadratic character of a.
+    is the quadratic character of a.  These are the residues 1 + n j, j < f,
+    that are prime to f (n is prime to f), in increasing order.
     """
     f = F.conductor
     if n > 1 and gcd(n, f) != 1:
         raise ValueError("level must be coprime to the conductor")
-    mf = n * f
     plus, minus = [], []
-    for a in range(1, mf + 1):
-        if gcd(a, mf) != 1 or a % n != 1 % n:
+    for a in range(1, n * f, n):
+        if gcd(a, f) != 1:
             continue
         if F.omega(a) == 1:
-            plus.append(a % mf)
+            plus.append(a)
         else:
-            minus.append(a % mf)
+            minus.append(a)
     return tuple(plus), tuple(minus)
 
 

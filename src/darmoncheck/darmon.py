@@ -3,10 +3,12 @@
 The regulator side is exact: determinants of local symbols applied to an
 oriented unit basis, with coefficients in augmentation quotients.  The theta
 side is reduced through homomorphisms into Z/(q-1) attached to auxiliary
-primes q; the class of the reduced theta element in the augmentation
-quotient is extracted by a linear solve over the power basis of I_n^r, with
-the auxiliary-prime congruence chosen strong enough that the extracted
-class is unique.
+primes q.  Each reduction solves the discrete logs of all the residues
+zeta^a - 1 a level needs in one batched baby-step giant-step per auxiliary
+prime.  The class of the reduced theta element in the augmentation quotient
+is extracted by a linear solve over the power basis of I_n^r, with the
+auxiliary-prime congruence chosen strong enough that the extracted class is
+unique.
 """
 
 from __future__ import annotations
@@ -154,36 +156,28 @@ class ReductionHom:
     zeta: int           # fixed image of the nf-th root of unity
     sqrt_disc: int      # image of sqrt(D)
     _dlog_cache: dict = field(default_factory=dict)
-    _bsgs: list = field(default_factory=list)
 
     @property
     def modulus(self) -> int:
         return self.q - 1
 
     def dlog(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise BadAuxiliaryPrime(f"zero value mod {self.q}")
-        if x in self._dlog_cache:
-            return self._dlog_cache[x]
-        if not self._bsgs:
-            from math import isqrt
-            m = isqrt(self.q - 1) + 1
-            table = {}
-            cur = 1
-            for j in range(m):
-                table.setdefault(cur, j)
-                cur = cur * self.g % self.q
-            self._bsgs.extend([m, pow(self.g, -m, self.q), table])
-        m, step, table = self._bsgs
-        cur = x
-        for i in range(m):
-            if cur in table:
-                val = (i * m + table[cur]) % (self.q - 1)
-                self._dlog_cache[x] = val
-                return val
-            cur = cur * step % self.q
-        raise RuntimeError("discrete log failed")
+        return self.dlogs([x])[0]
+
+    def dlogs(self, xs) -> list[int]:
+        """Discrete logs of the residues xs, the uncached ones in one batch."""
+        q = self.q
+        xs = [x % q for x in xs]
+        if 0 in xs:
+            raise BadAuxiliaryPrime(f"zero value mod {q}")
+        cache = self._dlog_cache
+        todo = [x for x in dict.fromkeys(xs) if x not in cache]
+        if todo:
+            try:
+                cache.update(zip(todo, nt.discrete_logs(todo, self.g, q, q - 1)))
+            except ValueError:
+                raise RuntimeError("discrete log failed") from None
+        return [cache[x] for x in xs]
 
     def zeta_power(self, k: int) -> int:
         return pow(self.zeta, k % (self.level * self.F.conductor), self.q)
@@ -209,16 +203,29 @@ class ReductionHom:
 
     def alpha_value(self, m: int, c: int) -> int:
         """h of the c-twist of the level-m cyclotomic unit."""
+        return self.alpha_values(m, [c])[0]
+
+    def alpha_values(self, m: int, cs) -> list[int]:
+        """h of the c-twist of the level-m cyclotomic unit, for every c in cs.
+
+        The residues zeta^(a c) - 1 of all the twists go to one batched
+        discrete log.
+        """
         F = self.F
         mf = m * F.conductor
-        t = (self.level * F.conductor) // mf
+        z = self.zeta_power(self.level * F.conductor // mf)  # image of zeta_mf
+        zpow = [1] * mf
+        for j in range(1, mf):
+            zpow[j] = zpow[j - 1] * z % self.q
         plus, minus = cyclo.alpha_exponents(F, m)
-        tot = 0
-        for a in plus:
-            tot += self.dlog(self.zeta_power(a * c * t) - 1)
-        for a in minus:
-            tot -= self.dlog(self.zeta_power(a * c * t) - 1)
-        return tot % self.modulus
+        exps = plus + minus
+        logs = self.dlogs([zpow[a * c % mf] - 1 for c in cs for a in exps])
+        k, k_plus = len(exps), len(plus)
+        out = []
+        for i in range(0, len(logs), k):
+            out.append((sum(logs[i:i + k_plus]) - sum(logs[i + k_plus:i + k]))
+                       % self.modulus)
+        return out
 
 
 def _required_congruence(F: QuadField, n: int) -> int:
@@ -400,11 +407,8 @@ def theta_values(F: QuadField, n: int, h: ReductionHom) -> dict[int, int]:
     """h(gamma(alpha_n)) for every gamma in Gamma_n."""
     th = cyclo.theta_prime(F, n)
     G = gamma(n)
-    out = {}
-    for g in G.elements:
-        c = th.twist_residue(g if n > 1 else 1)
-        out[g] = h.alpha_value(n, c)
-    return out
+    cs = [th.twist_residue(g if n > 1 else 1) for g in G.elements]
+    return dict(zip(G.elements, h.alpha_values(n, cs)))
 
 
 def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
@@ -453,19 +457,18 @@ def beta_value(F: QuadField, n_plus: int, h: ReductionHom) -> int:
     """h applied to the Kolyvagin derivative D_{n+} alpha_{n+}."""
     G = gamma(n_plus)
     th = cyclo.theta_prime(F, n_plus)
-    total = 0
-    for g in G.elements:
-        weight = 1
-        for p in G.primes:
-            if p == 2:
-                weight = 0 if g % 2 == 0 else weight
-                continue
-            gen = nt.primitive_root(p)
-            i = nt.discrete_log(g % p, gen, p, p - 1)
-            weight = weight * i % h.modulus
-        if weight:
-            total = (total + weight * h.alpha_value(n_plus, th.twist_residue(g))) % h.modulus
-    return total
+    M = h.modulus
+    weights = [1] * len(G.elements)
+    for p in G.primes:
+        if p == 2:
+            weights = [0 if g % 2 == 0 else w for g, w in zip(G.elements, weights)]
+            continue
+        logs = nt.discrete_logs([g % p for g in G.elements], nt.primitive_root(p),
+                                p, p - 1)
+        weights = [w * i % M for w, i in zip(weights, logs)]
+    support = [(g, w) for g, w in zip(G.elements, weights) if w]
+    vals = h.alpha_values(n_plus, [th.twist_residue(g) for g, _ in support])
+    return sum(w * v for (_, w), v in zip(support, vals)) % M
 
 
 def beta_class_at(F: QuadField, n: int) -> AugClass:
@@ -528,10 +531,11 @@ def _group_odd_trivial(quot) -> bool:
 
 
 def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
-                  wrong_sign: bool = False) -> VerifyReport:
+                  wrong_sign: bool = False, bound: int = 10 ** 9) -> VerifyReport:
     """Check that theta~' + 2^s h_n R_n has trivial odd part, per aux prime.
 
-    wrong_sign flips the sign of the regulator side (soundness canary).
+    wrong_sign flips the sign of the regulator side (soundness canary);
+    bound caps the auxiliary primes searched (ResourceLimitError past it).
     """
     if n > 1 and gcd(n, F.conductor) != 1:
         raise ValueError("level shares a factor with the conductor")
@@ -541,7 +545,7 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     reg = regulator(F, n).scale(hn * (2 ** s) * (-1 if wrong_sign else 1))
     results = []
     vacuous = r >= 1 and _group_odd_trivial(quot)
-    qs = find_aux_primes(F, n, num_primes)
+    qs = find_aux_primes(F, n, num_primes, bound)
     for q in qs:
         try:
             h = make_reduction_hom(F, n, q)
@@ -610,8 +614,7 @@ def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
     if (h.q - 1) % (m * F.conductor):
         raise ValueError("hom not compatible with the level")
     zeta_m = pow(h.zeta, (h.level * F.conductor) // (m * F.conductor), h.q)
-    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc,
-                        h._dlog_cache, h._bsgs)
+    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h._dlog_cache)
 
 
 # ---------------------------------------------------------------------------

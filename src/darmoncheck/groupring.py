@@ -388,9 +388,10 @@ def _solve_matrix(B: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     m_work = m * det
     bmax = int(np.abs(B).max(initial=1))
     if m_work >= (1 << 31) or (k + 1) * m_work * bmax >= (1 << 62):
+        Bp = B.tolist()
         out = []
         for r in rows:
-            x = hnf_solve(B, r, as_python=True)
+            x = hnf_solve(Bp, r, as_python=True)
             if x is None:
                 raise ValueError("rows are not in the lattice")
             out.append([xi % m for xi in x])

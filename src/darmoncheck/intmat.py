@@ -81,12 +81,17 @@ def hnf_mod(rows: np.ndarray, m: int) -> np.ndarray:
     return H
 
 
-def hnf_solve(H: np.ndarray, v, as_python: bool = False):
-    """Solve x @ H = v over Z for upper-triangular H; None if unsolvable."""
-    k = H.shape[0]
+def hnf_solve(H, v, as_python: bool = False):
+    """Solve x @ H = v over Z for upper-triangular H; None if unsolvable.
+
+    With as_python the solve is exact in Python integers, and H may be given
+    as a list of Python-int rows (`H.tolist()`), so that a caller solving
+    many right-hand sides against one H converts it once.
+    """
+    k = len(H)
     if as_python:
         w = [int(t) for t in v]
-        Hp = [[int(t) for t in row] for row in H]
+        Hp = H.tolist() if isinstance(H, np.ndarray) else H
         x = [0] * k
         for c in range(k):
             p = Hp[c][c]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+import numpy as np
+
 
 class ResourceLimitError(RuntimeError):
     """A configured search or size bound was exceeded."""
@@ -12,6 +14,11 @@ class ResourceLimitError(RuntimeError):
 class BadAuxiliaryPrime(ValueError):
     """An auxiliary prime hit a zero/undefined evaluation; pick another."""
 
+
+# the batched discrete log works in int64 while p * p stays below this
+_INT64_LIMIT = 1 << 63
+# at most this many (query, giant step) pairs are looked up at once
+_GIANT_BLOCK = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -191,21 +198,74 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def discrete_log(h: int, g: int, p: int, order: int) -> int:
-    """Solve g^x = h mod p for 0 <= x < order by baby-step giant-step."""
-    m = isqrt(order) + 1
-    table: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * g % p
-    step = pow(g, -m, p)
-    cur = h % p
-    for i in range(m):
-        if cur in table:
-            return (i * m + table[cur]) % order
-        cur = cur * step % p
+def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
+    """Solve g^x = h mod p, 0 <= x < order, for every h in hs in one batch.
+
+    One baby-step giant-step serves the whole batch: a sorted table of about
+    sqrt(order * len(hs)) baby steps g^j, then giant steps h * g^(-m i)
+    taken for every unresolved query together, a block of steps at a time.
+    Each x is the least solution.  The arithmetic is int64 while p*p fits in
+    it, and Python integers (object arrays) above that.  Raises ValueError
+    when some h is not a power of g.
+    """
+    hs = [h % p for h in hs]
+    if not hs:
+        return []
+    dtype = np.int64 if p * p < _INT64_LIMIT else object
+    m = min(order, isqrt(order * len(hs)) + 1)
+    # sort keys g^j * m + j: equal powers keep the least j first
+    keys = _powers(g, m, p, dtype)
+    keys *= m
+    keys += np.arange(m)
+    keys.sort()
+    table, jay = keys // m, keys % m
+    giants = -(-order // m)
+    block = min(giants, max(1, _GIANT_BLOCK // len(hs)))
+    steps = _powers(pow(g, -m, p), block, p, dtype)
+    stride = pow(g, -m * block, p)
+    cur = np.array(hs, dtype=dtype)
+    pending = np.arange(len(hs))
+    out = np.zeros(len(hs), dtype=dtype)
+    for i0 in range(0, giants, block):
+        vals = (np.multiply.outer(cur, steps) % p).ravel()
+        # looking up sorted values is several times faster than scattered
+        # ones; the keys value * size + position keep each value's position
+        size = len(vals)
+        keys = np.sort(vals * size + np.arange(size))
+        vals, where = keys // size, keys % size
+        pos = np.minimum(np.searchsorted(table, vals), m - 1)
+        hit = table[pos] == vals
+        # in position order, a query's first hit is at its least giant step
+        where = where[hit].astype(np.int64)
+        by_pos = np.argsort(where)
+        where, j = where[by_pos], jay[pos[hit]][by_pos]
+        row, i = where // block, where % block
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        row = row[first]
+        out[pending[row]] = ((i0 + i[first]) * m + j[first]) % order
+        found = np.zeros(len(pending), dtype=bool)
+        found[row] = True
+        cur, pending = cur[~found], pending[~found]
+        if not len(pending):
+            return out.tolist()
+        cur = cur * stride % p
     raise ValueError("discrete log not found (h not in <g>?)")
+
+
+def discrete_log(h: int, g: int, p: int, order: int) -> int:
+    """Solve g^x = h mod p for 0 <= x < order (a batch of one)."""
+    return discrete_logs([h], g, p, order)[0]
+
+
+def _powers(g: int, count: int, p: int, dtype) -> np.ndarray:
+    """g^0, g^1, ..., g^(count-1) mod p, by doubling."""
+    out = np.ones(1, dtype=dtype)
+    gk = g % p
+    while len(out) < count:
+        out = np.concatenate((out, out[:count - len(out)] * gk % p))
+        gk = gk * gk % p
+    return out
 
 
 def v2(n: int) -> int:

@@ -41,6 +41,13 @@ def test_verify_level_11():
     assert len(out["primes"]) == 3
 
 
+def test_verify_honours_bound():
+    # the first auxiliary prime for (5, 11) is far above 20
+    for command in ("verify", "theta"):
+        code, _ = run([command, "--disc", "5", "--level", "11", "--bound", "20"])
+        assert code == EXIT_VACUOUS, command
+
+
 def test_augq_examples():
     code, out = run(["augq", "--level", "209", "--degree", "2"])
     assert code == EXIT_PASS

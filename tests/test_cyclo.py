@@ -65,6 +65,16 @@ def test_alpha_exponents_partition():
         assert a % 11 == 1 and F.omega(a) == 1
     for a in minus:
         assert a % 11 == 1 and F.omega(a) == -1
+    # the definition, scanning every residue mod nf
+    for d, levels in ((5, (1, 11, 33, 209)), (2, (1, 3, 21)), (13, (1, 7, 35)),
+                      (10, (1, 39, 57)), (34, (1, 3, 19))):
+        F = make_field(d)
+        for n in levels:
+            mf = n * F.conductor
+            units = [a for a in range(mf) if gcd(a, mf) == 1 and a % n == 1 % n]
+            assert alpha_exponents(F, n) == (
+                tuple(a for a in units if F.omega(a) == 1),
+                tuple(a for a in units if F.omega(a) == -1)), (d, n)
 
 
 def test_alpha_base_case_value():

@@ -1,6 +1,7 @@
 """Both sides of the congruence, reductions, and the axiom verifiers."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -11,9 +12,9 @@ from darmoncheck.darmon import (TensorElt, beta_class_at, beta_value,
                                 find_aux_primes, make_reduction_hom,
                                 prop94_residual, regulator,
                                 regulator_from_basis, tensor_reduce,
-                                theta_class, verify_base_case, verify_darmon,
-                                verify_preks_axiom, _hom_at_level,
-                                _required_congruence)
+                                theta_class, theta_values, verify_base_case,
+                                verify_darmon, verify_preks_axiom,
+                                _hom_at_level, _required_congruence)
 from darmoncheck.groupring import AugClass, RingElt, aug_quot, gamma
 from darmoncheck.quadfield import QuadNum, fundamental_unit, h_n, make_field, unit_basis
 
@@ -126,6 +127,37 @@ def test_finlem_no_transverse_part():
         pl = F5.place_above(ell)
         for e in ul.basis:
             assert qf.ord_at(e, pl) == 0 and qf.ord_at(e, pl.conj()) == 0
+
+
+def test_reduction_hom_zero_residue():
+    q = find_aux_primes(F5, 11, 1)[0]
+    h = make_reduction_hom(F5, 11, q)
+    with pytest.raises(nt.BadAuxiliaryPrime):
+        h.dlogs([1, 2, q])
+    with pytest.raises(nt.BadAuxiliaryPrime):
+        h.dlog(0)
+    assert h.dlogs([1, h.g, q + 1]) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("d, n", [(5, 11), (13, 21), (10, 39), (7, 87)])
+def test_theta_values_match_scalar_reference(d, n):
+    # h(gamma(alpha_n)) one gamma at a time, from the definition of alpha_n
+    # and scalar discrete logs
+    F = make_field(d)
+    mf = n * F.conductor
+    units = [a for a in range(mf) if gcd(a, mf) == 1 and a % n == 1]
+    q = find_aux_primes(F, n, 1)[0]
+    h = make_reduction_hom(F, n, q)
+    th = cyclo.theta_prime(F, n)
+    expect = {}
+    for g in gamma(n).elements:
+        c = th.twist_residue(g)
+        tot = 0
+        for a in units:
+            x = nt.discrete_log(pow(h.zeta, a * c, q) - 1, h.g, q, q - 1)
+            tot += F.omega(a) * x
+        expect[g] = tot % h.modulus
+    assert theta_values(F, n, h) == expect
 
 
 def test_theta_class_closed_form_rank_one():

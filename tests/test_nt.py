@@ -97,6 +97,36 @@ def test_discrete_log():
         assert nt.discrete_log(h, g, p, p - 1) == x
 
 
+def test_discrete_logs_batch():
+    # every nonzero residue in one batch: the least exponent, checked by pow
+    for p in (2, 3, 5, 11, 101, 3301, 65537):
+        g = nt.primitive_root(p)
+        logs = nt.discrete_logs(range(1, p), g, p, p - 1)
+        assert all(pow(g, x, p) == h for h, x in zip(range(1, p), logs)), p
+        assert all(0 <= x < p - 1 for x in logs)
+        assert [nt.discrete_log(h, g, p, p - 1) for h in range(1, p, 97)] == logs[::97]
+    assert nt.discrete_logs([], 2, 11, 10) == []
+    # repeated queries and an element of a proper subgroup (order 5 mod 11)
+    assert nt.discrete_logs([3, 4, 3, 1], 4, 11, 5) == [4, 1, 4, 0]
+    # with a multiple of the order the least solution still comes back
+    assert nt.discrete_logs([3, 5, 1], 4, 11, 10) == [4, 2, 0]
+    with pytest.raises(ValueError):
+        nt.discrete_logs([1, 0], 2, 11, 10)
+    with pytest.raises(ValueError):
+        nt.discrete_logs([2], 4, 11, 5)  # 2 is not a power of 4
+
+
+def test_discrete_logs_above_int64_guard():
+    # p * p >= 2**63: the batch runs on Python integers; a sample of residues
+    p = 4294967311
+    assert nt.is_prime(p) and p * p >= 1 << 63
+    g = nt.primitive_root(p)
+    rng = random.Random(5)
+    xs = [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(5)]
+    hs = [pow(g, x, p) for x in xs]
+    assert nt.discrete_logs(hs, g, p, p - 1) == xs
+
+
 def test_euler_phi_and_squarefree():
     assert nt.euler_phi(209) == 180
     assert nt.euler_phi(1) == 1
