@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
 
 from . import cyclo, darmon, groupring as gr, kolysys, nt, quadfield as qf
@@ -22,17 +21,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_VACUOUS = 2
 EXIT_USAGE = 64
-
-
-@dataclass
-class Config:
-    disc: int | None = None
-    level: int = 1
-    num_aux_primes: int = 5
-    aux_prime_bound: int = 10 ** 9
-    phi_cap: int = 1 << 14
-    seed: int = 0
-    cache_path: str | None = None
 
 
 def _emit(payload: dict) -> None:
@@ -67,7 +55,7 @@ def cmd_verify(args) -> int:
             raise UsageError("--axiom requires --system and --ell")
         rep = darmon.verify_preks_axiom(F, args.system, args.axiom,
                                         args.level, args.ell,
-                                        num_primes=args.primes)
+                                        num_primes=args.primes, bound=args.bound)
         _emit(rep)
         return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
                 "unsupported": EXIT_VACUOUS}[rep["verdict"]]
@@ -226,39 +214,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_disc=True):
-        if need_disc:
-            p.add_argument("--disc", type=int, required=True,
-                           help="squarefree d > 1 defining Q(sqrt(d))")
-        p.add_argument("--level", type=int, default=1)
-        p.add_argument("--primes", type=int, default=5,
-                       help="number of auxiliary primes")
-        p.add_argument("--bound", type=int, default=10 ** 9,
-                       help="search bound for auxiliary primes")
-        p.add_argument("--cache", type=str, default=None,
-                       help="path of the persistent field cache")
+    # flag groups, each registered only on the subcommands that read it
+    field_flags = argparse.ArgumentParser(add_help=False)
+    field_flags.add_argument("--disc", type=int, required=True,
+                             help="squarefree d > 1 defining Q(sqrt(d))")
+    field_flags.add_argument("--cache", type=str, default=None,
+                             help="path of the persistent field cache")
+    level_flags = argparse.ArgumentParser(add_help=False)
+    level_flags.add_argument("--level", type=int, default=1)
+    aux_flags = argparse.ArgumentParser(add_help=False)
+    aux_flags.add_argument("--primes", type=int, default=5,
+                           help="number of auxiliary primes")
+    aux_flags.add_argument("--bound", type=int, default=10 ** 9,
+                           help="search bound for auxiliary primes")
+    with_aux = [field_flags, level_flags, aux_flags]
 
-    p = sub.add_parser("verify", help="verify the refined congruence or one axiom")
-    add_common(p)
+    p = sub.add_parser("verify", parents=with_aux,
+                       help="verify the refined congruence or one axiom")
     p.add_argument("--axiom", choices=["i", "ii", "iii", "iv", "v"], default=None)
     p.add_argument("--system", choices=["theta", "regulator"], default=None)
     p.add_argument("--ell", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("regulator", help="print the regulator element")
-    add_common(p)
+    p = sub.add_parser("regulator", parents=[field_flags, level_flags],
+                       help="print the regulator element")
     p.set_defaults(func=cmd_regulator)
 
-    p = sub.add_parser("theta", help="print theta-element data and reductions")
-    add_common(p)
+    p = sub.add_parser("theta", parents=with_aux,
+                       help="print theta-element data and reductions")
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("beta", help="print the derivative class data")
-    add_common(p)
+    p = sub.add_parser("beta", parents=with_aux, help="print the derivative class data")
     p.set_defaults(func=cmd_beta)
 
-    p = sub.add_parser("field", help="print field invariants")
-    add_common(p)
+    p = sub.add_parser("field", parents=[field_flags], help="print field invariants")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("augq", help="print augmentation quotient structure")

@@ -440,7 +440,6 @@ def _as_rational(x: CycloNum):
     for i, c in enumerate(den):
         if c:
             q = Fraction(num[i], c)
-            ctx = context(x.m)
             if tuple(q.numerator * d for d in den) == tuple(q.denominator * nn for nn in num):
                 return q
     raise ValueError("not rational")

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-import numpy as np
-
-from . import cyclo, groupring as gr, localsym, nt, quadfield as qf
+from . import cyclo, groupring as gr, nt, quadfield as qf
 from .groupring import AugClass, RingElt, aug_quot, gamma
-from .intmat import hnf_solve_mod
+from .localsym import del_lift
 from .nt import BadAuxiliaryPrime, ResourceLimitError
 from .quadfield import QuadField, QuadNum
 
@@ -34,16 +31,13 @@ from .quadfield import QuadField, QuadNum
 def _payload_key(x):
     if isinstance(x, QuadNum):
         return ("q", x.d, x.a, x.b)
-    if isinstance(x, tuple) and x and x[0] == "alpha":
-        return x
     raise TypeError(f"unsupported payload {x!r}")
 
 
 class TensorElt:
     """A formal sum of (global number) tensor (augmentation class).
 
-    Payloads are either QuadNum values or alpha-twist descriptors
-    ("alpha", d, m, c) meaning the c-twist of the cyclotomic unit of level m.
+    Payloads are QuadNum values.
     Inverses are normalised onto the class side: x^{-1} (x) v = x (x) -v.
     """
 
@@ -196,9 +190,6 @@ class ReductionHom:
         """h(payload) in Z/(q-1)."""
         if isinstance(payload, QuadNum):
             return self.dlog(self.eval_quad(payload))
-        if isinstance(payload, tuple) and payload[0] == "alpha":
-            _, d, m, c = payload
-            return self.alpha_value(m, c)
         raise TypeError(f"unsupported payload {payload!r}")
 
     def alpha_value(self, m: int, c: int) -> int:
@@ -239,27 +230,12 @@ def _required_congruence(F: QuadField, n: int) -> int:
     L = n * F.conductor
     quot = aug_quot(n, r)
     if r >= 1 and quot.order > 1:
-        e = 1
-        for d in quot.invariants:
-            if d > 1:
-                e = lcm(e, d)
-        det = 1
-        if r > 1:
-            for c in range(quot._k):
-                det *= int(quot.basis_low[c, c])
+        e, det = quot.class_exponent, quot.ideal_index
         extra = 1
         for p in nt.prime_factors(e):
-            extra *= p ** (_vp(e, p) + _vp(det, p))
+            extra *= p ** (nt.valuation(e, p) + nt.valuation(det, p))
         L = lcm(L, extra)
     return L
-
-
-def _vp(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0 and x > 0:
-        x //= p
-        v += 1
-    return v
 
 
 def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
@@ -311,17 +287,12 @@ def tensor_reduce(x: TensorElt, h: ReductionHom, odd_only: bool = False) -> AugC
 
 
 def _check_hom_compat(quot, h: ReductionHom):
-    for d in quot.invariants:
-        if d > 1 and h.modulus % d:
-            raise ValueError("auxiliary prime too weak for this quotient")
+    if h.modulus % quot.class_exponent:
+        raise ValueError("auxiliary prime too weak for this quotient")
 
 
 def _odd_part(c: AugClass) -> AugClass:
-    e = 1
-    for d in c.parent.invariants:
-        if d > 1:
-            e = lcm(e, d)
-    return c * (2 ** _vp(e, 2) if e > 1 else 1)
+    return c * 2 ** nt.valuation(c.parent.class_exponent, 2)
 
 
 def _reduce_deg0(x: TensorElt, h: ReductionHom) -> int:
@@ -334,25 +305,6 @@ def _reduce_deg0(x: TensorElt, h: ReductionHom) -> int:
 
 # ---------------------------------------------------------------------------
 # the regulator side (exact)
-
-
-def del_lift(F: QuadField, x: QuadNum, place, n: int) -> RingElt:
-    """Group-ring lift of the boundary symbol (for determinant products)."""
-    G = gamma(n)
-    k = qf.ord_at(x, place)
-    ell = place.ell
-    lift = RingElt(n)
-    for qp in G.primes:
-        if qp == 2:
-            continue
-        if qp == ell:
-            u = qf.unit_residue(x, place)
-            lift = lift + RingElt.gen_minus_one(n, G.embed_from(ell, pow(u, -1, ell)))
-        else:
-            base = ell % qp
-            fr = pow(base, k, qp) if k >= 0 else pow(pow(base, -1, qp), -k, qp)
-            lift = lift + RingElt.gen_minus_one(n, G.embed_from(qp, fr))
-    return lift
 
 
 def _minor_class(lifts: list[list[RingElt]], j: int, n: int, r: int) -> AugClass:
@@ -422,7 +374,6 @@ def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     quot = aug_quot(n, r)
     _check_hom_compat(quot, h)
     vals = theta_values(F, n, h)
-    G = gamma(n)
     M = h.modulus
     if r == 0:
         return AugClass(quot, (sum(vals.values()) % M,))
@@ -430,27 +381,16 @@ def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     if aug:
         raise ArithmeticError("theta vector has nonzero augmentation; "
                               "norm compatibility violated")
-    k = quot._k
-    coords = np.zeros(k, dtype=np.int64)
-    for g, v in vals.items():
-        if g != G.identity:
-            coords[quot._pos[g]] = v % M
-    # identity coefficient is absorbed: subtracting aug * (identity basis row)
-    # is unnecessary because the augmentation vanishes
-    e = quot.exponent_m
+    # solving mod the part of M supported on the primes of e = exponent_m
+    # leaves the class unique (see _required_congruence)
     m_solve = 1
-    for p in nt.prime_factors(e):
-        m_solve *= p ** _vp(M, p)
-    if r == 1 or k == 0:
-        x = coords
-    else:
-        x = hnf_solve_mod(quot.basis_low, coords, m_solve)
-        if x is None:
-            raise ArithmeticError("reduced theta element is not in the expected "
-                                  "ideal power (implementation or theory failure)")
-    y = np.asarray(x, dtype=np.int64) @ quot._V
-    return AugClass(quot, tuple(int(y[i]) % d if d else int(y[i])
-                                for i, d in enumerate(quot.invariants)))
+    for p in nt.prime_factors(quot.exponent_m):
+        m_solve *= p ** nt.valuation(M, p)
+    cls = quot.class_of_sum({g: v % M for g, v in vals.items()}, m_solve)
+    if cls is None:
+        raise ArithmeticError("reduced theta element is not in the expected "
+                              "ideal power (implementation or theory failure)")
+    return cls
 
 
 def beta_value(F: QuadField, n_plus: int, h: ReductionHom) -> int:
@@ -527,7 +467,8 @@ class VerifyReport:
 
 
 def _group_odd_trivial(quot) -> bool:
-    return all(d & (d - 1) == 0 for d in quot.invariants if d >= 1)
+    e = quot.class_exponent
+    return e & (e - 1) == 0
 
 
 def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
@@ -554,7 +495,7 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
                 # residual in Z/(q-1); kill the 2-part of the group
                 M = h.modulus
                 val = (th.coords[0] + _reduce_deg0(reg, h)) % M
-                val = val * (2 ** _vp(M, 2)) % M
+                val = val * (2 ** nt.valuation(M, 2)) % M
                 ok = val == 0
                 results.append(PrimeResult(q, (val,), "pass" if ok else "fail"))
                 continue
@@ -650,24 +591,29 @@ def regulator_axiom_i(F: QuadField, n: int, ell: int) -> bool:
                for e in ul.basis)
 
 
-def regulator_axiom_ii(F: QuadField, n: int, ell: int, homs=None):
-    """(1 (x) pi_{n/ell})(h_n R_n) = h_{n/ell} R_{n/ell} pi_{n/ell}(1 - Fr_ell)."""
+def _reduction_homs(F: QuadField, n: int, num_primes: int,
+                    bound: int) -> list[ReductionHom]:
+    """Reduction homomorphisms at the first num_primes auxiliary primes."""
+    return [make_reduction_hom(F, n, q)
+            for q in find_aux_primes(F, n, num_primes, bound)]
+
+
+def regulator_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
+                       bound: int = 10 ** 9):
+    """(1 (x) pi_{n/ell})(h_n R_n) = h_{n/ell} R_{n/ell} pi_{n/ell}(1 - Fr_ell).
+
+    Compared exactly, and only if that fails under reduction homomorphisms.
+    """
     if n % ell or F.omega(ell) != 1:
         raise ValueError("axiom (ii) needs a split prime dividing the level")
     m = n // ell
     lhs = regulator(F, n).scale(qf.h_n(F, n)).pi(m)
-    fr = RingElt(n) - gr._frob_lift(n, m, ell)  # pi_m(1 - Fr_ell) as a lift
     fr_cls = aug_quot(n, 1).class_of(-1 * gr._frob_lift(n, m, ell))
     rhs = regulator(F, m).scale(qf.h_n(F, m)).embed(n).mult_class(fr_cls)
     if lhs == rhs:
         return True, "exact"
-    return _tensor_equal_under_homs(F, n, lhs, rhs, homs)
-
-
-def _tensor_equal_under_homs(F, n, a: TensorElt, b: TensorElt, homs=None):
-    homs = homs or [make_reduction_hom(F, n, q) for q in find_aux_primes(F, n, 3)]
-    for h in homs:
-        if tensor_reduce(a, h) != tensor_reduce(b, h):
+    for h in _reduction_homs(F, n, num_primes, bound):
+        if tensor_reduce(lhs, h) != tensor_reduce(rhs, h):
             return False, "reductions"
     return True, "reductions"
 
@@ -690,11 +636,10 @@ def regulator_axiom_iii(F: QuadField, n: int, ell: int) -> bool:
     lhs = gr.proj_new(lhs, plus_n)
     # right side: finite residues at ell of the level-m basis, sent through
     # the finite-singular map and multiplied into the new part
-    ul2, _, quot2, minors2 = _regulator_parts(F, m)
+    ul2, _, _, minors2 = _regulator_parts(F, m)
     hm = qf.h_n(F, m)
     plus_m = tuple(F.split_primes(m))
     rhs = quot.zero()
-    sigma_inv_gen = gamma(ell).gens[ell] if ell > 2 else None
     for j, e in enumerate(ul2.basis):
         u = qf.unit_residue(e, place)
         sym = pow(u, -1, ell)
@@ -722,15 +667,11 @@ def regulator_axiom_iv(F: QuadField, n: int, ell: int) -> bool:
             lhs = lhs + ((-1) ** j * hn * a) * minors[j]
     lhs = gr.proj_new(lhs, plus_n)
     rhs = quot.zero()
-    for mp in gr.permutations_of(split):
-        if mp[ell] == ell or not gr.single_orbit_nonfixed(mp):
-            continue
-        d_sigma = prod([p for p, q2 in mp.items() if p != q2])
+    for d_sigma, sign, pi_cls in gr.cycles_through(n, split, ell):
         mlevel = n // d_sigma
         ulm, _, quotm, minorsm = _regulator_parts(F, mlevel)
         hm = qf.h_n(F, mlevel)
         plus_m = tuple(F.split_primes(mlevel))
-        pi_cls = gr.perm_pi(gr.PermData(n, tuple(sorted(mp.items()))))
         inner = quotm.zero()
         for j, e in enumerate(ulm.basis):
             a = _fpart_dlog(F, e, ell)
@@ -738,7 +679,7 @@ def regulator_axiom_iv(F: QuadField, n: int, ell: int) -> bool:
                 inner = inner + ((-1) ** j * hm * a) * minorsm[j]
         inner = gr.proj_new(inner, plus_m)
         term = gr.mult_classes(gr.embed_class(inner, n), pi_cls)
-        rhs = rhs - gr.perm_sign(mp) * term
+        rhs = rhs - sign * term
     return lhs == rhs
 
 
@@ -752,11 +693,12 @@ def regulator_axiom_v(F: QuadField, n: int, ell: int) -> bool:
     return lhs == rhs
 
 
-def theta_axiom_ii(F: QuadField, n: int, ell: int, homs=None):
+def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
+                   bound: int = 10 ** 9):
     """Exact norm relation, plus the projection identity under homs."""
     exact = cyclo.norm_relation_check(F, n, ell)
     m = n // ell
-    homs = homs or [make_reduction_hom(F, n, q) for q in find_aux_primes(F, n, 3)]
+    homs = _reduction_homs(F, n, num_primes, bound)
     fr_cls = aug_quot(n, 1).class_of(-1 * gr._frob_lift(n, m, ell))
     ok = exact
     for h in homs:
@@ -768,14 +710,14 @@ def theta_axiom_ii(F: QuadField, n: int, ell: int, homs=None):
     return ok, "exact+reductions"
 
 
-def theta_axiom_v(F: QuadField, n: int, ell: int, homs=None):
+def theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int = 3,
+                  bound: int = 10 ** 9):
     """proj(2^{-s(n)} theta~'_n) = proj(2^{-s(n/ell)} theta~'_{n/ell}) under homs."""
     if n % ell or F.omega(ell) != -1:
         raise ValueError("axiom (v) needs an inert prime dividing the level")
     m = n // ell
     plus = tuple(F.split_primes(n))
-    homs = homs or [make_reduction_hom(F, n, q) for q in find_aux_primes(F, n, 3)]
-    for h in homs:
+    for h in _reduction_homs(F, n, num_primes, bound):
         lhs = gr.proj_new(theta_class(F, n, h), plus)
         th_m = theta_class(F, m, _hom_at_level(F, m, h))
         rhs = 2 * gr.embed_class(gr.proj_new(th_m, plus), n)
@@ -805,11 +747,13 @@ def _alpha_support(F: QuadField, n: int) -> set[int]:
 
 
 def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
-                       num_primes: int = 3) -> dict:
+                       num_primes: int = 3, bound: int = 10 ** 9) -> dict:
     """Check one pre-Kolyvagin-system axiom for a concrete system.
 
     system: "regulator" (h_n R_n) or "theta" (2^{-s} theta~'_n).
     axiom: "i", "ii", "iii", "iv" (the primed form), or "v".
+    Checks made under reduction homomorphisms use num_primes auxiliary
+    primes below bound.
     """
     method = "exact"
     supported = True
@@ -817,7 +761,7 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
         if axiom == "i":
             ok = regulator_axiom_i(F, n, ell)
         elif axiom == "ii":
-            ok, method = regulator_axiom_ii(F, n, ell)
+            ok, method = regulator_axiom_ii(F, n, ell, num_primes, bound)
         elif axiom == "iii":
             ok = regulator_axiom_iii(F, n, ell)
         elif axiom == "iv":
@@ -830,9 +774,9 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
         if axiom == "i":
             ok = theta_axiom_i(F, n, ell)
         elif axiom == "ii":
-            ok, method = theta_axiom_ii(F, n, ell)
+            ok, method = theta_axiom_ii(F, n, ell, num_primes, bound)
         elif axiom == "v":
-            ok, method = theta_axiom_v(F, n, ell)
+            ok, method = theta_axiom_v(F, n, ell, num_primes, bound)
         else:
             # the finite/transverse local data of the derivative classes is
             # inherited from the underlying Euler system construction and has

@@ -6,6 +6,13 @@ are computed as integer lattices in those coordinates, and quotients
 I_n^r / I_n^{r+1} are presented by Smith normal form.  Because e * I_n^r
 is contained in I_n^{r+1} for e = exponent(Gamma_n), all normal forms run
 with a working modulus (see intmat).
+
+A class is a tuple of Smith coordinates, each reduced mod its invariant
+factor.  `AugQuot.class_of_sum` is the one place where (g-1)-coordinates
+become a class: in degree r >= 2 they are solved over the Hermite basis of
+I^r (intmat.hnf_solve_mod), then mapped through the Smith transform and
+reduced.  `cycles_through` expands the single-cycle sums of the
+determinant lemma, for the regulator and the synthetic systems alike.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import nt
-from .intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
+from .intmat import hnf_mod, hnf_solve_mod, snf_mod
 from .nt import ResourceLimitError
 
 PHI_CAP = 1 << 14
@@ -200,7 +207,6 @@ class AugQuot:
         self._k = k
         self._pi_matrices: dict[int, np.ndarray] = {}
         self._split_cache: dict[tuple, dict] = {}
-        self._mult_cache: dict = {}
         if r == 0:
             # I^0/I^1 is Z via the augmentation; classes carry one integer.
             self.invariants = (0,)
@@ -237,7 +243,9 @@ class AugQuot:
         else:
             # solving mod e^{r-1} keeps entries bounded; the drift lies in
             # e^{r-1} * Z^k which is absorbed by the Smith modulus e below
-            X = _solve_matrix(self.basis_low, self.basis_high, e ** (r - 1))
+            X = hnf_solve_mod(self.basis_low, self.basis_high, e ** (r - 1))
+            if X is None:
+                raise ValueError("I^{r+1} is not inside I^r")
         d, V, W = snf_mod(X, e)
         self.invariants = tuple(d)
         self._V = V
@@ -246,16 +254,43 @@ class AugQuot:
         self._lifts = W @ self.basis_low
         self.order = prod(d)
 
+    @property
+    def class_exponent(self) -> int:
+        """The exponent of the finite part of the quotient (lcm of d > 1)."""
+        return lcm(1, *[d for d in self.invariants if d > 1])
+
+    @property
+    def ideal_index(self) -> int:
+        """The index [I_n : I_n^r] (1 in degree 0): det of the I^r basis."""
+        if self.degree == 0:
+            return 1
+        return prod(int(self.basis_low[c, c]) for c in range(self._k))
+
     # -- element <-> class ------------------------------------------------
 
-    def _coords_of(self, v: RingElt) -> np.ndarray:
-        if v.aug() != 0 and self.degree >= 1:
-            raise ValueError("element is not in the augmentation ideal")
-        out = np.zeros(self._k, dtype=np.int64)
-        for g, c in v.coeffs.items():
+    def _reduced(self, y: np.ndarray) -> AugClass:
+        """The class with Smith coordinates y, reduced by the invariants."""
+        return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
+                                    for i, d in enumerate(self.invariants)))
+
+    def class_of_sum(self, coeffs: dict[int, int], m: int) -> AugClass | None:
+        """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
+
+        In degree >= 2 the element is solved over the basis of I^r mod m,
+        which must make the class unique (m = e^(r-1) always does); None when
+        the element is not in I^r.
+        """
+        if self._k == 0:
+            return AugClass(self, ())
+        x = np.zeros(self._k, dtype=np.int64)
+        for g, c in coeffs.items():
             if g != self.gamma.identity:
-                out[self._pos[g]] = c
-        return out
+                x[self._pos[g]] = c
+        if self.degree >= 2:
+            x = hnf_solve_mod(self.basis_low, x, m)
+            if x is None:
+                return None
+        return self._reduced(x @ self._V)
 
     def class_of(self, v: RingElt) -> AugClass:
         """Reduce an element of I^r to its class; raises if v is not in I^r."""
@@ -265,28 +300,10 @@ class AugQuot:
             return AugClass(self, (v.aug(),))
         if v.aug() != 0:
             raise ValueError("element is not in the augmentation ideal")
-        if self._k == 0:
-            return AugClass(self, ())
-        coords = self._coords_of(v)
-        if self.degree == 1:
-            x = coords
-        else:
-            x = hnf_solve_mod(self.basis_low, coords, self.exponent_m ** (self.degree - 1))
-            if x is None:
-                raise ValueError("element does not lie in the expected ideal power")
-        y = np.asarray(x, dtype=np.int64) @ self._V
-        return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
-                                    for i, d in enumerate(self.invariants)))
-
-    def contains(self, v: RingElt) -> bool:
-        if self.degree <= 1:
-            return v.aug() == 0 or self.degree == 0
-        try:
-            coords = self._coords_of(v)
-        except ValueError:
-            return False
-        return hnf_solve_mod(self.basis_low, coords,
-                             self.exponent_m ** (self.degree - 1)) is not None
+        c = self.class_of_sum(v.coeffs, self.exponent_m ** (self.degree - 1))
+        if c is None:
+            raise ValueError("element does not lie in the expected ideal power")
+        return c
 
     def zero(self) -> AugClass:
         if self.degree == 0:
@@ -328,9 +345,7 @@ class AugQuot:
         return self._pi_matrices[d]
 
     def apply_matrix(self, c: AugClass, P: np.ndarray) -> AugClass:
-        y = np.asarray(c.coords, dtype=np.int64) @ P
-        return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
-                                    for i, d in enumerate(self.invariants)))
+        return self._reduced(np.asarray(c.coords, dtype=np.int64) @ P)
 
     def splitting(self, plus: tuple[int, ...]) -> dict:
         """Data for the new/old decomposition relative to designated primes.
@@ -373,41 +388,6 @@ class AugQuot:
 
     def __repr__(self):
         return f"AugQuot(n={self.level}, r={self.degree}, invariants={self.invariants})"
-
-
-def _solve_matrix(B: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """Solve X @ B = rows with X correct mod m (requires m*Z^k <= lattice(B)).
-
-    Works mod m*det(B) so that the reduction drift is an integral multiple
-    of m (see hnf_solve_mod); falls back to exact arithmetic if needed.
-    """
-    k = B.shape[0]
-    det = 1
-    for c in range(k):
-        det *= int(B[c, c])
-    m_work = m * det
-    bmax = int(np.abs(B).max(initial=1))
-    if m_work >= (1 << 31) or (k + 1) * m_work * bmax >= (1 << 62):
-        Bp = B.tolist()
-        out = []
-        for r in rows:
-            x = hnf_solve(Bp, r, as_python=True)
-            if x is None:
-                raise ValueError("rows are not in the lattice")
-            out.append([xi % m for xi in x])
-        return np.array(out, dtype=np.int64)
-    W = rows.astype(np.int64).copy()
-    X = np.zeros((rows.shape[0], k), dtype=np.int64)
-    for c in range(k):
-        p = B[c, c]
-        if np.any(W[:, c] % p):
-            raise ValueError("rows are not in the lattice")
-        q = (W[:, c] // p) % m_work
-        X[:, c] = q
-        W[:, c:] -= np.outer(q, B[c, c:])
-    if np.any(W % m_work):
-        raise AssertionError("modular solve integrity check failed")
-    return X % m
 
 
 class AugClass:
@@ -697,3 +677,16 @@ def perm_pi(p: PermData) -> AugClass:
     for q in moved:
         v = v * _frob_lift(n, q, p.mapping[q])
     return aug_quot(n, t).class_of(v)
+
+
+def cycles_through(n: int, primes, ell: int):
+    """The permutations of `primes` whose moved points form one cycle through ell.
+
+    Yields (d_sigma, sign, Pi(sigma)) for each, with Pi(sigma) the class in
+    I_n^t/I_n^{t+1} (t = number of moved primes) from perm_pi: the terms of
+    the single-cycle expansion in the determinant lemma.
+    """
+    for mp in permutations_of(list(primes)):
+        if mp[ell] != ell and single_orbit_nonfixed(mp):
+            p = PermData(n, tuple(sorted(mp.items())))
+            yield p.d_sigma, perm_sign(mp), perm_pi(p)

@@ -11,7 +11,7 @@ determinants D_{n,d} and is checked against the axiom lists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from . import groupring as gr, nt
@@ -110,6 +110,13 @@ def cyclic_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
     return SyntheticLocalModel(moduli, tuple(split), tuple(inert), loc, fs_unit, seed)
 
 
+def _fold(c: AugClass, m: int) -> AugClass:
+    """The image of a class in Z/m (x) I^r/I^{r+1}: coordinates mod gcd(m, d_i)."""
+    return AugClass(c.parent, tuple(
+        x % gcd(m, di) if di else x % m
+        for x, di in zip(c.coords, c.parent.invariants)))
+
+
 class SynElt:
     """An element of A (x) I_n^r/I_n^{r+1}: one class per cyclic factor of A."""
 
@@ -120,14 +127,7 @@ class SynElt:
         self.quot = quot
         if parts is None:
             parts = [quot.zero() for _ in model.moduli]
-        self.parts = [self._fold(c, Mj) for c, Mj in zip(parts, model.moduli)]
-
-    def _fold(self, c: AugClass, Mj: int) -> AugClass:
-        # reduce coordinates into A/Mj (x) Z/d_i
-        d = c.parent.invariants
-        return AugClass(c.parent, tuple(
-            x % gcd(Mj, di) if di else x % Mj
-            for x, di in zip(c.coords, d)))
+        self.parts = [_fold(c, Mj) for c, Mj in zip(parts, model.moduli)]
 
     @property
     def level(self):
@@ -179,10 +179,7 @@ class SynElt:
         for (cf, ct), c in zip(self.model.loc[ell], self.parts):
             fin = fin + cf * c
             tr = tr + ct * c
-        fold = lambda c: AugClass(c.parent, tuple(
-            x % gcd(ell - 1, di) if di else x % (ell - 1)
-            for x, di in zip(c.coords, c.parent.invariants)))
-        return fold(fin), fold(tr)
+        return _fold(fin, ell - 1), _fold(tr, ell - 1)
 
     def fs_of_finite(self, ell: int, fin: AugClass, at_level: int) -> AugClass:
         """The finite-singular image: multiply by (sigma_ell - 1), unit-twisted.
@@ -217,13 +214,10 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
         data = quot.splitting(plus) if n > 1 else None
         gen = data["new_gen"] if n > 1 else AugClass(quot, (1,))
         g_ord = gen.order() or 17  # degree-0 classes are free; any range works
-        parts = []
-        for j, Mj in enumerate(model.moduli):
-            parts.append(quot.zero())
-        elt = SynElt(model, quot, parts)
+        elt = SynElt(model, quot)
         for p in model.split:
             i = index[p]
-            uf, ut = model.loc[p][i][0], model.loc[p][i + 1][1]
+            ut = model.loc[p][i + 1][1]
             if n % p == 0:
                 # finite component vanishes; transverse matches fs of the
                 # previous level
@@ -265,19 +259,13 @@ def check_ks(coll: dict[int, SynElt], model: SyntheticLocalModel) -> dict:
                 want = prev.fs_of_finite(ell, fin_prev, n)
                 if not fin.is_zero():
                     failures.append(("ii-finite", n, ell))
-                if _fold_mod(tr, ell - 1) != _fold_mod(want, ell - 1):
+                if _fold(tr, ell - 1) != _fold(want, ell - 1):
                     failures.append(("ii", n, ell))
         for ell in model.inert:
             if n % ell == 0:
                 if x != coll[n // ell].embed(n):
                     failures.append(("iii", n, ell))
     return {"ok": not failures, "failures": failures}
-
-
-def _fold_mod(c: AugClass, m: int) -> AugClass:
-    return AugClass(c.parent, tuple(
-        x % gcd(m, di) if di else x % m
-        for x, di in zip(c.coords, c.parent.invariants)))
 
 
 def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
@@ -300,44 +288,27 @@ def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
             if lhs != rhs:
                 failures.append(("ii", n, ell))
             # (iii)
-            lhs3 = _fold_mod(_proj(x, model, tr_class=tr), ell - 1)
+            lhs3 = _fold(_proj(x, model, tr), ell - 1)
             prev = coll[m]
-            fin_prev, _ = prev.loc(ell)
-            pf = _proj(prev, model, tr_class=fin_prev)
-            rhs3 = _fold_mod(prev.fs_of_finite(ell, pf, n), ell - 1)
+            pf = _fin_new(prev, model, ell)
+            rhs3 = _fold(prev.fs_of_finite(ell, pf, n), ell - 1)
             if lhs3 != rhs3:
                 failures.append(("iii", n, ell))
             # (iv) or (iv)'
             if not use_primed_iv:
-                total = None
-                for dd in nt.divisors(n_plus):
-                    y = coll[n // dd]
-                    yf, _ = y.loc(ell)
-                    yp = _proj(y, model, tr_class=yf)
-                    _, d_cls = gr.d_det(dd, dd) if dd > 1 else (None, None)
-                    if dd == 1:
-                        term = gr.embed_class(yp, n)
-                    else:
-                        term = gr.mult_classes(gr.embed_class(yp, n),
-                                               gr.embed_class(d_cls, n))
-                    total = term if total is None else total + term
-                if not _fold_mod(total, ell - 1).is_zero():
+                total = _det_sum(
+                    n, n_plus,
+                    lambda k: gr.embed_class(_fin_new(coll[k], model, ell), n),
+                    gr.mult_classes)
+                if not _fold(total, ell - 1).is_zero():
                     failures.append(("iv", n, ell))
             else:
-                lhs4 = _proj(x, model, tr_class=fin)
-                rhs4 = lhs4.parent.zero() if False else None
                 acc = aug_quot(n, model.r_of(n)).zero()
-                for mp in gr.permutations_of([p for p in model.split if n % p == 0]):
-                    if mp[ell] == ell or not gr.single_orbit_nonfixed(mp):
-                        continue
-                    d_sigma = prod([p for p, q2 in mp.items() if p != q2])
-                    y = coll[n // d_sigma]
-                    yf, _ = y.loc(ell)
-                    yp = _proj(y, model, tr_class=yf)
-                    pi_cls = gr.perm_pi(gr.PermData(n, tuple(sorted(mp.items()))))
-                    acc = acc - gr.perm_sign(mp) * gr.mult_classes(
-                        gr.embed_class(yp, n), pi_cls)
-                if _fold_mod(lhs4, ell - 1) != _fold_mod(acc, ell - 1):
+                split_n = [p for p in model.split if n % p == 0]
+                for d_sigma, sign, pi_cls in gr.cycles_through(n, split_n, ell):
+                    yp = _fin_new(coll[n // d_sigma], model, ell)
+                    acc = acc - sign * gr.mult_classes(gr.embed_class(yp, n), pi_cls)
+                if _fold(_proj(x, model, fin), ell - 1) != _fold(acc, ell - 1):
                     failures.append(("iv'", n, ell))
         for ell in model.inert:
             if n % ell == 0:
@@ -348,18 +319,41 @@ def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
     return {"ok": not failures, "failures": failures}
 
 
-def _proj(x: SynElt, model: SyntheticLocalModel, tr_class: AugClass) -> AugClass:
+def _proj(x: SynElt, model: SyntheticLocalModel, c: AugClass) -> AugClass:
+    """The new-component projection of a class at the level of x."""
     plus = tuple(p for p in model.split if x.level % p == 0)
-    return gr.proj_new(tr_class, plus)
+    return gr.proj_new(c, plus)
+
+
+def _fin_new(y: SynElt, model: SyntheticLocalModel, ell: int) -> AugClass:
+    """The new-component projection of the finite part of y at ell."""
+    fin, _ = y.loc(ell)
+    return _proj(y, model, fin)
+
+
+def _det_sum(n: int, n_plus: int, value, mult):
+    """Sum over d | n_plus of value(n/d) times D_{d,d} embedded at level n.
+
+    value(k) gives the level-k term already embedded at level n, and
+    mult(term, cls) multiplies it by a class.
+    """
+    total = None
+    for dd in nt.divisors(n_plus):
+        y = value(n // dd)
+        term = y if dd == 1 else mult(y, gr.embed_class(gr.d_det(dd, dd)[1], n))
+        total = term if total is None else total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
 # the transform and its inverse
 
 
-def transform(pre: dict[int, SynElt], model: SyntheticLocalModel,
-              check_landing: bool = True) -> dict[int, SynElt]:
-    """kappa~_n = sum over d | n_+ of kappa_{n/d} D_{n,d}."""
+def transform(pre: dict[int, SynElt], model: SyntheticLocalModel) -> dict[int, SynElt]:
+    """kappa~_n = sum over d | n_+ of kappa_{n/d} D_{n,d}.
+
+    Raises ArithmeticError if an output leaves the new component.
+    """
     out = {}
     for n, x in pre.items():
         n_plus = model.split_part(n)
@@ -373,13 +367,11 @@ def transform(pre: dict[int, SynElt], model: SyntheticLocalModel,
                 _, d_cls = gr.d_det(n, dd)
                 term = y.mult_class(d_cls)
             total = total + term
-        if check_landing:
-            for p in [p for p in model.split if n % p == 0]:
-                img = total.pi(n // p)
-                if not img.is_zero():
-                    raise ArithmeticError(
-                        f"transform output escapes the new component at n={n}, "
-                        f"witness pi_{n // p}")
+        for p in [p for p in model.split if n % p == 0]:
+            if not total.pi(n // p).is_zero():
+                raise ArithmeticError(
+                    f"transform output escapes the new component at n={n}, "
+                    f"witness pi_{n // p}")
         out[n] = total
     return out
 
@@ -415,14 +407,9 @@ def lemma58_extend(seed: dict[int, SynElt], model: SyntheticLocalModel,
         quot = aug_quot(n, model.r_of(n))
         acc = SynElt(model, quot)
         split_n = [p for p in model.split if n % p == 0]
-        for mp in gr.permutations_of(split_n):
-            if mp[ell] == ell or not gr.single_orbit_nonfixed(mp):
-                continue
-            d_sigma = prod([p for p, q2 in mp.items() if p != q2])
+        for d_sigma, sign, pi_cls in gr.cycles_through(n, split_n, ell):
             y = out[n // d_sigma].embed(n)
-            pi_cls = gr.perm_pi(gr.PermData(n, tuple(sorted(mp.items()))))
-            term = y.mult_class(pi_cls).scale(gr.perm_sign(mp))
-            acc = acc - term
+            acc = acc - y.mult_class(pi_cls).scale(sign)
         out[n] = acc
     return out
 
@@ -433,16 +420,8 @@ def lemma58_sum_check(coll: dict[int, SynElt], model: SyntheticLocalModel,
     for n in model.levels():
         if n % ell:
             continue
-        n_plus = model.split_part(n)
-        total = None
-        for dd in nt.divisors(n_plus):
-            y = coll[n // dd].embed(n)
-            if dd == 1:
-                term = y
-            else:
-                _, d_cls = gr.d_det(dd, dd)
-                term = y.mult_class(gr.embed_class(d_cls, n))
-            total = term if total is None else total + term
+        total = _det_sum(n, model.split_part(n), lambda k: coll[k].embed(n),
+                         SynElt.mult_class)
         if not total.is_zero():
             return False
     return True

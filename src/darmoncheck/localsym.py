@@ -11,9 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import groupring as gr
 from .groupring import AugClass, RingElt, aug_quot, gamma
 from .quadfield import PrimePlace, QuadField, QuadNum, ord_at, unit_residue
+
+
+def del_lift(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> RingElt:
+    """A group-ring lift of (Artin symbol of x at the place) - 1, in I_n.
+
+    Components at odd primes q of n: the ord-power of Frobenius at ell when
+    q != ell, and the inverse unit residue at q == ell (Gamma_2 is trivial).
+    """
+    G = gamma(n)
+    k = ord_at(x, place)
+    ell = place.ell
+    lift = RingElt(n)
+    for q in G.primes:
+        if q == 2:
+            continue
+        if q == ell:
+            u = unit_residue(x, place)
+            lift = lift + RingElt.gen_minus_one(n, G.embed_from(ell, pow(u, -1, ell)))
+        else:
+            base = ell % q
+            fr = pow(base, k, q) if k >= 0 else pow(pow(base, -1, q), -k, q)
+            lift = lift + RingElt.gen_minus_one(n, G.embed_from(q, fr))
+    return lift
 
 
 def del_symbol(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> AugClass:
@@ -24,23 +46,7 @@ def del_symbol(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> AugClass:
     """
     if x.is_zero():
         raise ValueError("the symbol of 0 is undefined")
-    ell = place.ell
-    G = gamma(n)
-    k = ord_at(x, place)
-    lift = RingElt(n)
-    for q in G.primes:
-        if q == ell:
-            if q == 2:
-                continue  # Gamma_2 is trivial
-            u = unit_residue(x, place)
-            sym = pow(u, -1, ell)
-            lift = lift + RingElt.gen_minus_one(n, G.embed_from(ell, sym))
-        else:
-            if q == 2:
-                continue
-            fr = pow(ell % q, k, q) if k >= 0 else pow(pow(ell % q, -1, q), -k, q)
-            lift = lift + RingElt.gen_minus_one(n, G.embed_from(q, fr))
-    return aug_quot(n, 1).class_of(lift)
+    return aug_quot(n, 1).class_of(del_lift(F, x, place, n))
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,3 @@ def phi_fs(F: QuadField, x: QuadNum, ell: int, use_conjugate: bool = False) -> F
     cls = quot.class_of(RingElt.gen_minus_one(ell, sym % ell))
     # via lambda^tau the transverse generator is (1, ell) = (ell, ell^{-1})^{-1}
     return FSClass(ell, -1 if use_conjugate else 1, cls)
-
-
-def phi_fs_at_level(F: QuadField, x: QuadNum, ell: int, level: int) -> AugClass:
-    """The normalized finite-singular class embedded in I_level/I_level^2."""
-    fs = phi_fs(F, x, ell)
-    return gr.embed_class(fs.normalized(), level)

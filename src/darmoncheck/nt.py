@@ -135,7 +135,7 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
-def multiplicative_order(a: int, n: int, n_factors: dict[int, int] | None = None) -> int:
+def multiplicative_order(a: int, n: int) -> int:
     if gcd(a, n) != 1:
         raise ValueError("a must be a unit mod n")
     order = euler_phi(n)
@@ -268,12 +268,12 @@ def _powers(g: int, count: int, p: int, dtype) -> np.ndarray:
     return out
 
 
-def v2(n: int) -> int:
-    """2-adic valuation of n != 0."""
+def valuation(n: int, p: int) -> int:
+    """The p-adic valuation of an integer n != 0."""
     if n == 0:
-        raise ValueError("v2(0) undefined")
+        raise ValueError("valuation of 0")
     k = 0
-    while n % 2 == 0:
-        n //= 2
+    while n % p == 0:
+        n //= p
         k += 1
     return k

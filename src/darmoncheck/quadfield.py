@@ -90,14 +90,8 @@ class QuadNum:
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def sign(self) -> int:
         """Sign under the distinguished embedding (sqrt(d) > 0)."""
@@ -130,9 +124,6 @@ class QuadNum:
 
     def __hash__(self):
         return hash((self.d, self.a, self.b))
-
-    def key(self):
-        return (self.a, self.b)
 
     def __repr__(self):
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
@@ -170,15 +161,6 @@ class QuadField:
         """+1 if ell splits, -1 if inert, 0 if ramified."""
         return nt.kronecker(self.disc, ell)
 
-    def sqrt(self, k=1):
-        return QuadNum(self.d, 0, k)
-
-    def num(self, a, b=0) -> QuadNum:
-        return QuadNum(self.d, a, b)
-
-    def tau(self, x: QuadNum) -> QuadNum:
-        return x.conj()
-
     def place_above(self, ell: int) -> PrimePlace:
         """The distinguished prime above a split ell (smaller root of d)."""
         if self.omega(ell) != 1:
@@ -208,10 +190,6 @@ class QuadField:
 @lru_cache(maxsize=None)
 def make_field(d: int) -> QuadField:
     return QuadField(d)
-
-
-def omega(F: QuadField, ell: int) -> int:
-    return F.omega(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +259,6 @@ def _hensel_sqrt(d: int, ell: int, root: int, prec: int) -> int:
     return t % ell ** prec
 
 
-def _vl(n: int, ell: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
 def ord_at(x: QuadNum, place: PrimePlace) -> int:
     """The place-adic valuation of x != 0 (exact)."""
     if x.is_zero():
@@ -302,16 +270,16 @@ def ord_at(x: QuadNum, place: PrimePlace) -> int:
     u = int(x.a * den)
     v = int(x.b * den)
     if v == 0:
-        return _vl(u, ell) - _vl(den, ell)
+        return nt.valuation(u, ell) - nt.valuation(den, ell)
     nrm = u * u - x.d * v * v
     if nrm == 0:
         raise ValueError("not a field element")
-    bound = _vl(nrm, ell) + 1
+    bound = nt.valuation(nrm, ell) + 1
     t = _hensel_sqrt(x.d, ell, place.root, bound)
     w = u + v * t
     if w == 0:
-        return bound - _vl(den, ell)  # cannot happen for genuine elements
-    return min(_vl(w, ell), bound) - _vl(den, ell)
+        return bound - nt.valuation(den, ell)  # cannot happen for genuine elements
+    return min(nt.valuation(w, ell), bound) - nt.valuation(den, ell)
 
 
 def _ord_at_two(x: QuadNum, place: PrimePlace) -> int:
@@ -320,9 +288,9 @@ def _ord_at_two(x: QuadNum, place: PrimePlace) -> int:
     u = int(x.a * den)
     v = int(x.b * den)
     if v == 0:
-        return _vl(u, 2) - _vl(den, 2)
+        return nt.valuation(u, 2) - nt.valuation(den, 2)
     nrm = u * u - x.d * v * v
-    bound = _vl(nrm, 2) + 3
+    bound = nt.valuation(nrm, 2) + 3
     # lift t^2 = d mod 2^bound with t = 1 mod 4 (fixes the place convention)
     t, j = 1, 3
     while j < bound:
@@ -331,8 +299,8 @@ def _ord_at_two(x: QuadNum, place: PrimePlace) -> int:
         j += 1
     w = u + v * t
     if w == 0:
-        return bound - _vl(den, 2)
-    return min(_vl(w, 2), bound - 2) - _vl(den, 2)
+        return bound - nt.valuation(den, 2)
+    return min(nt.valuation(w, 2), bound - 2) - nt.valuation(den, 2)
 
 
 def unit_residue(x: QuadNum, place: PrimePlace) -> int:
@@ -342,17 +310,17 @@ def unit_residue(x: QuadNum, place: PrimePlace) -> int:
     den = (x.a.denominator * x.b.denominator) // gcd(x.a.denominator, x.b.denominator)
     u = int(x.a * den)
     v = int(x.b * den)
-    vd = _vl(den, ell)
+    vd = nt.valuation(den, ell)
     if v == 0:
         w = u
-        vw = _vl(u, ell)
+        vw = nt.valuation(u, ell)
         res = (w // ell ** vw) % ell
     else:
         nrm = u * u - x.d * v * v
-        prec = _vl(nrm, ell) + 2
+        prec = nt.valuation(nrm, ell) + 2
         t = _hensel_sqrt(x.d, ell, place.root, prec)
         w = (u + v * t) % ell ** prec
-        vw = _vl(w, ell)
+        vw = nt.valuation(w, ell)
         res = (w // ell ** vw) % ell
     assert vw - vd == k
     return res * pow((den // ell ** vd) % ell, -1, ell) % ell
@@ -468,10 +436,8 @@ def _to_w_coords(F: QuadField, z: QuadNum):
     """Express z = x + y*w with integer x, y, or (None, None) if not in O_F."""
     t = F.disc % 2
     # w = (t + sqrt(D))/2; sqrt(D) = sqrt(d) if D odd else 2 sqrt(d)
-    s = 1 if F.disc % 2 else 2  # sqrt(D) = s * sqrt(d) requires D = s^2 d
     if F.disc == F.d:
-        y2 = 2 * z.b  # coefficient of sqrt(D)/... : z = x + y*(t+sqrt(d))/2
-        y = y2
+        y = 2 * z.b  # z = x + y*(t+sqrt(d))/2
         x = z.a - Fraction(t) * y / 2
     else:
         y = z.b  # w = sqrt(d)

