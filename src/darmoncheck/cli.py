@@ -1,7 +1,9 @@
 """Command-line front end: verification and computation entry points.
 
-Exit codes: 0 pass, 1 fail, 2 vacuous / unsupported / resource, 64 usage.
-All structured output is JSON on stdout.
+Exit codes: 0 pass, 1 fail, 2 vacuous or unsupported, 3 resource limit
+reached, 64 usage error (bad flags, field or level), 70 internal error (any
+other exception from the library).  All structured output is JSON on stdout;
+errors go to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ SCHEMA_VERSION = 1
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_VACUOUS = 2
+EXIT_RESOURCE = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 def _emit(payload: dict) -> None:
@@ -29,11 +33,15 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _field(args) -> qf.QuadField:
-    F = qf.make_field(args.disc)
-    cache = qf.FieldCache(getattr(args, "cache", None))
-    cache.warm(F)
-    return F
+    try:
+        return qf.make_field(args.disc)
+    except ValueError as e:
+        raise UsageError(f"--disc {args.disc}: {e}") from None
 
 
 def _check_level(F: qf.QuadField, n: int) -> None:
@@ -43,8 +51,34 @@ def _check_level(F: qf.QuadField, n: int) -> None:
         raise UsageError(f"level {n} shares a factor with the conductor {F.conductor}")
 
 
-class UsageError(ValueError):
-    pass
+# where --ell must lie for each supported axiom, as the checks in darmon
+# require it: (ell divides the level, its splitting type or None for any)
+_AXIOM_ELL = {
+    ("regulator", "i"): (False, None), ("theta", "i"): (False, None),
+    ("regulator", "ii"): (True, 1), ("theta", "ii"): (True, 1),
+    ("regulator", "iii"): (True, 1), ("regulator", "iv"): (True, 1),
+    ("regulator", "v"): (False, -1), ("theta", "v"): (True, -1),
+}
+
+
+def _check_ell(F: qf.QuadField, system: str, axiom: str, n: int, ell: int) -> None:
+    if not nt.is_prime(ell):
+        raise UsageError(f"--ell {ell} is not a prime")
+    if (system, axiom) not in _AXIOM_ELL:
+        return  # reported as unsupported
+    divides, omega = _AXIOM_ELL[system, axiom]
+    if (n % ell == 0) != divides or omega not in (None, F.omega(ell)):
+        kind = {None: "a", 1: "a split", -1: "an inert"}[omega]
+        where = "dividing" if divides else "not dividing"
+        raise UsageError(f"{system} axiom ({axiom}) needs {kind} prime {where} "
+                         f"the level, not --ell {ell}")
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -53,6 +87,7 @@ def cmd_verify(args) -> int:
     if args.axiom or args.system:
         if not (args.axiom and args.system and args.ell):
             raise UsageError("--axiom requires --system and --ell")
+        _check_ell(F, args.system, args.axiom, args.level, args.ell)
         rep = darmon.verify_preks_axiom(F, args.system, args.axiom,
                                         args.level, args.ell,
                                         num_primes=args.primes, bound=args.bound)
@@ -62,16 +97,7 @@ def cmd_verify(args) -> int:
     rep = darmon.verify_darmon(F, args.level, num_primes=args.primes,
                                bound=args.bound)
     _emit(rep.as_dict())
-    _save_cache(F, args)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS}[rep.verdict]
-
-
-def _save_cache(F, args):
-    path = getattr(args, "cache", None)
-    if path:
-        cache = qf.FieldCache(path)
-        cache.store(F)
-        cache.save()
 
 
 def cmd_regulator(args) -> int:
@@ -92,7 +118,6 @@ def cmd_regulator(args) -> int:
         "invariants": [d for d in reg.quot.invariants if d != 1] or [0],
         "terms": terms,
     })
-    _save_cache(F, args)
     return EXIT_PASS
 
 
@@ -102,7 +127,7 @@ def cmd_theta(args) -> int:
     a = cyclo.alpha(F, args.level)
     fingerprint = hashlib.sha256(repr((a.m, a.num, a.den)).encode()).hexdigest()[:16]
     images = []
-    for q in darmon.find_aux_primes(F, args.level, min(args.primes, 3),
+    for q in darmon.find_aux_primes(F, args.level, args.primes,
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         cls = darmon.theta_class(F, args.level, h)
@@ -125,7 +150,7 @@ def cmd_beta(args) -> int:
     n_plus = F.n_plus(args.level)
     cls = darmon.beta_class_at(F, args.level)
     values = []
-    for q in darmon.find_aux_primes(F, args.level, min(args.primes, 3),
+    for q in darmon.find_aux_primes(F, args.level, args.primes,
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         hh = darmon._hom_at_level(F, n_plus, h)
@@ -154,7 +179,6 @@ def cmd_field(args) -> int:
                              "norm": int(eps.norm())},
         "splitting": {str(p): F.omega(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)},
     })
-    _save_cache(F, args)
     return EXIT_PASS
 
 
@@ -163,6 +187,8 @@ def cmd_augq(args) -> int:
     if not nt.is_squarefree(n):
         raise UsageError("level must be squarefree")
     r = args.degree if args.degree is not None else len(nt.prime_factors(n))
+    if r < 0:
+        raise UsageError("degree must be nonnegative")
     quot = gr.aug_quot(n, r)
     out = {
         "level": n,
@@ -218,12 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     field_flags = argparse.ArgumentParser(add_help=False)
     field_flags.add_argument("--disc", type=int, required=True,
                              help="squarefree d > 1 defining Q(sqrt(d))")
-    field_flags.add_argument("--cache", type=str, default=None,
-                             help="path of the persistent field cache")
     level_flags = argparse.ArgumentParser(add_help=False)
     level_flags.add_argument("--level", type=int, default=1)
     aux_flags = argparse.ArgumentParser(add_help=False)
-    aux_flags.add_argument("--primes", type=int, default=5,
+    aux_flags.add_argument("--primes", type=_positive, default=5,
                            help="number of auxiliary primes")
     aux_flags.add_argument("--bound", type=int, default=10 ** 9,
                            help="search bound for auxiliary primes")
@@ -277,10 +301,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_VACUOUS
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_RESOURCE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

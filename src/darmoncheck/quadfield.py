@@ -9,8 +9,6 @@ numbers come from cycles of reduced indefinite binary quadratic forms
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,13 +129,17 @@ class QuadNum:
 
 @dataclass(frozen=True)
 class PrimePlace:
-    """A prime of F above a split rational prime: sqrt(d) = root (mod ell)."""
+    """A prime of F above a split rational prime: sqrt(d) = root (mod ell).
+
+    Above ell = 2 the root is taken mod 4 (1 or 3): that fixes which 2-adic
+    square root of d is meant, where mod 2 both roots are 1.
+    """
 
     ell: int
-    root: int  # the chosen square root of d mod ell, in (0, ell/2)
+    root: int  # a square root of d mod ell, or mod 4 when ell = 2
 
     def conj(self) -> "PrimePlace":
-        return PrimePlace(self.ell, (-self.root) % self.ell)
+        return PrimePlace(self.ell, (-self.root) % (4 if self.ell == 2 else self.ell))
 
     def __repr__(self):
         return f"PrimePlace({self.ell}, sqrt->{self.root})"
@@ -154,7 +156,6 @@ class QuadField:
         self.conductor = self.disc
         self._class_data = None
         self._fund_unit = None
-        self._lambda_cache: dict = {}
         self._basis_cache: dict = {}
 
     def omega(self, ell: int) -> int:
@@ -196,49 +197,30 @@ def make_field(d: int) -> QuadField:
 # fundamental unit
 
 
-def _pell_pm1(d: int) -> tuple[int, int]:
-    """Least x, y > 0 with x^2 - d y^2 = +-1, by the sqrt(d) continued fraction."""
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise ValueError("d must not be a square")
-    m, q, a = 0, 1, a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
-    while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if a == 2 * a0:
-            return h0, k0
-
-
 def fundamental_unit(F: QuadField) -> QuadNum:
-    """The fundamental unit > 1 of O_F (exact, continued fractions)."""
+    """The fundamental unit > 1 of O_F, from one period of a continued fraction.
+
+    The continued fraction of omega = (D%2 + sqrt(D))/2 has complete quotients
+    (P + sqrt(D))/Q; its period ends where Q is 2 again, and the convergent
+    p/q before that point gives eps = p - q*conj(omega) (Cohen, GTM 138, 5.7).
+    """
     if F._fund_unit is not None:
         return F._fund_unit
-    d = F.d
-    x1, y1 = _pell_pm1(d)
-    eps = None
-    if d % 4 == 1:
-        # the fundamental unit may be a cube root of x1 + y1*sqrt(d)
-        approx = (2.0 * (x1 + y1 * d ** 0.5)) ** (1.0 / 3.0) / d ** 0.5
-        bound = int(approx) + 2
-        for b in range(1, min(bound, y1) + 1):
-            for s in (-4, 4):
-                t = d * b * b + s
-                if t <= 0:
-                    continue
-                a = isqrt(t)
-                if a * a == t and (a - d * b) % 2 == 0:
-                    eps = QuadNum(d, Fraction(a, 2), Fraction(b, 2))
-                    break
-            if eps is not None:
-                break
-    if eps is None:
-        eps = QuadNum(d, x1, y1)
-    assert eps.norm() in (1, -1)
+    D, t, s = F.disc, F.disc % 2, isqrt(F.disc)
+    P, Q = t, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == 2:
+            break
+    # conj(omega) = (t - sqrt(D))/2 with sqrt(D) = (2 - t) sqrt(d)
+    eps = QuadNum(F.d, Fraction(2 * p - t * q, 2), Fraction((2 - t) * q, 2))
+    if eps.norm() not in (1, -1):
+        raise ArithmeticError(f"continued fraction gave a non-unit {eps}")
     F._fund_unit = eps
     return eps
 
@@ -291,8 +273,8 @@ def _ord_at_two(x: QuadNum, place: PrimePlace) -> int:
         return nt.valuation(u, 2) - nt.valuation(den, 2)
     nrm = u * u - x.d * v * v
     bound = nt.valuation(nrm, 2) + 3
-    # lift t^2 = d mod 2^bound with t = 1 mod 4 (fixes the place convention)
-    t, j = 1, 3
+    # lift t^2 = d mod 2^bound with t = root mod 4 (fixes the place)
+    t, j = place.root, 3
     while j < bound:
         if (t * t - x.d) % (1 << (j + 1)):
             t += 1 << (j - 1)
@@ -307,6 +289,8 @@ def unit_residue(x: QuadNum, place: PrimePlace) -> int:
     """Residue mod ell of x / ell^(ord) at the place (the local unit part)."""
     ell = place.ell
     k = ord_at(x, place)
+    if ell == 2:
+        return 1  # the only unit of the residue field F_2
     den = (x.a.denominator * x.b.denominator) // gcd(x.a.denominator, x.b.denominator)
     u = int(x.a * den)
     v = int(x.b * den)
@@ -322,7 +306,8 @@ def unit_residue(x: QuadNum, place: PrimePlace) -> int:
         w = (u + v * t) % ell ** prec
         vw = nt.valuation(w, ell)
         res = (w // ell ** vw) % ell
-    assert vw - vd == k
+    if vw - vd != k:
+        raise ArithmeticError(f"residue valuation {vw - vd} != ord {k} at {place}")
     return res * pow((den // ell ** vd) % ell, -1, ell) % ell
 
 
@@ -457,14 +442,20 @@ def ideal_of(F: QuadField, z: QuadNum) -> QuadIdeal:
     return QuadIdeal.from_rows(F, [(x, y), (y * nw, x + y * t)])
 
 
+def _w_residue(F: QuadField, place: PrimePlace) -> int:
+    """The residue mod ell of w = (D%2 + sqrt(D))/2 at the place."""
+    ell, root = place.ell, place.root
+    if F.disc % 2 == 0:
+        return root % ell  # w = sqrt(d)
+    if ell == 2:
+        return ((1 + root) // 2) % 2  # root is sqrt(d) mod 4
+    return (1 + root) * pow(2, -1, ell) % ell
+
+
 def prime_ideal(F: QuadField, place: PrimePlace) -> QuadIdeal:
     """The split prime ideal attached to a place descriptor."""
-    ell, root = place.ell, place.root
-    if F.disc % 2:
-        w_res = (1 + root) * pow(2, -1, ell) % ell
-    else:
-        w_res = root % ell
-    return QuadIdeal.from_rows(F, [(ell, 0), (-w_res % ell, 1)])
+    ell = place.ell
+    return QuadIdeal.from_rows(F, [(ell, 0), (-_w_residue(F, place) % ell, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +628,12 @@ class ClassData:
     h: int
 
     def form_of_place(self, place: PrimePlace):
-        F        = self.F
-        ell, root = place.ell, place.root
-        D = F.disc
-        if F.disc % 2:
-            w_res = (1 + root) * pow(2, -1, ell) % ell
-        else:
-            w_res = root % ell
-        b = (2 * w_res - D % 2) % (2 * ell)
+        ell, D = place.ell, self.F.disc
+        b = (2 * _w_residue(self.F, place) - D % 2) % (2 * ell)
         if (b * b - D) % (4 * ell):
             b += ell  # fix parity within mod 2*ell
-        assert (b * b - D) % (4 * ell) == 0
+        if (b * b - D) % (4 * ell):
+            raise ArithmeticError(f"no form of discriminant {D} for {place}")
         return self.group.canonical((ell, b, (b * b - D) // (4 * ell)))
 
     def wide_subgroup_order(self, places: list[PrimePlace]) -> int:
@@ -679,7 +665,8 @@ def class_group(F: QuadField) -> ClassData:
     eps = fundamental_unit(F)
     h = G.h_plus if eps.norm() == -1 else G.h_plus // 2
     # consistency: the minus-one class is principal iff a unit of norm -1 exists
-    assert (G.minus_one == G.one) == (eps.norm() == -1)
+    if (G.minus_one == G.one) != (eps.norm() == -1):
+        raise ArithmeticError(f"minus-one class disagrees with N(eps) = {eps.norm()}")
     F._class_data = ClassData(F, G, G.h_plus, h)
     return F._class_data
 
@@ -730,20 +717,13 @@ def _search_bound(F: QuadField, target: int) -> int:
 
 
 def lambda_generator(F: QuadField, place: PrimePlace) -> tuple[int, QuadNum]:
-    """Least k with place^k principal in O_F, and an exact generator."""
-    key = ("lg", place.ell, place.root)
-    if key in F._lambda_cache:
-        return F._lambda_cache[key]
-    cd = class_group(F)
-    k = cd.order_mod(place, [])
-    lam = prime_ideal(F, place)
-    target_ideal = lam.pow(k)
-    target = place.ell ** k
-    for g in _norm_candidates(F, target, _search_bound(F, target)):
-        if target_ideal.contains_num(g) and ideal_of(F, g) == target_ideal:
-            F._lambda_cache[key] = (k, g)
-            return k, g
-    raise ResourceLimitError("no generator found within the search bound")
+    """Least k with place^k principal in O_F, and a generator of place^k.
+
+    The generator is the mixed generator with no prior primes: valuation k
+    at the place, 0 at its conjugate, and norm +-ell^k.
+    """
+    k = class_group(F).order_mod(place, [])
+    return k, _mixed_generator(F, place, k, [])
 
 
 def _mixed_generator(F: QuadField, place: PrimePlace, k: int,
@@ -842,7 +822,8 @@ def _orient(F: QuadField, lat: UnitLattice) -> None:
         lat.basis[-1] = QuadNum(F.d, 1) / lat.basis[-1]
         for row in lat.ords:
             row[-1] = -row[-1]
-        assert regulator_sign(F, lat.basis, lat.places) > 0
+        if regulator_sign(F, lat.basis, lat.places) <= 0:
+            raise ArithmeticError("unit basis orientation did not flip")
 
 
 def regulator_sign(F: QuadField, basis: list[QuadNum], places: list[PrimePlace]) -> int:
@@ -878,54 +859,3 @@ def _int_det(M) -> int:
             minor = [row[:j] + row[j + 1:] for row in M[1:]]
             total += (-1) ** j * M[0][j] * _int_det(minor)
     return total
-
-
-# ---------------------------------------------------------------------------
-# persistent cache
-
-
-class FieldCache:
-    """Optional JSON-backed cache of expensive per-discriminant data."""
-
-    VERSION = 1
-
-    def __init__(self, path: str | None = None):
-        self.path = path or os.environ.get("DARMONCHECK_CACHE")
-        self.data: dict = {"version": self.VERSION, "fields": {}}
-        if self.path and os.path.exists(self.path):
-            try:
-                with open(self.path) as fh:
-                    loaded = json.load(fh)
-                if loaded.get("version") == self.VERSION:
-                    self.data = loaded
-            except (OSError, json.JSONDecodeError):
-                pass
-
-    def save(self) -> None:
-        if not self.path:
-            return
-        with open(self.path, "w") as fh:
-            json.dump(self.data, fh, indent=1, sort_keys=True)
-
-    def warm(self, F: QuadField) -> None:
-        rec = self.data["fields"].get(str(F.disc))
-        if not rec:
-            return
-        a, b = rec["fund_unit"]
-        F._fund_unit = QuadNum(F.d, Fraction(a), Fraction(b))
-        for key, val in rec.get("lambda_gens", {}).items():
-            ell, root = map(int, key.split(","))
-            k, (ga, gb) = val
-            F._lambda_cache[("lg", ell, root)] = (
-                k, QuadNum(F.d, Fraction(ga), Fraction(gb)))
-
-    def store(self, F: QuadField) -> None:
-        rec = {"d": F.d}
-        if F._fund_unit is not None:
-            rec["fund_unit"] = [str(F._fund_unit.a), str(F._fund_unit.b)]
-        gens = {}
-        for (tag, ell, root), (k, g) in F._lambda_cache.items():
-            if tag == "lg":
-                gens[f"{ell},{root}"] = [k, [str(g.a), str(g.b)]]
-        rec["lambda_gens"] = gens
-        self.data["fields"][str(F.disc)] = rec

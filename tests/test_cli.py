@@ -6,8 +6,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from darmoncheck.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, EXIT_VACUOUS,
-                             main)
+from darmoncheck import darmon
+from darmoncheck.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
+                             EXIT_RESOURCE, EXIT_USAGE, EXIT_VACUOUS, main)
 
 
 def run(argv):
@@ -41,17 +42,42 @@ def test_verify_level_11():
     assert len(out["primes"]) == 3
 
 
+def test_verify_even_level_where_two_splits():
+    # 2 splits in Q(sqrt(17)); the form of the prime above 2 used to fail
+    code, out = run(["verify", "--disc", "17", "--level", "26"])
+    assert code == EXIT_PASS and out["verdict"] == "pass"
+
+
 def test_verify_honours_bound():
     # the first auxiliary prime for (5, 11) is far above 20
     for command in ("verify", "theta"):
         code, _ = run([command, "--disc", "5", "--level", "11", "--bound", "20"])
-        assert code == EXIT_VACUOUS, command
+        assert code == EXIT_RESOURCE, command
 
 
 def test_axiom_honours_bound():
     code, _ = run(["verify", "--disc", "5", "--level", "11", "--axiom", "ii",
                    "--system", "theta", "--ell", "11", "--bound", "20"])
-    assert code == EXIT_VACUOUS
+    assert code == EXIT_RESOURCE
+
+
+def test_exit_codes_name_the_fault(monkeypatch, capsys):
+    for argv in (["field", "--disc", "12"],
+                 ["verify", "--disc", "5", "--level", "11", "--primes", "0"],
+                 ["verify", "--disc", "5", "--level", "11", "--axiom", "ii",
+                  "--system", "regulator", "--ell", "3"],
+                 ["verify", "--disc", "5", "--level", "11", "--axiom", "i",
+                  "--system", "theta", "--ell", "4"]):
+        code, _ = run(argv)
+        assert code == EXIT_USAGE, argv
+
+    def broken(*args, **kwargs):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(darmon, "verify_darmon", broken)
+    code, _ = run(["verify", "--disc", "5", "--level", "11"])
+    assert code == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_unread_flags_rejected():
@@ -69,8 +95,9 @@ def test_augq_examples():
     assert out["invariants"] == [2, 2, 90]
     code, out = run(["augq", "--level", "11"])
     assert out["order"] == 10
-    code, _ = run(["augq", "--level", "44"])
-    assert code == EXIT_USAGE
+    for argv in (["--level", "44"], ["--level", "11", "--degree", "-1"]):
+        code, _ = run(["augq"] + argv)
+        assert code == EXIT_USAGE, argv
 
 
 def test_field_command():
@@ -89,6 +116,11 @@ def test_axiom_subcommand():
     assert code == EXIT_VACUOUS and out["verdict"] == "unsupported"
     code, _ = run(["verify", "--disc", "5", "--level", "11", "--axiom", "ii"])
     assert code == EXIT_USAGE
+    # at ell = 2 split (d = 1 mod 8) the unit residue lives in F_2
+    for axiom in ("iii", "iv"):
+        code, out = run(["verify", "--disc", "17", "--level", "26", "--axiom", axiom,
+                         "--system", "regulator", "--ell", "2"])
+        assert code == EXIT_PASS and out["verdict"] == "pass", axiom
 
 
 def test_theta_and_beta_commands():
@@ -97,6 +129,11 @@ def test_theta_and_beta_commands():
     assert len(out["alpha_fingerprint"]) == 16
     code, out = run(["beta", "--disc", "5", "--level", "33", "--primes", "2"])
     assert code == EXIT_PASS and out["n_plus"] == 11
+    # --primes is honoured above 3
+    code, out = run(["theta", "--disc", "5", "--level", "11", "--primes", "5"])
+    assert code == EXIT_PASS and len(out["reductions"]) == 5
+    code, out = run(["beta", "--disc", "5", "--level", "11", "--primes", "5"])
+    assert code == EXIT_PASS and len(out["values"]) == 5
 
 
 def test_axioms_synthetic():
@@ -109,14 +146,3 @@ def test_deterministic_output():
     c1, o1 = run(["augq", "--level", "35", "--degree", "2"])
     c2, o2 = run(["augq", "--level", "35", "--degree", "2"])
     assert (c1, o1) == (c2, o2)
-
-
-def test_cache_round_trip(tmp_path):
-    path = str(tmp_path / "cache.json")
-    code, _ = run(["field", "--disc", "5", "--cache", path])
-    assert code == EXIT_PASS
-    import os
-    assert os.path.exists(path)
-    code, _ = run(["verify", "--disc", "5", "--level", "1", "--primes", "2",
-                   "--cache", path])
-    assert code == EXIT_PASS

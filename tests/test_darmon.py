@@ -212,6 +212,9 @@ def test_verify_darmon_pass():
     assert rep.verdict == "pass" and len([p for p in rep.primes
                                           if p.verdict == "pass"]) >= 5
     assert verify_darmon(F5, 33, num_primes=3).verdict == "pass"
+    # even levels in fields where 2 splits (d = 1 mod 8)
+    for d, n in ((17, 26), (33, 14)):
+        assert verify_darmon(make_field(d), n).verdict == "pass", (d, n)
 
 
 def test_verify_darmon_wrong_sign_canary():
@@ -331,3 +334,6 @@ def test_vacuous_detection():
     from darmoncheck.darmon import _group_odd_trivial
     assert _group_odd_trivial(aug_quot(3, 1))  # Z/2
     assert not _group_odd_trivial(aug_quot(11, 1))
+    # even levels where 2 splits and the odd part of the quotient is trivial
+    for d, n in ((17, 2), (41, 6), (41, 10)):
+        assert verify_darmon(make_field(d), n).verdict == "vacuous", (d, n)

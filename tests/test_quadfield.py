@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 from darmoncheck import nt
-from darmoncheck.quadfield import (FieldCache, QuadNum, class_group,
+from darmoncheck.quadfield import (QuadNum, class_group,
                                    fundamental_unit, h_n, ideal_of,
                                    lambda_generator, make_field, ord_at,
                                    prime_ideal, regulator_sign, unit_basis,
@@ -65,6 +65,20 @@ def test_fundamental_units_vs_brute_force():
         eps = fundamental_unit(F)
         assert eps == brute_fundamental_unit(d), d
         assert eps.norm() in (1, -1)
+
+
+def test_fundamental_units_vs_pell_solutions():
+    # eps or eps^3 is the least solution of x^2 - d y^2 = +-1 (the cube when
+    # eps is half-integral); this reaches fields with large regulators
+    from sympy.solvers.diophantine.diophantine import diop_DN
+    for d in range(2, 1200):
+        if not nt.is_squarefree(d):
+            continue
+        eps = fundamental_unit(make_field(d))
+        assert abs(eps.norm()) == 1, d
+        sols = diop_DN(d, -1) or diop_DN(d, 1)
+        x, y = min(sols)
+        assert QuadNum(d, x, y) in (eps, eps ** 3), d
 
 
 def test_class_numbers_table():
@@ -229,28 +243,7 @@ def test_norm_of_alpha_search_guard():
     qf.NORM_SEARCH_CAP = 1
     try:
         F = make_field(5)
-        F._lambda_cache.clear()
         with pytest.raises(ResourceLimitError):
             lambda_generator(F, F.place_above(11))
     finally:
         qf.NORM_SEARCH_CAP = old
-        F._lambda_cache.clear()
-
-
-def test_field_cache_roundtrip(tmp_path):
-    path = tmp_path / "cache.json"
-    F = make_field(5)
-    fundamental_unit(F)
-    lambda_generator(F, F.place_above(11))
-    cache = FieldCache(str(path))
-    cache.store(F)
-    cache.save()
-    cache2 = FieldCache(str(path))
-    F2 = make_field(5)
-    saved_unit = F2._fund_unit
-    F2._fund_unit = None
-    lam = dict(F2._lambda_cache)
-    F2._lambda_cache.clear()
-    cache2.warm(F2)
-    assert F2._fund_unit == saved_unit or F2._fund_unit == fundamental_unit(make_field(5))
-    assert ("lg", 11, F.place_above(11).root) in F2._lambda_cache
