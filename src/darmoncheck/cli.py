@@ -115,7 +115,7 @@ def cmd_regulator(args) -> int:
         "level": args.level,
         "r": F.r_of(args.level),
         "h_n": qf.h_n(F, args.level),
-        "invariants": [d for d in reg.quot.invariants if d != 1] or [0],
+        "invariants": gr.smith_chain(reg.quot.invariants) or [0],
         "terms": terms,
     })
     return EXIT_PASS
@@ -194,7 +194,7 @@ def cmd_augq(args) -> int:
         "level": n,
         "degree": r,
         "ambient_rank": quot.ambient_rank,
-        "invariants": [d for d in quot.invariants if d != 1] or ([0] if r == 0 else []),
+        "invariants": gr.smith_chain(quot.invariants) or ([0] if r == 0 else []),
         "order": quot.order,
     }
     if r == len(nt.prime_factors(n)) and r > 0:

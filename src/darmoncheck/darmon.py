@@ -441,6 +441,7 @@ class PrimeResult:
     q: int
     residual: tuple
     verdict: str
+    reason: str | None = None  # why a bad-prime was rejected
 
 
 @dataclass
@@ -460,8 +461,8 @@ class VerifyReport:
             "r": self.r,
             "s": self.s,
             "h_n": self.h_n,
-            "primes": [{"q": p.q, "residual": list(p.residual), "verdict": p.verdict}
-                       for p in self.primes],
+            "primes": [{"q": p.q, "residual": list(p.residual), "verdict": p.verdict,
+                        "reason": p.reason} for p in self.primes],
             "verdict": self.verdict,
         }
 
@@ -480,6 +481,8 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     """
     if n > 1 and gcd(n, F.conductor) != 1:
         raise ValueError("level shares a factor with the conductor")
+    if num_primes < 1:
+        raise ValueError("a verdict needs at least one auxiliary prime")
     r, s = F.r_of(n), F.s_of(n)
     hn = qf.h_n(F, n)
     quot = aug_quot(n, r)
@@ -500,8 +503,8 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
                 results.append(PrimeResult(q, (val,), "pass" if ok else "fail"))
                 continue
             residual = _odd_part(th + tensor_reduce(reg, h))
-        except BadAuxiliaryPrime:
-            results.append(PrimeResult(q, (), "bad-prime"))
+        except BadAuxiliaryPrime as exc:
+            results.append(PrimeResult(q, (), "bad-prime", str(exc)))
             continue
         ok = residual.is_zero()
         results.append(PrimeResult(q, residual.coords, "pass" if ok else "fail"))

@@ -1,18 +1,25 @@
 """Exact arithmetic in Z[(Z/nZ)^x] and its augmentation-ideal quotients.
 
 The augmentation ideal I_n of the group ring Z[Gamma_n] (n squarefree,
-Gamma_n = (Z/nZ)^x) is a free Z-module on {g - 1 : g != 1}.  Powers I_n^r
-are computed as integer lattices in those coordinates, and quotients
-I_n^r / I_n^{r+1} are presented by Smith normal form.  Because e * I_n^r
-is contained in I_n^{r+1} for e = exponent(Gamma_n), all normal forms run
-with a working modulus (see intmat).
+Gamma_n = (Z/nZ)^x) is a free Z-module on {g - 1 : g != 1}.  For a finite
+abelian group, I^r / I^{r+1} (r >= 1) is the direct sum of the same
+quotients for its Sylow subgroups G_p, through the maps induced by the
+projections Gamma_n -> G_p (Passi, Group Rings and Their Augmentation
+Ideals, LNM 715).  So each quotient I_n^r / I_n^{r+1} is built one Sylow
+subgroup at a time: the powers of I(G_p) are integer lattices in the
+(g-1)-coordinates of G_p, and their quotient is presented by Smith normal
+form.  Because e_p * I(G_p)^r is contained in I(G_p)^{r+1} for
+e_p = exponent(G_p), all normal forms run with a working modulus (see
+intmat).
 
-A class is a tuple of Smith coordinates, each reduced mod its invariant
-factor.  `AugQuot.class_of_sum` is the one place where (g-1)-coordinates
-become a class: in degree r >= 2 they are solved over the Hermite basis of
-I^r (intmat.hnf_solve_mod), then mapped through the Smith transform and
-reduced.  `cycles_through` expands the single-cycle sums of the
-determinant lemma, for the regulator and the synthetic systems alike.
+A class is a tuple of the nontrivial Smith coordinates of each Sylow
+component, in order of p, each reduced mod its elementary divisor.
+`AugQuot.class_of_sum` is the one place where (g-1)-coordinates become a
+class: each component takes the image of the element, in degree r >= 2
+solves it over the Hermite basis of I(G_p)^r (intmat.hnf_solve_mod), then
+maps it through the Smith transform.  `cycles_through` expands the
+single-cycle sums of the determinant lemma, for the regulator and the
+synthetic systems alike.
 """
 
 from __future__ import annotations
@@ -179,8 +186,7 @@ class RingElt:
         return f"RingElt({self.level}, {self.coeffs})"
 
 
-def _apply_gen(G: UnitGroupMod, coords: np.ndarray, sigma: int,
-               perm: np.ndarray, sig_pos: int) -> np.ndarray:
+def _apply_gen(coords: np.ndarray, perm: np.ndarray, sig_pos: int) -> np.ndarray:
     """Multiply elements of I (given in (g-1)-coordinates) by (sigma - 1)."""
     out = np.zeros_like(coords)
     valid = perm >= 0
@@ -190,8 +196,64 @@ def _apply_gen(G: UnitGroupMod, coords: np.ndarray, sigma: int,
     return out
 
 
+class _Sylow:
+    """I(G_p)^r / I(G_p)^{r+1} for the Sylow p-subgroup G_p of Gamma_n.
+
+    G_p is generated by gen_l^((l-1)/p^v), v = v_p(l - 1) > 0, and g maps to
+    its p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).  Lattices live in the
+    (g-1)-coordinates of G_p minus {1} modulo powers of e_p = p^(v_p(e)); only
+    the Smith columns with invariant d > 1 are kept.
+    """
+
+    def __init__(self, G: UnitGroupMod, p: int, r: int):
+        self.p = p
+        ep = p ** nt.valuation(G.exponent, p)
+        elems = [G.identity]
+        gens = []
+        for l, g in G.gens.items():
+            v = nt.valuation(l - 1, p)
+            if v:
+                s = G.power(g, (l - 1) // p ** v)
+                gens.append(s)
+                elems = [G.mult(x, G.power(s, i)) for i in range(p ** v) for x in elems]
+        self.elems = elems[1:]
+        pos = {g: i for i, g in enumerate(self.elems)}
+        a = G.exponent // ep * pow(G.exponent // ep, -1, ep)
+        # coordinate of g^a - 1 for every g in Gamma_n; -1 where g^a = 1
+        self.proj = {g: pos.get(G.power(g, a), -1) for g in G.elements}
+        k = len(self.elems)
+        perms = [(np.array([pos.get(G.mult(s, g), -1) for g in self.elems],
+                           dtype=np.int64), pos[s]) for s in gens]
+        low = np.eye(k, dtype=np.int64)  # I(G_p) in (g-1)-coordinates
+        for j in range(1, r + 1):
+            high = hnf_mod(np.vstack([_apply_gen(low, pm, sp) for pm, sp in perms]), ep ** j)
+            if j < r:
+                low = high
+        # present I^r / I^{r+1}; solving mod e_p^{r-1} leaves a drift in
+        # e_p^{r-1} * Z^k, which the Smith modulus e_p absorbs
+        X = high if r == 1 else hnf_solve_mod(low, high, ep ** (r - 1))
+        if X is None:
+            raise ValueError("I^{r+1} is not inside I^r")
+        d, V, W = snf_mod(X, ep)
+        keep = [i for i, di in enumerate(d) if di > 1]
+        self.basis = low  # I(G_p)^r
+        self.invariants = tuple(d[i] for i in keep)
+        self.V = V[:, keep]
+        # representatives of the kept Smith basis; exact, valid mod I^{r+1}
+        self.lifts = W[keep] @ low
+        self.index = prod(int(low[c, c]) for c in range(k))
+
+
 class AugQuot:
-    """The finite presentation of I_n^r / I_n^{r+1}."""
+    """The finite presentation of I_n^r / I_n^{r+1}.
+
+    In degree r >= 1 the quotient is the direct sum of the same quotients
+    for the Sylow subgroups G_p of Gamma_n, one `_Sylow` component per prime
+    p dividing e = exponent(Gamma_n).  A class is the tuple of the
+    components' nontrivial Smith coordinates, concatenated in order of p;
+    `invariants` are the matching elementary divisors (prime powers, not a
+    Smith chain: see `smith_chain`).
+    """
 
     def __init__(self, n: int, r: int):
         if r < 0:
@@ -203,56 +265,18 @@ class AugQuot:
         self.level = n
         self.degree = r
         self.ambient_rank = G.phi
-        k = G.phi - 1
-        self._k = k
+        self.exponent_m = G.exponent
         self._pi_matrices: dict[int, np.ndarray] = {}
         self._split_cache: dict[tuple, dict] = {}
+        self._components: list[_Sylow] = []
         if r == 0:
             # I^0/I^1 is Z via the augmentation; classes carry one integer.
             self.invariants = (0,)
             self.order = 0
-            self.exponent_m = 1
             return
-        if k == 0:
-            self.invariants = ()
-            self.order = 1
-            self.exponent_m = 1
-            return
-        e = G.exponent
-        self.exponent_m = e
-        coord_elems = [g for g in G.elements if g != G.identity]
-        self._pos = {g: i for i, g in enumerate(coord_elems)}
-        self._coord_elems = coord_elems
-        gens = sorted(G.gens.values())
-        perms = []
-        for s in gens:
-            p = np.array([self._pos.get(G.mult(s, g), -1) for g in coord_elems], dtype=np.int64)
-            perms.append((s, p, self._pos[s]))
-        basis = np.eye(k, dtype=np.int64)  # I^1 in (g-1)-coordinates
-        for j in range(1, r + 1):
-            rows = [_apply_gen(G, basis, s, p, sp) for s, p, sp in perms]
-            nxt = hnf_mod(np.vstack(rows), e ** j) if rows else np.zeros((0, k), dtype=np.int64)
-            if j < r:
-                basis = nxt
-            else:
-                self.basis_low = basis      # I^r
-                self.basis_high = nxt       # I^{r+1}
-        # present I^r / I^{r+1}
-        if r == 1:
-            X = self.basis_high
-        else:
-            # solving mod e^{r-1} keeps entries bounded; the drift lies in
-            # e^{r-1} * Z^k which is absorbed by the Smith modulus e below
-            X = hnf_solve_mod(self.basis_low, self.basis_high, e ** (r - 1))
-            if X is None:
-                raise ValueError("I^{r+1} is not inside I^r")
-        d, V, W = snf_mod(X, e)
-        self.invariants = tuple(d)
-        self._V = V
-        self._W = W
-        # representatives of the Smith basis; exact, valid mod I^{r+1}
-        self._lifts = W @ self.basis_low
-        self.order = prod(d)
+        self._components = [_Sylow(G, p, r) for p in nt.prime_factors(G.exponent)]
+        self.invariants = tuple(d for c in self._components for d in c.invariants)
+        self.order = prod(self.invariants)
 
     @property
     def class_exponent(self) -> int:
@@ -261,14 +285,12 @@ class AugQuot:
 
     @property
     def ideal_index(self) -> int:
-        """The index [I_n : I_n^r] (1 in degree 0): det of the I^r basis."""
-        if self.degree == 0:
-            return 1
-        return prod(int(self.basis_low[c, c]) for c in range(self._k))
+        """The index [I_n : I_n^r] (1 in degree 0), a product over components."""
+        return prod(c.index for c in self._components)
 
     # -- element <-> class ------------------------------------------------
 
-    def _reduced(self, y: np.ndarray) -> AugClass:
+    def _reduced(self, y) -> AugClass:
         """The class with Smith coordinates y, reduced by the invariants."""
         return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
                                     for i, d in enumerate(self.invariants)))
@@ -276,21 +298,24 @@ class AugQuot:
     def class_of_sum(self, coeffs: dict[int, int], m: int) -> AugClass | None:
         """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
 
-        In degree >= 2 the element is solved over the basis of I^r mod m,
-        which must make the class unique (m = e^(r-1) always does); None when
-        the element is not in I^r.
+        Each component takes the image under g -> g^(a_p).  In degree >= 2
+        that image is solved over the basis of I(G_p)^r mod p^(v_p(m)), which
+        must make the class unique (m = e^(r-1) always does); None when the
+        element is not in I^r.
         """
-        if self._k == 0:
-            return AugClass(self, ())
-        x = np.zeros(self._k, dtype=np.int64)
-        for g, c in coeffs.items():
-            if g != self.gamma.identity:
-                x[self._pos[g]] = c
-        if self.degree >= 2:
-            x = hnf_solve_mod(self.basis_low, x, m)
-            if x is None:
-                return None
-        return self._reduced(x @ self._V)
+        y = []
+        for comp in self._components:
+            x = np.zeros(len(comp.elems), dtype=np.int64)
+            for g, c in coeffs.items():
+                i = comp.proj[g]
+                if i >= 0:
+                    x[i] += c
+            if self.degree >= 2:
+                x = hnf_solve_mod(comp.basis, x, comp.p ** nt.valuation(m, comp.p))
+                if x is None:
+                    return None
+            y.extend(x @ comp.V)
+        return self._reduced(y)
 
     def class_of(self, v: RingElt) -> AugClass:
         """Reduce an element of I^r to its class; raises if v is not in I^r."""
@@ -311,19 +336,22 @@ class AugQuot:
         return AugClass(self, (0,) * len(self.invariants))
 
     def lift(self, c: AugClass) -> RingElt:
-        """A group-ring representative of a class (well-defined mod I^{r+1})."""
+        """A group-ring representative of a class (well-defined mod I^{r+1}).
+
+        The sum of the component lifts, through the inclusions G_p in Gamma_n.
+        """
         if self.degree == 0:
             return RingElt.unit(self.level) * c.coords[0]
-        v = np.zeros(self._k, dtype=np.int64)
-        for i, y in enumerate(c.coords):
-            if y:
-                v += y * self._lifts[i]
         out: dict[int, int] = {}
         tot = 0
-        for i, cc in enumerate(v):
-            if cc:
-                out[self._coord_elems[i]] = int(cc)
-                tot += int(cc)
+        start = 0
+        for comp in self._components:
+            end = start + len(comp.invariants)
+            v = np.asarray(c.coords[start:end], dtype=np.int64) @ comp.lifts
+            start = end
+            for i in np.nonzero(v)[0]:
+                out[comp.elems[i]] = int(v[i])
+                tot += int(v[i])
         if tot:
             out[self.gamma.identity] = -tot
         return RingElt(self.level, out)
@@ -445,6 +473,26 @@ class AugClass:
 
     def __repr__(self):
         return f"AugClass({self.parent!r}, {self.coords})"
+
+
+def smith_chain(divisors) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... of a finite abelian group.
+
+    `divisors` are its elementary divisors (prime powers, as in
+    `AugQuot.invariants`); entries 0 and 1 are left out.
+    """
+    powers: dict[int, list[int]] = {}
+    for d in divisors:
+        if d > 1:
+            p = nt.prime_factors(d)[0]
+            powers.setdefault(p, []).append(d)
+    chain: list[int] = []
+    for ds in powers.values():
+        ds.sort(reverse=True)
+        chain += [1] * (len(ds) - len(chain))
+        for i, d in enumerate(ds):
+            chain[i] *= d
+    return sorted(chain)
 
 
 @lru_cache(maxsize=None)

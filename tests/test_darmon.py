@@ -226,7 +226,28 @@ def test_verify_report_schema():
     rep = verify_darmon(F5, 11, num_primes=2)
     d = rep.as_dict()
     assert set(d) >= {"field", "level", "r", "s", "h_n", "primes", "verdict"}
-    assert all(set(p) == {"q", "residual", "verdict"} for p in d["primes"])
+    assert all(set(p) == {"q", "residual", "verdict", "reason"} for p in d["primes"])
+    assert all(p["reason"] is None for p in d["primes"] if p["verdict"] != "bad-prime")
+
+
+def test_verify_darmon_needs_an_auxiliary_prime():
+    # no auxiliary prime is no evidence: an error, not a "fail" verdict
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            verify_darmon(F5, 11, num_primes=k)
+
+
+def test_bad_prime_keeps_its_reason(monkeypatch):
+    from darmoncheck import darmon
+
+    def rejecting(F, n, q):
+        raise nt.BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
+
+    monkeypatch.setattr(darmon, "make_reduction_hom", rejecting)
+    rep = verify_darmon(F5, 11, num_primes=2)
+    assert [p.verdict for p in rep.primes] == ["bad-prime", "bad-prime"]
+    assert [p["reason"] for p in rep.as_dict()["primes"]] == [
+        f"Gauss sum check failed at q={p.q}" for p in rep.primes]
 
 
 def test_prop94_levels():

@@ -4,6 +4,7 @@ import itertools
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from darmoncheck import nt
@@ -11,8 +12,9 @@ from darmoncheck.groupring import (AugClass, PermData, RingElt, aug_quot, d_det,
                                    derangements, embed_class, frobenius, gamma,
                                    in_new_component, monomial_class, mult_classes,
                                    perm_pi, perm_sign, permutations_of, pi_d,
-                                   proj_new, single_orbit_nonfixed)
+                                   proj_new, single_orbit_nonfixed, smith_chain)
 from darmoncheck.groupring import _frob_lift
+from darmoncheck.intmat import hnf_mod, hnf_solve_mod, snf_mod
 
 
 def test_gamma_basic():
@@ -276,12 +278,77 @@ def test_single_orbit_filter():
     assert single_orbit_nonfixed(mp)
 
 
-def test_index_equals_determinant():
-    # the presented order equals the lattice index for a small level
-    import numpy as np
-    import sympy
-    q = aug_quot(35, 2)
-    B2 = sympy.Matrix(q.basis_low.tolist())
-    B3 = sympy.Matrix(q.basis_high.tolist())
-    index = abs((B2.T.solve(B3.T)).det())
-    assert index == q.order
+def _full_rank_reference(n, r):
+    """I_n^r / I_n^{r+1} built directly: lattices of rank phi(n) - 1 mod e^j.
+
+    Returns the Smith invariants of the quotient and the Hermite bases of I^r
+    and I^{r+1}.
+    """
+    G = gamma(n)
+    e = G.exponent
+    elems = [g for g in G.elements if g != G.identity]
+    pos = {g: i for i, g in enumerate(elems)}
+
+    def times_gen_minus_one(B, s):
+        # (g - 1)(s - 1) = (gs - 1) - (g - 1) - (s - 1)
+        out = -B
+        for i, g in enumerate(elems):
+            j = pos.get(G.mult(s, g))
+            if j is not None:
+                out[:, j] += B[:, i]
+        out[:, pos[s]] -= B.sum(axis=1)
+        return out
+
+    low = np.eye(len(elems), dtype=np.int64)
+    for j in range(1, r + 1):
+        high = hnf_mod(np.vstack([times_gen_minus_one(low, s) for s in G.gens.values()]),
+                       e ** j)
+        if j < r:
+            low = high
+    X = high if r == 1 else hnf_solve_mod(low, high, e ** (r - 1))
+    d, _, _ = snf_mod(X, e)
+    return d, low, high
+
+
+def _elementary_divisors(invariants):
+    return sorted(p ** nt.valuation(d, p) for d in invariants if d > 1
+                  for p in nt.prime_factors(d))
+
+
+def test_sylow_build_matches_full_rank():
+    for n, r in ((35, 2), (105, 3), (195, 3), (209, 2), (210, 4), (330, 4)):
+        d, low, high = _full_rank_reference(n, r)
+        q = aug_quot(n, r)
+        index_low = prod(int(low[c, c]) for c in range(len(low)))    # [I : I^r]
+        index_high = prod(int(high[c, c]) for c in range(len(high)))  # [I : I^{r+1}]
+        assert _elementary_divisors(d) == sorted(q.invariants), (n, r)
+        assert prod(d) == q.order == index_high // index_low, (n, r)
+        assert index_low == q.ideal_index, (n, r)
+        assert smith_chain(q.invariants) == [x for x in d if x > 1], (n, r)
+
+
+def test_lift_then_class_with_three_components():
+    rng = random.Random(6)
+    for n, r in ((1155, 2), (1155, 3), (483, 2), (483, 3)):
+        q = aug_quot(n, r)
+        assert len({nt.prime_factors(d)[0] for d in q.invariants}) == 3, (n, r)
+        for _ in range(20):
+            c = AugClass(q, tuple(rng.randrange(d) for d in q.invariants))
+            assert q.class_of(q.lift(c)) == c, (n, r)
+
+
+def test_cross_prime_products_vanish():
+    # Gamma_105 = C_2 x C_4 x C_6 has Sylow subgroups G_2 (order 16) and G_3
+    n = 105
+    G = gamma(n)
+    q = aug_quot(n, 2)
+    g2 = [g for g in G.elements if g != G.identity and G.power(g, 4) == G.identity]
+    g3 = [g for g in G.elements if g != G.identity and G.power(g, 3) == G.identity]
+    assert (len(g2), len(g3)) == (15, 2)
+    for g in g2:
+        for h in g3:
+            v = RingElt.gen_minus_one(n, g) * RingElt.gen_minus_one(n, h)
+            assert q.class_of(v).is_zero(), (g, h)
+    # while products inside one Sylow subgroup need not vanish
+    w = RingElt.gen_minus_one(n, g3[0])
+    assert not q.class_of(w * w).is_zero()
