@@ -1,8 +1,9 @@
 """Command-line front end: verification and computation entry points.
 
-Exit codes: 0 pass, 1 fail, 2 vacuous or unsupported, 3 resource limit
-reached, 64 usage error (bad flags, field or level), 70 internal error (any
-other exception from the library).  All structured output is JSON on stdout;
+Exit codes: 0 pass, 1 fail, 2 vacuous, unsupported or inconclusive (every
+auxiliary prime rejected), 3 resource limit reached, 64 usage error (bad
+flags, field or level), 70 internal error (any other exception from the
+library).  All structured output is JSON on stdout;
 errors go to stderr.
 """
 
@@ -97,7 +98,8 @@ def cmd_verify(args) -> int:
     rep = darmon.verify_darmon(F, args.level, num_primes=args.primes,
                                bound=args.bound)
     _emit(rep.as_dict())
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS}[rep.verdict]
+    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS,
+            "inconclusive": EXIT_VACUOUS}[rep.verdict]
 
 
 def cmd_regulator(args) -> int:

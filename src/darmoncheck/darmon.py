@@ -478,6 +478,8 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
 
     wrong_sign flips the sign of the regulator side (soundness canary);
     bound caps the auxiliary primes searched (ResourceLimitError past it).
+    The verdict is "inconclusive" when every prime was rejected as a
+    bad prime at a level that is not vacuous.
     """
     if n > 1 and gcd(n, F.conductor) != 1:
         raise ValueError("level shares a factor with the conductor")
@@ -511,7 +513,9 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     verdicts = [p.verdict for p in results if p.verdict != "bad-prime"]
     if vacuous:
         overall = "vacuous"
-    elif verdicts and all(v == "pass" for v in verdicts):
+    elif not verdicts:
+        overall = "inconclusive"  # every prime rejected; `primes` says why
+    elif all(v == "pass" for v in verdicts):
         overall = "pass"
     else:
         overall = "fail"
@@ -546,7 +550,7 @@ def prop94_residual(F: QuadField, n: int, h: ReductionHom) -> AugClass:
         cls = gr.embed_class(th_m, n)
         for p in nt.prime_factors(dd):
             lift = gr._frob_lift(n, n // dd, p)
-            cls = gr.mult_class_elt(cls, lift, 1)
+            cls = gr.mult_classes(cls, aug_quot(n, 1).class_of(lift))
         total = total + cls
     bval, bcls = beta_value(F, F.n_plus(n), _hom_at_level(F, F.n_plus(n), h)), beta_class_at(F, n)
     rhs = (2 ** F.s_of(n) * bval) * bcls

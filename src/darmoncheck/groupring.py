@@ -14,10 +14,19 @@ intmat).
 
 A class is a tuple of the nontrivial Smith coordinates of each Sylow
 component, in order of p, each reduced mod its elementary divisor.
-`AugQuot.class_of_sum` is the one place where (g-1)-coordinates become a
-class: each component takes the image of the element, in degree r >= 2
-solves it over the Hermite basis of I(G_p)^r (intmat.hnf_solve_mod), then
-maps it through the Smith transform.  `cycles_through` expands the
+`_Sylow.smith_coords` is the one place where (g-1)-coordinates become Smith
+coordinates: in degree r >= 2 it solves them over the Hermite basis of
+I(G_p)^r (intmat.hnf_solve_mod), then maps them through the Smith transform.
+
+The induced maps on classes are integer matrices, built the first time they
+are used and kept on the quotient they start from (the products on the one
+they land in), so they die with it.  A group homomorphism maps G_p into the
+Sylow p-subgroup of its target, so the matrices of pi_d and of the
+inclusions of levels are block-diagonal over p; each block maps the kept
+lifts of one component through the homomorphism and reduces them in one
+batched solve.  Products of classes vanish across primes, and within G_p
+they are bilinear, so `mult_classes` contracts the coordinates with one
+table of structure constants per component.  `cycles_through` expands the
 single-cycle sums of the determinant lemma, for the regulator and the
 synthetic systems alike.
 """
@@ -207,15 +216,22 @@ class _Sylow:
 
     def __init__(self, G: UnitGroupMod, p: int, r: int):
         self.p = p
-        ep = p ** nt.valuation(G.exponent, p)
+        self.degree = r
+        self.ep = ep = p ** nt.valuation(G.exponent, p)
         elems = [G.identity]
         gens = []
+        orders = []
         for l, g in G.gens.items():
             v = nt.valuation(l - 1, p)
             if v:
                 s = G.power(g, (l - 1) // p ** v)
                 gens.append(s)
+                orders.append(p ** v)
                 elems = [G.mult(x, G.power(s, i)) for i in range(p ** v) for x in elems]
+        # G_p is the product of the cyclic groups <s_j> of these orders, and
+        # prod s_j^(i_j) sits at the mixed-radix index of (i_1, i_2, ...),
+        # first digit fastest
+        self.orders = tuple(orders)
         self.elems = elems[1:]
         pos = {g: i for i, g in enumerate(self.elems)}
         a = G.exponent // ep * pow(G.exponent // ep, -1, ep)
@@ -243,6 +259,37 @@ class _Sylow:
         self.lifts = W[keep] @ low
         self.index = prod(int(low[c, c]) for c in range(k))
 
+    def smith_coords(self, x: np.ndarray, m: int) -> np.ndarray | None:
+        """Smith coordinates, not yet reduced, of elements of I(G_p)^r.
+
+        x holds (g-1)-coordinates, one vector or one per row; in degree >= 2
+        they are solved over the basis of I(G_p)^r mod p^(v_p(m)), which must
+        make the class unique.  None when some row is not in I(G_p)^r.
+        """
+        if self.degree >= 2:
+            x = hnf_solve_mod(self.basis, x, self.p ** nt.valuation(m, self.p))
+            if x is None:
+                return None
+        return x @ self.V
+
+    def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Every product of a row of A with a row of B in Z[G_p].
+
+        Rows are elements of I(G_p) in (g-1)-coordinates; row i * len(B) + j
+        of the result is A[i] * B[j], again in (g-1)-coordinates.
+        """
+        a = np.hstack([-A.sum(axis=1, keepdims=True), A])  # identity first
+        b = np.hstack([-B.sum(axis=1, keepdims=True), B])
+        orders = np.array(self.orders)[:, None]
+        digits = np.array(np.unravel_index(np.arange(a.shape[1]), self.orders, order="F"))
+        out = np.zeros((len(A), len(B), a.shape[1]), dtype=np.int64)
+        for g in range(a.shape[1]):
+            # h -> gh permutes G_p: add the digits of g
+            gh = np.ravel_multi_index((digits + digits[:, g:g + 1]) % orders,
+                                      self.orders, order="F")
+            out[:, :, gh] += a[:, g, None, None] * b[None, :, :]
+        return out[:, :, 1:].reshape(len(A) * len(B), -1)
+
 
 class AugQuot:
     """The finite presentation of I_n^r / I_n^{r+1}.
@@ -266,15 +313,25 @@ class AugQuot:
         self.degree = r
         self.ambient_rank = G.phi
         self.exponent_m = G.exponent
+        # induced maps, built on first use: pi_d by d, the inclusion into
+        # level N by N, the product tables by the degrees of the factors
         self._pi_matrices: dict[int, np.ndarray] = {}
+        self._embed_matrices: dict[int, np.ndarray] = {}
+        self._mult_tables: dict[tuple[int, int], list[np.ndarray]] = {}
         self._split_cache: dict[tuple, dict] = {}
+        self._dets: dict[int, tuple] = {}
         self._components: list[_Sylow] = []
+        self._slices: list[slice] = []  # each component's class coordinates
         if r == 0:
             # I^0/I^1 is Z via the augmentation; classes carry one integer.
             self.invariants = (0,)
             self.order = 0
             return
         self._components = [_Sylow(G, p, r) for p in nt.prime_factors(G.exponent)]
+        start = 0
+        for c in self._components:
+            self._slices.append(slice(start, start + len(c.invariants)))
+            start += len(c.invariants)
         self.invariants = tuple(d for c in self._components for d in c.invariants)
         self.order = prod(self.invariants)
 
@@ -310,11 +367,10 @@ class AugQuot:
                 i = comp.proj[g]
                 if i >= 0:
                     x[i] += c
-            if self.degree >= 2:
-                x = hnf_solve_mod(comp.basis, x, comp.p ** nt.valuation(m, comp.p))
-                if x is None:
-                    return None
-            y.extend(x @ comp.V)
+            x = comp.smith_coords(x, m)
+            if x is None:
+                return None
+            y.extend(x)
         return self._reduced(y)
 
     def class_of(self, v: RingElt) -> AugClass:
@@ -344,11 +400,8 @@ class AugQuot:
             return RingElt.unit(self.level) * c.coords[0]
         out: dict[int, int] = {}
         tot = 0
-        start = 0
-        for comp in self._components:
-            end = start + len(comp.invariants)
-            v = np.asarray(c.coords[start:end], dtype=np.int64) @ comp.lifts
-            start = end
+        for comp, part in zip(self._components, self._slices):
+            v = np.asarray(c.coords[part], dtype=np.int64) @ comp.lifts
             for i in np.nonzero(v)[0]:
                 out[comp.elems[i]] = int(v[i])
                 tot += int(v[i])
@@ -358,19 +411,79 @@ class AugQuot:
 
     # -- induced maps ------------------------------------------------------
 
+    def _hom_matrix(self, phi, dst: AugQuot) -> np.ndarray:
+        """Matrix on class coordinates of the map into `dst` (same degree)
+        induced by a group homomorphism phi from Gamma_n to dst.gamma.
+
+        phi maps G_p into the Sylow p-subgroup of dst.gamma, so the matrix is
+        block-diagonal over p: a block sends the kept lifts of a component
+        through phi into the (g-1)-coordinates of the target's component and
+        reduces all of them in one solve.
+        """
+        if self.degree == 0:
+            return np.eye(1, dtype=np.int64)  # the augmentation commutes with phi
+        M = np.zeros((len(self.invariants), len(dst.invariants)), dtype=np.int64)
+        target = {c.p: (c, part) for c, part in zip(dst._components, dst._slices)}
+        m = dst.exponent_m ** (dst.degree - 1)
+        for comp, rows in zip(self._components, self._slices):
+            tc, cols = target[comp.p]
+            if not comp.invariants or not tc.invariants:
+                continue
+            idx = np.array([tc.proj[phi(g)] for g in comp.elems])
+            hit = idx >= 0
+            X = np.zeros((len(comp.invariants), len(tc.elems)), dtype=np.int64)
+            np.add.at(X.T, idx[hit], comp.lifts[:, hit].T)
+            Y = tc.smith_coords(X, m)
+            if Y is None:
+                raise ArithmeticError("image does not lie in the expected ideal power")
+            M[rows, cols] = Y % np.array(tc.invariants)
+        return M
+
     def pi_matrix(self, d: int) -> np.ndarray:
         """Matrix of pi_d acting on class coordinates."""
         if d not in self._pi_matrices:
             if self.level % d:
                 raise ValueError(f"{d} does not divide {self.level}")
-            kq = len(self.invariants)
-            P = np.zeros((kq, kq), dtype=np.int64)
-            for i in range(kq):
-                basis_cls = AugClass(self, tuple(1 if j == i else 0 for j in range(kq)))
-                img = self.class_of(self.lift(basis_cls).pi(d))
-                P[i] = img.coords
-            self._pi_matrices[d] = P
+            G = self.gamma
+            self._pi_matrices[d] = self._hom_matrix(lambda g: G.project(g, d), self)
         return self._pi_matrices[d]
+
+    def embed_matrix(self, n: int) -> np.ndarray:
+        """Matrix of the inclusion I_m^r/I_m^{r+1} -> I_n^r/I_n^{r+1}, m | n."""
+        if n not in self._embed_matrices:
+            if n % self.level:
+                raise ValueError(f"{self.level} does not divide {n}")
+            G = gamma(n)
+            self._embed_matrices[n] = self._hom_matrix(
+                lambda g: G.embed_from(self.level, g), aug_quot(n, self.degree))
+        return self._embed_matrices[n]
+
+    def mult_table(self, qa: AugQuot, qb: AugQuot) -> list[np.ndarray]:
+        """Structure constants of the product qa x qb -> self, per component.
+
+        Block p has entry [i, j] = the class in component p of the product of
+        the lifts of the i-th basis class of qa and the j-th of qb, both in
+        component p; products across components vanish.
+        """
+        key = (qa.degree, qb.degree)
+        if key not in self._mult_tables:
+            R = self.degree
+            m = self.exponent_m ** (R - 1)
+            blocks = []
+            for ca, cb, ct in zip(qa._components, qb._components, self._components):
+                T = np.zeros((len(ca.invariants), len(cb.invariants), len(ct.invariants)),
+                             dtype=np.int64)
+                if T.size:
+                    # e_p^R * I(G_p) lies in I(G_p)^{R+1}, so the factors may
+                    # be reduced mod e_p^R without changing the product's class
+                    X = ct.products(ca.lifts % ct.ep ** R, cb.lifts % ct.ep ** R)
+                    Y = ct.smith_coords(X, m)
+                    if Y is None:
+                        raise ArithmeticError("product does not lie in the expected ideal power")
+                    T[:] = (Y % np.array(ct.invariants)).reshape(T.shape)
+                blocks.append(T)
+            self._mult_tables[key] = blocks
+        return self._mult_tables[key]
 
     def apply_matrix(self, c: AugClass, P: np.ndarray) -> AugClass:
         return self._reduced(np.asarray(c.coords, dtype=np.int64) @ P)
@@ -571,25 +684,23 @@ def embed_class(x: AugClass, n: int) -> AugClass:
     target = aug_quot(n, quot.degree)
     if quot.degree == 0:
         return AugClass(target, x.coords)
-    return target.class_of(quot.lift(x).embed(n))
+    return target.apply_matrix(x, quot.embed_matrix(n))
 
 
 def mult_classes(a: AugClass, b: AugClass) -> AugClass:
     """Product I^r x I^s -> I^{r+s} on classes at a common level."""
-    n = a.parent.level
-    if b.parent.level != n:
+    qa, qb = a.parent, b.parent
+    n = qa.level
+    if qb.level != n:
         raise ValueError("levels differ; embed first")
-    target = aug_quot(n, a.parent.degree + b.parent.degree)
-    la = a.parent.lift(a)
-    lb = b.parent.lift(b)
-    return target.class_of(la * lb)
-
-
-def mult_class_elt(a: AugClass, v: RingElt, deg_v: int) -> AugClass:
-    """Product of a class of degree r with an element of I^deg_v."""
-    n = a.parent.level
-    target = aug_quot(n, a.parent.degree + deg_v)
-    return target.class_of(a.parent.lift(a) * (v if v.level == n else v.embed(n)))
+    target = aug_quot(n, qa.degree + qb.degree)
+    if qa.degree == 0 or qb.degree == 0:
+        k, c = (a.coords[0], b) if qa.degree == 0 else (b.coords[0], a)
+        return target._reduced([k * y for y in c.coords])
+    y = []
+    for T, sa, sb in zip(target.mult_table(qa, qb), qa._slices, qb._slices):
+        y.extend(np.einsum("i,j,ijk->k", a.coords[sa], b.coords[sb], T))
+    return target._reduced(y)
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +792,15 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
 
     Row/column i corresponds to the i-th prime of d in increasing order;
     the diagonal entry is pi_{n/d}(Fr_l - 1) and the (i, j) entry is
-    pi_{l_j}(Fr_{l_i} - 1).  Returns (matrix of degree-1 classes, class of
-    the determinant in I_n^t/I_n^{t+1}).
+    pi_{l_j}(Fr_{l_i} - 1).  Returns (matrix of degree-1 classes as a tuple
+    of rows, class of the determinant in I_n^t/I_n^{t+1}); the result is
+    kept on that quotient, as `AugQuot.splitting` keeps its data.
     """
     if plus is None:
         plus = gamma(n).primes
     if d == 1:
         one = aug_quot(n, 0)
-        return [], AugClass(one, (1,))
+        return (), AugClass(one, (1,))
     if n % d or prod(nt.prime_factors(d)) != d:
         raise ValueError(f"{d} must be a squarefree divisor of the level")
     for p in nt.prime_factors(d):
@@ -696,6 +808,9 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
             raise ValueError(f"{p} is not one of the designated primes")
     ls = nt.prime_factors(d)
     t = len(ls)
+    quot = aug_quot(n, t)
+    if d in quot._dets:
+        return quot._dets[d]
     lifts = [[None] * t for _ in range(t)]
     for i, li in enumerate(ls):
         for j, lj in enumerate(ls):
@@ -704,7 +819,7 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
             else:
                 lifts[i][j] = _frob_lift(n, lj, li)
     quot1 = aug_quot(n, 1)
-    matrix = [[quot1.class_of(lifts[i][j]) for j in range(t)] for i in range(t)]
+    matrix = tuple(tuple(quot1.class_of(lifts[i][j]) for j in range(t)) for i in range(t))
     det = RingElt(n)
     for images in itertools.permutations(range(t)):
         term = RingElt.unit(n)
@@ -712,8 +827,8 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
             term = term * lifts[i][j]
         s = perm_sign({i: j for i, j in enumerate(images)})
         det = det + (term * s)
-    quot = aug_quot(n, t)
-    return matrix, quot.class_of(det)
+    quot._dets[d] = matrix, quot.class_of(det)
+    return quot._dets[d]
 
 
 def perm_pi(p: PermData) -> AugClass:

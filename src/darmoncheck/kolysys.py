@@ -134,7 +134,8 @@ class SynElt:
         return self.quot.level
 
     def __add__(self, other: "SynElt") -> "SynElt":
-        assert other.quot is self.quot
+        if other.quot is not self.quot:
+            raise ValueError("elements belong to different quotients")
         return SynElt(self.model, self.quot,
                       [a + b for a, b in zip(self.parts, other.parts)])
 

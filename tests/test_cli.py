@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from darmoncheck import darmon
+from darmoncheck import darmon, nt
 from darmoncheck.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_RESOURCE, EXIT_USAGE, EXIT_VACUOUS, main)
 
@@ -78,6 +78,16 @@ def test_exit_codes_name_the_fault(monkeypatch, capsys):
     code, _ = run(["verify", "--disc", "5", "--level", "11"])
     assert code == EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
+
+
+def test_all_bad_primes_exit_inconclusive(monkeypatch):
+    def rejecting(F, n, q):
+        raise nt.BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
+
+    monkeypatch.setattr(darmon, "make_reduction_hom", rejecting)
+    code, out = run(["verify", "--disc", "5", "--level", "11", "--primes", "2"])
+    assert code == EXIT_VACUOUS and out["verdict"] == "inconclusive"
+    assert [p["verdict"] for p in out["primes"]] == ["bad-prime", "bad-prime"]
 
 
 def test_unread_flags_rejected():

@@ -246,6 +246,7 @@ def test_bad_prime_keeps_its_reason(monkeypatch):
     monkeypatch.setattr(darmon, "make_reduction_hom", rejecting)
     rep = verify_darmon(F5, 11, num_primes=2)
     assert [p.verdict for p in rep.primes] == ["bad-prime", "bad-prime"]
+    assert rep.verdict == "inconclusive"
     assert [p["reason"] for p in rep.as_dict()["primes"]] == [
         f"Gauss sum check failed at q={p.q}" for p in rep.primes]
 

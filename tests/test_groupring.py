@@ -352,3 +352,34 @@ def test_cross_prime_products_vanish():
     # while products inside one Sylow subgroup need not vanish
     w = RingElt.gen_minus_one(n, g3[0])
     assert not q.class_of(w * w).is_zero()
+
+
+def test_induced_maps_match_their_definitions():
+    # each matrix against the map it induces on group-ring representatives
+    rng = random.Random(9)
+
+    def basis(q):
+        k = len(q.invariants)
+        return [AugClass(q, tuple(int(i == j) for j in range(k))) for i in range(k)]
+
+    def rand(q):
+        return AugClass(q, tuple(rng.randrange(d) for d in q.invariants))
+
+    for n in (35, 105, 195, 209, 210, 330, 483, 1155):
+        w = len(nt.prime_factors(n))
+        for r in range(1, w + 1):
+            q = aug_quot(n, r)
+            for d in nt.divisors(n):
+                P = q.pi_matrix(d)
+                for i, e in enumerate(basis(q)):
+                    assert tuple(P[i]) == q.class_of(q.lift(e).pi(d)).coords, (n, r, d)
+            for m in nt.divisors(n):
+                low = aug_quot(m, r)
+                for e in basis(low):
+                    assert embed_class(e, n) == q.class_of(low.lift(e).embed(n)), (m, n, r)
+            for s in range(1, w + 1 - r):
+                qs, target = aug_quot(n, s), aug_quot(n, r + s)
+                for _ in range(3):
+                    a, b = rand(q), rand(qs)
+                    assert mult_classes(a, b) == target.class_of(q.lift(a) * qs.lift(b)), \
+                        (n, r, s)

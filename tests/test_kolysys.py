@@ -164,3 +164,8 @@ def test_three_prime_universe():
     pre = inverse_transform(kappa, model)
     assert check_preks(pre, model)["ok"]
     assert all(transform(pre, model)[n] == kappa[n] for n in kappa)
+
+
+def test_add_across_quotients_raises():
+    with pytest.raises(ValueError):
+        KAPPA[5] + KAPPA[13]
