@@ -1,14 +1,17 @@
 """Both sides of Darmon's refined class number congruence.
 
 The regulator side is exact: determinants of local symbols applied to an
-oriented unit basis, with coefficients in augmentation quotients.  The theta
-side is reduced through homomorphisms into Z/(q-1) attached to auxiliary
-primes q.  Each reduction solves the discrete logs of all the residues
-zeta^a - 1 a level needs in one batched baby-step giant-step per auxiliary
-prime.  The class of the reduced theta element in the augmentation quotient
-is extracted by a linear solve over the power basis of I_n^r, with the
-auxiliary-prime congruence chosen strong enough that the extracted class is
-unique.
+oriented unit basis, with coefficients in augmentation quotients.  It is a
+`TensorElt`, the `groupring.ClassTensor` with one free row per unit, and
+every reduction of it through a homomorphism on the units (h, ord_at, the
+finite part at ell) is one product of a row of values with its rows
+(`TensorElt.evaluate`).  The theta side is reduced through homomorphisms
+into Z/(q-1) attached to auxiliary primes q.  Each reduction solves the
+discrete logs of all the residues zeta^a - 1 a level needs in one batched
+baby-step giant-step per auxiliary prime.  The class of the reduced theta
+element in the augmentation quotient is extracted by a linear solve over
+the power basis of I_n^r, with the auxiliary-prime congruence chosen strong
+enough that the extracted class is unique.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from . import cyclo, groupring as gr, nt, quadfield as qf
-from .groupring import AugClass, RingElt, aug_quot, gamma
-from .localsym import del_lift
+from .groupring import AugClass, ClassTensor, RingElt, aug_quot, gamma
+from .localsym import del_lift, phi_fs
 from .nt import BadAuxiliaryPrime, ResourceLimitError
 from .quadfield import QuadField, QuadNum
 
@@ -34,87 +37,62 @@ def _payload_key(x):
     raise TypeError(f"unsupported payload {x!r}")
 
 
-class TensorElt:
+class TensorElt(ClassTensor):
     """A formal sum of (global number) tensor (augmentation class).
 
-    Payloads are QuadNum values.
-    Inverses are normalised onto the class side: x^{-1} (x) v = x (x) -v.
+    An element of A (x) I_n^r/I_n^{r+1} with A free on the payloads: one
+    free row of class coordinates per payload, so the induced maps are those
+    of `ClassTensor`.  Payloads are QuadNum values, merged by key, and
+    inverses are normalised onto the class side: x^{-1} (x) v = x (x) -v,
+    so every payload but -1 has |x| > 1.
     """
 
+    __slots__ = ("payloads",)
+    _extra = ("payloads",)
+
     def __init__(self, quot, terms=None):
-        self.quot = quot
-        self.terms: dict = {}
-        for x, c in (terms or []):
-            self.add_term(x, c)
+        payloads, rows, index = [], [], {}
+        for x, c in terms or []:
+            if c.parent is not quot:
+                raise ValueError("class belongs to a different quotient")
+            if isinstance(x, QuadNum):
+                if x == 1:
+                    continue
+                if x.abs_cmp_one() < 0:
+                    x, c = QuadNum(x.d, 1) / x, -c
+            key = _payload_key(x)
+            if key not in index:
+                index[key] = len(payloads)
+                payloads.append(x)
+                rows.append([0] * len(quot.invariants))
+            row = rows[index[key]]
+            for i, y in enumerate(c.coords):
+                row[i] += y
+        self.payloads = payloads
+        super().__init__(quot, (0,) * len(payloads), rows)
 
-    @property
-    def level(self):
-        return self.quot.level
-
-    @property
-    def degree(self):
-        return self.quot.degree
+    def _pairs(self) -> list:
+        return list(zip(self.payloads, self.parts))
 
     def add_term(self, x, c: AugClass):
-        if c.parent is not self.quot:
-            raise ValueError("class belongs to a different quotient")
-        if isinstance(x, QuadNum):
-            if x == 1:
-                return
-            cmp = x.abs_cmp_one()
-            if cmp < 0:
-                x = QuadNum(x.d, 1) / x
-                c = -c
-            elif cmp == 0 and x.sign() < 0 and x.b == 0:
-                pass  # payload -1 kept as is
-        key = _payload_key(x)
-        if key in self.terms:
-            old_x, old_c = self.terms[key]
-            new_c = old_c + c
-            if new_c.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = (old_x, new_c)
-        else:
-            if not c.is_zero():
-                self.terms[key] = (x, c)
+        total = TensorElt(self.quot, self._pairs() + [(x, c)])
+        self.payloads, self.moduli, self.rows = total.payloads, total.moduli, total.rows
 
     def __add__(self, other: "TensorElt") -> "TensorElt":
         if other.quot is not self.quot:
             raise ValueError("tensor elements live in different quotients")
-        out = TensorElt(self.quot, list(self.terms.values()))
-        for x, c in other.terms.values():
-            out.add_term(x, c)
-        return out
+        return TensorElt(self.quot, self._pairs() + other._pairs())
 
-    def __neg__(self) -> "TensorElt":
-        return TensorElt(self.quot, [(x, -c) for x, c in self.terms.values()])
+    @property
+    def terms(self) -> dict:
+        """payload key -> (payload, class), for the nonzero classes."""
+        return {_payload_key(x): (x, c) for x, c in self._pairs() if not c.is_zero()}
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k: int) -> "TensorElt":
-        return TensorElt(self.quot, [(x, k * c) for x, c in self.terms.values()])
-
-    def map_classes(self, fn, quot=None) -> "TensorElt":
-        out = TensorElt(quot or self.quot)
-        for x, c in self.terms.values():
-            out.add_term(x, fn(c))
-        return out
-
-    def pi(self, d: int) -> "TensorElt":
-        return self.map_classes(lambda c: gr.pi_d(c, d))
-
-    def proj_new(self, plus) -> "TensorElt":
-        return self.map_classes(lambda c: gr.proj_new(c, plus))
-
-    def mult_class(self, v: AugClass) -> "TensorElt":
-        target = aug_quot(self.level, self.degree + v.parent.degree)
-        return self.map_classes(lambda c: gr.mult_classes(c, v), target)
-
-    def embed(self, n: int) -> "TensorElt":
-        target = aug_quot(n, self.degree)
-        return self.map_classes(lambda c: gr.embed_class(c, n), target)
+    def evaluate(self, value, M: int) -> ClassTensor:
+        """The image in Z/M (x) I^r/I^{r+1} (M = 0: Z) under the homomorphism
+        x -> value(x) on payloads; payloads with zero rows are not evaluated."""
+        live = self.rows.any(axis=1)
+        return self.reduce([value(x) if z else 0 for x, z in zip(self.payloads, live)], M)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElt) or other.quot is not self.quot:
@@ -122,13 +100,7 @@ class TensorElt:
         return self._canon() == other._canon()
 
     def _canon(self):
-        return {k: c.coords for k, (x, c) in sorted(self.terms.items())}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"TensorElt(level={self.level}, degree={self.degree}, {len(self.terms)} terms)"
+        return {k: c.coords for k, (x, c) in self.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +246,10 @@ def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
     return ReductionHom(F, n, q, g, zeta, sd)
 
 
-def tensor_reduce(x: TensorElt, h: ReductionHom, odd_only: bool = False) -> AugClass:
-    """Sum of h(payload) * class; the result lies in the quotient group."""
-    quot = x.quot
-    _check_hom_compat(quot, h)
-    out = quot.zero()
-    for payload, c in x.terms.values():
-        out = out + h.value(payload) * c
-    if odd_only:
-        out = _odd_part(out)
-    return out
+def tensor_reduce(x: TensorElt, h: ReductionHom) -> AugClass:
+    """Sum of h(payload) * class, in (Z/(q-1)) (x) I^r/I^{r+1}."""
+    _check_hom_compat(x.quot, h)
+    return x.evaluate(h.value, h.modulus).parts[0]
 
 
 def _check_hom_compat(quot, h: ReductionHom):
@@ -293,14 +259,6 @@ def _check_hom_compat(quot, h: ReductionHom):
 
 def _odd_part(c: AugClass) -> AugClass:
     return c * 2 ** nt.valuation(c.parent.class_exponent, 2)
-
-
-def _reduce_deg0(x: TensorElt, h: ReductionHom) -> int:
-    """Reduce a degree-0 tensor element to Z/(q-1)."""
-    total = 0
-    for payload, c in x.terms.values():
-        total = (total + h.value(payload) * c.coords[0]) % h.modulus
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +297,8 @@ def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
     """The minors expansion for an explicit (oriented) basis and places."""
     r = len(places)
     lifts = [[del_lift(F, e, pl, n2) for e in basis] for pl in places]
-    quot = aug_quot(n2, r)
-    out = TensorElt(quot)
-    for j, eps in enumerate(basis):
-        sign = (-1) ** j
-        out.add_term(eps, sign * _minor_class(lifts, j, n2, r))
-    return out
-
-
-def regulator_with_h(F: QuadField, n: int) -> TensorElt:
-    return regulator(F, n).scale(qf.h_n(F, n))
+    return TensorElt(aug_quot(n2, r), [(eps, (-1) ** j * _minor_class(lifts, j, n2, r))
+                                       for j, eps in enumerate(basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +446,16 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
         try:
             h = make_reduction_hom(F, n, q)
             th = theta_class(F, n, h)
+            red = tensor_reduce(reg, h)
             if r == 0:
                 # residual in Z/(q-1); kill the 2-part of the group
                 M = h.modulus
-                val = (th.coords[0] + _reduce_deg0(reg, h)) % M
+                val = (th.coords[0] + red.coords[0]) % M
                 val = val * (2 ** nt.valuation(M, 2)) % M
                 ok = val == 0
                 results.append(PrimeResult(q, (val,), "pass" if ok else "fail"))
                 continue
-            residual = _odd_part(th + tensor_reduce(reg, h))
+            residual = _odd_part(th + red)
         except BadAuxiliaryPrime as exc:
             results.append(PrimeResult(q, (), "bad-prime", str(exc)))
             continue
@@ -549,8 +500,7 @@ def prop94_residual(F: QuadField, n: int, h: ReductionHom) -> AugClass:
         th_m = theta_class(F, m, _hom_at_level(F, m, h))
         cls = gr.embed_class(th_m, n)
         for p in nt.prime_factors(dd):
-            lift = gr._frob_lift(n, n // dd, p)
-            cls = gr.mult_classes(cls, aug_quot(n, 1).class_of(lift))
+            cls = gr.mult_classes(cls, gr.frob_class(n, n // dd, p))
         total = total + cls
     bval, bcls = beta_value(F, F.n_plus(n), _hom_at_level(F, F.n_plus(n), h)), beta_class_at(F, n)
     rhs = (2 ** F.s_of(n) * bval) * bcls
@@ -567,16 +517,6 @@ def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
 
 # ---------------------------------------------------------------------------
 # pre-Kolyvagin axioms for the two concrete systems
-
-
-def _regulator_parts(F: QuadField, n: int, n2: int | None = None):
-    """(unit lattice, symbol lifts, quotient, minor classes) at level n2."""
-    n2 = n2 or n
-    pd, ul = qf.unit_basis(F, n)
-    r = len(ul.places)
-    lifts = [[del_lift(F, e, pl, n2) for e in ul.basis] for pl in ul.places]
-    minors = [_minor_class(lifts, j, n2, r) for j in range(r + 1)]
-    return ul, lifts, aug_quot(n2, r), minors
 
 
 def _fpart_dlog(F: QuadField, x: QuadNum, ell: int) -> int:
@@ -615,7 +555,7 @@ def regulator_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
         raise ValueError("axiom (ii) needs a split prime dividing the level")
     m = n // ell
     lhs = regulator(F, n).scale(qf.h_n(F, n)).pi(m)
-    fr_cls = aug_quot(n, 1).class_of(-1 * gr._frob_lift(n, m, ell))
+    fr_cls = -1 * gr.frob_class(n, m, ell)
     rhs = regulator(F, m).scale(qf.h_n(F, m)).embed(n).mult_class(fr_cls)
     if lhs == rhs:
         return True, "exact"
@@ -630,63 +570,39 @@ def regulator_axiom_iii(F: QuadField, n: int, ell: int) -> bool:
     if n % ell or F.omega(ell) != 1:
         raise ValueError("axiom (iii) needs a split prime dividing the level")
     m = n // ell
-    plus_n = tuple(F.split_primes(n))
     place = F.place_above(ell)
     # left side: transverse coefficients are the valuations at the place
-    ul, _, quot, minors = _regulator_parts(F, n)
-    hn = qf.h_n(F, n)
-    lhs = quot.zero()
-    for j, e in enumerate(ul.basis):
-        o = qf.ord_at(e, place)
-        if o:
-            lhs = lhs + ((-1) ** j * hn * o) * minors[j]
-    lhs = gr.proj_new(lhs, plus_n)
-    # right side: finite residues at ell of the level-m basis, sent through
-    # the finite-singular map and multiplied into the new part
-    ul2, _, _, minors2 = _regulator_parts(F, m)
-    hm = qf.h_n(F, m)
-    plus_m = tuple(F.split_primes(m))
-    rhs = quot.zero()
-    for j, e in enumerate(ul2.basis):
-        u = qf.unit_residue(e, place)
-        sym = pow(u, -1, ell)
-        fs_cls = aug_quot(n, 1).class_of(
-            RingElt.gen_minus_one(n, gamma(n).embed_from(ell, sym)))
-        pm = gr.proj_new(minors2[j], plus_m)
-        term = gr.mult_classes(gr.embed_class(pm, n), fs_cls)
-        rhs = rhs + ((-1) ** j * hm) * term
+    lhs = regulator(F, n).scale(qf.h_n(F, n)).evaluate(lambda x: qf.ord_at(x, place), 0)
+    lhs = lhs.proj_new(F.split_primes(n)).parts[0]
+    # right side: the level-m payloads sent through the finite-singular map
+    # and multiplied into the new part
+    rhs = lhs.parent.zero()
+    reg_m = regulator(F, m).scale(qf.h_n(F, m)).proj_new(F.split_primes(m)).embed(n)
+    for x, c in reg_m.terms.values():
+        fs_cls = gr.embed_class(phi_fs(F, x, ell).normalized(), n)
+        rhs = rhs + gr.mult_classes(c, fs_cls)
     return lhs == rhs
 
 
 def regulator_axiom_iv(F: QuadField, n: int, ell: int) -> bool:
-    """The finite-part identity with signed single-cycle permutation sums."""
+    """The finite-part identity with signed single-cycle permutation sums.
+
+    Both sides lie in Z/(ell-1) (x) I_n^r/I_n^{r+1}, where the discrete logs
+    of the finite parts at ell live.
+    """
     if n % ell or F.omega(ell) != 1:
         raise ValueError("axiom (iv) needs a split prime dividing the level")
-    split = F.split_primes(n)
-    plus_n = tuple(split)
-    quot = aug_quot(n, len(split))
-    ul, _, _, minors = _regulator_parts(F, n)
-    hn = qf.h_n(F, n)
-    lhs = quot.zero()
-    for j, e in enumerate(ul.basis):
-        a = _fpart_dlog(F, e, ell)
-        if a:
-            lhs = lhs + ((-1) ** j * hn * a) * minors[j]
-    lhs = gr.proj_new(lhs, plus_n)
-    rhs = quot.zero()
-    for d_sigma, sign, pi_cls in gr.cycles_through(n, split, ell):
-        mlevel = n // d_sigma
-        ulm, _, quotm, minorsm = _regulator_parts(F, mlevel)
-        hm = qf.h_n(F, mlevel)
-        plus_m = tuple(F.split_primes(mlevel))
-        inner = quotm.zero()
-        for j, e in enumerate(ulm.basis):
-            a = _fpart_dlog(F, e, ell)
-            if a:
-                inner = inner + ((-1) ** j * hm * a) * minorsm[j]
-        inner = gr.proj_new(inner, plus_m)
-        term = gr.mult_classes(gr.embed_class(inner, n), pi_cls)
-        rhs = rhs - sign * term
+
+    def finite_new(m: int) -> ClassTensor:
+        """proj(h_m (R_m)_{ell,f}) at level m."""
+        reg = regulator(F, m).scale(qf.h_n(F, m))
+        fin = reg.evaluate(lambda x: _fpart_dlog(F, x, ell), ell - 1)
+        return fin.proj_new(F.split_primes(m))
+
+    lhs = finite_new(n)
+    rhs = ClassTensor(lhs.quot, (ell - 1,))
+    for d_sigma, sign, pi_cls in gr.cycles_through(n, F.split_primes(n), ell):
+        rhs = rhs - finite_new(n // d_sigma).embed(n).mult_class(pi_cls).scale(sign)
     return lhs == rhs
 
 
@@ -706,7 +622,7 @@ def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
     exact = cyclo.norm_relation_check(F, n, ell)
     m = n // ell
     homs = _reduction_homs(F, n, num_primes, bound)
-    fr_cls = aug_quot(n, 1).class_of(-1 * gr._frob_lift(n, m, ell))
+    fr_cls = -1 * gr.frob_class(n, m, ell)
     ok = exact
     for h in homs:
         lhs = gr.pi_d(theta_class(F, n, h), m)

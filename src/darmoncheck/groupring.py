@@ -25,10 +25,19 @@ Sylow p-subgroup of its target, so the matrices of pi_d and of the
 inclusions of levels are block-diagonal over p; each block maps the kept
 lifts of one component through the homomorphism and reduces them in one
 batched solve.  Products of classes vanish across primes, and within G_p
-they are bilinear, so `mult_classes` contracts the coordinates with one
-table of structure constants per component.  `cycles_through` expands the
-single-cycle sums of the determinant lemma, for the regulator and the
-synthetic systems alike.
+they are bilinear, so multiplying by a class v is the matrix
+`AugQuot.mult_matrix(qa, v)`, contracted from one table of structure
+constants per component.
+
+Both sides of Darmon's formula and the synthetic Kolyvagin systems take
+values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
+A = sum of Z/M_j.  `ClassTensor` is that one format: an int64 matrix with
+one row per generator of A and one column per class coordinate, entry
+(j, i) reduced mod gcd(M_j, d_i) (M_j = 0: a free generator).  Every
+induced map acts on it as one product rows @ P with the matrices above,
+and a single class is its one-row case (`pi_d`, `embed_class`, `proj_new`,
+`mult_classes`).  `cycles_through` expands the single-cycle sums of the
+determinant lemma, for the regulator and the synthetic systems alike.
 """
 
 from __future__ import annotations
@@ -320,6 +329,9 @@ class AugQuot:
         self._mult_tables: dict[tuple[int, int], list[np.ndarray]] = {}
         self._split_cache: dict[tuple, dict] = {}
         self._dets: dict[int, tuple] = {}
+        self._group_classes: dict[int, AugClass] = {}
+        # (divisors, free entries) of the tensor fold, by the moduli of A
+        self._folds: dict[tuple, tuple] = {}
         self._components: list[_Sylow] = []
         self._slices: list[slice] = []  # each component's class coordinates
         if r == 0:
@@ -385,6 +397,14 @@ class AugQuot:
         if c is None:
             raise ValueError("element does not lie in the expected ideal power")
         return c
+
+    def group_class(self, g: int) -> AugClass:
+        """The class of (g - 1) in I_n/I_n^2 (degree 1), kept on the quotient."""
+        if self.degree != 1:
+            raise ValueError("group elements give classes in degree 1")
+        if g not in self._group_classes:
+            self._group_classes[g] = self.class_of(RingElt.gen_minus_one(self.level, g))
+        return self._group_classes[g]
 
     def zero(self) -> AugClass:
         if self.degree == 0:
@@ -485,8 +505,42 @@ class AugQuot:
             self._mult_tables[key] = blocks
         return self._mult_tables[key]
 
-    def apply_matrix(self, c: AugClass, P: np.ndarray) -> AugClass:
-        return self._reduced(np.asarray(c.coords, dtype=np.int64) @ P)
+    def mult_matrix(self, qa: AugQuot, v: AugClass) -> np.ndarray:
+        """Matrix of c -> c * v from qa into this quotient (the product's).
+
+        Contracts v with the structure constants of `mult_table`; a degree-0
+        factor multiplies as an integer.
+        """
+        qb = v.parent
+        if qa.degree == 0:
+            return np.array([v.coords], dtype=np.int64)
+        if qb.degree == 0:
+            return v.coords[0] * np.eye(len(qa.invariants), dtype=np.int64)
+        M = np.zeros((len(qa.invariants), len(self.invariants)), dtype=np.int64)
+        b = np.asarray(v.coords, dtype=np.int64)
+        for T, sa, sb, st, ct in zip(self.mult_table(qa, qb), qa._slices, qb._slices,
+                                     self._slices, self._components):
+            if T.size:
+                M[sa, st] = np.einsum("j,ijk->ik", b[sb], T) % np.array(ct.invariants)
+        return M
+
+    def fold(self, moduli: tuple[int, ...], rows) -> np.ndarray:
+        """Rows of A (x) I^r/I^{r+1}, A = sum of Z/M_j, reduced entrywise.
+
+        Entry (j, i) is reduced mod gcd(M_j, d_i); 0 means not reduced (a
+        free generator in degree 0).
+        """
+        if moduli not in self._folds:
+            g = np.gcd.outer(np.array(moduli, dtype=np.int64),
+                             np.array(self.invariants, dtype=np.int64))
+            free = g == 0
+            self._folds[moduli] = np.where(free, 1, g), (free if free.any() else None)
+        div, free = self._folds[moduli]
+        rows = np.asarray(rows, dtype=np.int64).reshape(div.shape)
+        out = rows % div
+        if free is not None:
+            out[free] = rows[free]
+        return out
 
     def splitting(self, plus: tuple[int, ...]) -> dict:
         """Data for the new/old decomposition relative to designated primes.
@@ -629,25 +683,19 @@ def monomial_class(quot: AugQuot, gammas: list[tuple[int, int]]) -> AugClass:
     return quot.class_of(v)
 
 
+def _row(x: AugClass) -> ClassTensor:
+    """A class as the one-row tensor Z (x) I^r/I^{r+1}."""
+    return ClassTensor(x.parent, (0,), [x.coords])
+
+
 def pi_d(x: AugClass, d: int) -> AugClass:
     """Image of a class under the induced map pi_d."""
-    quot = x.parent
-    if quot.level % d:
-        raise ValueError(f"{d} does not divide the level {quot.level}")
-    if quot.degree == 0:
-        return x
-    return quot.apply_matrix(x, quot.pi_matrix(d))
+    return _row(x).pi(d).parts[0]
 
 
 def proj_new(x: AugClass, plus: tuple[int, ...] | None = None) -> AugClass:
     """Projection onto the new component of the designated splitting."""
-    quot = x.parent
-    if plus is None:
-        plus = quot.gamma.primes
-    data = quot.splitting(tuple(plus))
-    if quot.degree == 0:
-        return x
-    return quot.apply_matrix(x, data["proj"])
+    return _row(x).proj_new(x.parent.gamma.primes if plus is None else plus).parts[0]
 
 
 def in_new_component(x: AugClass, plus: tuple[int, ...] | None = None) -> bool:
@@ -678,29 +726,115 @@ def subgroup_order(quot: AugQuot, classes: list[AugClass]) -> int:
 
 def embed_class(x: AugClass, n: int) -> AugClass:
     """Image of a class under the inclusion of levels m | n (same degree)."""
-    quot = x.parent
-    if n == quot.level:
-        return x
-    target = aug_quot(n, quot.degree)
-    if quot.degree == 0:
-        return AugClass(target, x.coords)
-    return target.apply_matrix(x, quot.embed_matrix(n))
+    return _row(x).embed(n).parts[0]
 
 
 def mult_classes(a: AugClass, b: AugClass) -> AugClass:
     """Product I^r x I^s -> I^{r+s} on classes at a common level."""
-    qa, qb = a.parent, b.parent
-    n = qa.level
-    if qb.level != n:
-        raise ValueError("levels differ; embed first")
-    target = aug_quot(n, qa.degree + qb.degree)
-    if qa.degree == 0 or qb.degree == 0:
-        k, c = (a.coords[0], b) if qa.degree == 0 else (b.coords[0], a)
-        return target._reduced([k * y for y in c.coords])
-    y = []
-    for T, sa, sb in zip(target.mult_table(qa, qb), qa._slices, qb._slices):
-        y.extend(np.einsum("i,j,ijk->k", a.coords[sa], b.coords[sb], T))
-    return target._reduced(y)
+    return _row(a).mult_class(b).parts[0]
+
+
+# ---------------------------------------------------------------------------
+# tensors A (x) I^r/I^{r+1}
+
+
+class ClassTensor:
+    """An element of A (x) I_n^r/I_n^{r+1} for A = sum over j of Z/M_j.
+
+    `rows` is an int64 matrix with one row per generator of A (M_j = 0 marks
+    a free one) and one column per class coordinate, entry (j, i) reduced mod
+    gcd(M_j, d_i) by `AugQuot.fold`.  Every induced map acts on all rows at
+    once, as rows @ P with the matrices kept on the quotients.  Subclasses
+    name the generators of A; the attributes listed in `_extra` pass through
+    the maps unchanged.
+    """
+
+    __slots__ = ("quot", "moduli", "rows")
+    _extra: tuple[str, ...] = ()
+
+    def __init__(self, quot: AugQuot, moduli, rows=None):
+        self.quot = quot
+        self.moduli = tuple(moduli)
+        if rows is None:
+            rows = np.zeros((len(self.moduli), len(quot.invariants)), dtype=np.int64)
+        self.rows = quot.fold(self.moduli, rows)
+
+    def _with(self, quot: AugQuot, rows) -> ClassTensor:
+        """The same kind of element, over the same A, at quot with these rows."""
+        out = object.__new__(type(self))
+        for name in self._extra:
+            setattr(out, name, getattr(self, name))
+        ClassTensor.__init__(out, quot, self.moduli, rows)
+        return out
+
+    @property
+    def level(self) -> int:
+        return self.quot.level
+
+    @property
+    def degree(self) -> int:
+        return self.quot.degree
+
+    @property
+    def parts(self) -> list[AugClass]:
+        """The rows as classes, one per generator of A."""
+        return [AugClass(self.quot, tuple(row)) for row in self.rows.tolist()]
+
+    def __add__(self, other: ClassTensor) -> ClassTensor:
+        if other.quot is not self.quot:
+            raise ValueError("elements belong to different quotients")
+        return self._with(self.quot, self.rows + other.rows)
+
+    def __sub__(self, other: ClassTensor) -> ClassTensor:
+        return self + other.scale(-1)
+
+    def scale(self, k: int) -> ClassTensor:
+        return self._with(self.quot, self.rows * k)
+
+    def is_zero(self) -> bool:
+        return not self.rows.any()
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassTensor):
+            return NotImplemented
+        return (other.quot is self.quot and other.moduli == self.moduli
+                and np.array_equal(other.rows, self.rows))
+
+    def pi(self, d: int) -> ClassTensor:
+        if self.level % d:
+            raise ValueError(f"{d} does not divide the level {self.level}")
+        rows = self.rows if self.degree == 0 else self.rows @ self.quot.pi_matrix(d)
+        return self._with(self.quot, rows)
+
+    def proj_new(self, plus) -> ClassTensor:
+        P = self.quot.splitting(tuple(plus))["proj"]
+        return self._with(self.quot, self.rows if P is None else self.rows @ P)
+
+    def embed(self, n: int) -> ClassTensor:
+        if n % self.level:
+            raise ValueError(f"{self.level} does not divide {n}")
+        if n == self.level:
+            return self._with(self.quot, self.rows)
+        rows = self.rows if self.degree == 0 else self.rows @ self.quot.embed_matrix(n)
+        return self._with(aug_quot(n, self.degree), rows)
+
+    def mult_class(self, v: AugClass) -> ClassTensor:
+        if v.parent.level != self.level:
+            raise ValueError("levels differ; embed first")
+        target = aug_quot(self.level, self.degree + v.parent.degree)
+        return self._with(target, self.rows @ target.mult_matrix(self.quot, v))
+
+    def reduce(self, values, M: int) -> ClassTensor:
+        """The image under the map A -> Z/M (M = 0: Z) sending generator j to
+        values[j]: the row vector values @ rows, in exact integers."""
+        row = [sum(v * x for v, x in zip(values, col)) for col in self.rows.T.tolist()]
+        row = [x % g if g else x
+               for x, g in zip(row, (gcd(M, d) for d in self.quot.invariants))]
+        return ClassTensor(self.quot, (M,), [row])
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(level={self.level}, degree={self.degree}, "
+                f"moduli={self.moduli})")
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +914,12 @@ def derangements(primes: list[int]):
 
 def _frob_lift(n: int, target_level: int, q: int) -> RingElt:
     """(Frobenius at q projected to Gamma_{target_level}) - 1, in Z[Gamma_n]."""
-    G = gamma(n)
-    if target_level == 1:
-        return RingElt(n)
-    g = G.embed_from(target_level, q % target_level)
-    return RingElt.gen_minus_one(n, g)
+    return RingElt.gen_minus_one(n, gamma(n).project(q, target_level))
+
+
+def frob_class(n: int, target_level: int, q: int) -> AugClass:
+    """The class of _frob_lift(n, target_level, q) in I_n/I_n^2."""
+    return aug_quot(n, 1).group_class(gamma(n).project(q, target_level))
 
 
 def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
@@ -811,15 +946,9 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
     quot = aug_quot(n, t)
     if d in quot._dets:
         return quot._dets[d]
-    lifts = [[None] * t for _ in range(t)]
-    for i, li in enumerate(ls):
-        for j, lj in enumerate(ls):
-            if i == j:
-                lifts[i][j] = _frob_lift(n, n // d, li)
-            else:
-                lifts[i][j] = _frob_lift(n, lj, li)
-    quot1 = aug_quot(n, 1)
-    matrix = tuple(tuple(quot1.class_of(lifts[i][j]) for j in range(t)) for i in range(t))
+    targets = [[n // d if i == j else lj for j, lj in enumerate(ls)] for i in range(t)]
+    lifts = [[_frob_lift(n, m, li) for m in row] for li, row in zip(ls, targets)]
+    matrix = tuple(tuple(frob_class(n, m, li) for m in row) for li, row in zip(ls, targets))
     det = RingElt(n)
     for images in itertools.permutations(range(t)):
         term = RingElt.unit(n)

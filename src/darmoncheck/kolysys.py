@@ -2,10 +2,12 @@
 
 Collections indexed by squarefree products of a small prime universe take
 values in A (x) I_n^{r(n)}/I_n^{r(n)+1} for a synthetic finite coefficient
-group A.  Elements are stored per cyclic factor of A as augmentation
-classes, so all class-side operations reuse the group-ring machinery.  The
-transform into honest Kolyvagin systems multiplies by the Frobenius
-determinants D_{n,d} and is checked against the axiom lists.
+group A = sum of Z/M_j.  An element is a `groupring.ClassTensor`: one row of
+class coordinates per cyclic factor of A, so every induced map is one
+matrix product on all factors at once.  Its finite and transverse
+components at ell are tensors with A = Z/(ell-1), and the axioms compare
+them there.  The transform into honest Kolyvagin systems multiplies by the
+Frobenius determinants D_{n,d} and is checked against the axiom lists.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from . import groupring as gr, nt
-from .groupring import AugClass, RingElt, aug_quot, gamma
+from .groupring import ClassTensor, aug_quot, gamma
 
 
 @dataclass
@@ -47,11 +51,15 @@ class SyntheticLocalModel:
             out += [n * p for n in out]
         return sorted(out)
 
+    def plus(self, n: int) -> tuple[int, ...]:
+        """The split primes dividing n."""
+        return tuple(p for p in self.split if n % p == 0)
+
     def split_part(self, n: int) -> int:
-        return prod([p for p in self.split if n % p == 0]) if n > 1 else 1
+        return prod(self.plus(n))
 
     def r_of(self, n: int) -> int:
-        return len([p for p in self.split if n % p == 0])
+        return len(self.plus(n))
 
 
 def _rand_unit(rng: random.Random, m: int) -> int:
@@ -110,88 +118,31 @@ def cyclic_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
     return SyntheticLocalModel(moduli, tuple(split), tuple(inert), loc, fs_unit, seed)
 
 
-def _fold(c: AugClass, m: int) -> AugClass:
-    """The image of a class in Z/m (x) I^r/I^{r+1}: coordinates mod gcd(m, d_i)."""
-    return AugClass(c.parent, tuple(
-        x % gcd(m, di) if di else x % m
-        for x, di in zip(c.coords, c.parent.invariants)))
+class SynElt(ClassTensor):
+    """An element of A (x) I_n^r/I_n^{r+1}: one row per cyclic factor of A."""
 
-
-class SynElt:
-    """An element of A (x) I_n^r/I_n^{r+1}: one class per cyclic factor of A."""
-
-    __slots__ = ("model", "quot", "parts")
+    __slots__ = ("model",)
+    _extra = ("model",)
 
     def __init__(self, model: SyntheticLocalModel, quot, parts=None):
+        """parts: the classes of the cyclic factors, or their coordinate rows."""
         self.model = model
-        self.quot = quot
-        if parts is None:
-            parts = [quot.zero() for _ in model.moduli]
-        self.parts = [_fold(c, Mj) for c, Mj in zip(parts, model.moduli)]
+        super().__init__(quot, model.moduli,
+                         None if parts is None else [getattr(c, "coords", c) for c in parts])
 
-    @property
-    def level(self):
-        return self.quot.level
+    def loc(self, ell: int) -> tuple[ClassTensor, ClassTensor]:
+        """(finite, transverse) components at ell, in Z/(ell-1) (x) I_n^r/I_n^{r+1}."""
+        fin, tr = np.array(self.model.loc[ell], dtype=np.int64).T @ self.rows
+        return (ClassTensor(self.quot, (ell - 1,), fin),
+                ClassTensor(self.quot, (ell - 1,), tr))
 
-    def __add__(self, other: "SynElt") -> "SynElt":
-        if other.quot is not self.quot:
-            raise ValueError("elements belong to different quotients")
-        return SynElt(self.model, self.quot,
-                      [a + b for a, b in zip(self.parts, other.parts)])
-
-    def __sub__(self, other: "SynElt") -> "SynElt":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "SynElt":
-        if isinstance(k, int):
-            k = [k] * len(self.parts)
-        return SynElt(self.model, self.quot,
-                      [kj * c for kj, c in zip(k, self.parts)])
-
-    def map_classes(self, fn, quot=None) -> "SynElt":
-        return SynElt(self.model, quot or self.quot, [fn(c) for c in self.parts])
-
-    def pi(self, d: int) -> "SynElt":
-        return self.map_classes(lambda c: gr.pi_d(c, d))
-
-    def proj_new(self) -> "SynElt":
-        plus = tuple(p for p in self.model.split if self.level % p == 0)
-        return self.map_classes(lambda c: gr.proj_new(c, plus))
-
-    def mult_class(self, v: AugClass) -> "SynElt":
-        target = aug_quot(self.level, self.quot.degree + v.parent.degree)
-        return self.map_classes(lambda c: gr.mult_classes(c, v), target)
-
-    def embed(self, n: int) -> "SynElt":
-        target = aug_quot(n, self.quot.degree)
-        return self.map_classes(lambda c: gr.embed_class(c, n), target)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.parts)
-
-    def __eq__(self, other):
-        return (isinstance(other, SynElt) and other.quot is self.quot
-                and all(a == b for a, b in zip(self.parts, other.parts)))
-
-    def loc(self, ell: int) -> tuple[AugClass, AugClass]:
-        """(finite, transverse) components at ell, classes mod ell-1."""
-        fin = self.quot.zero()
-        tr = self.quot.zero()
-        for (cf, ct), c in zip(self.model.loc[ell], self.parts):
-            fin = fin + cf * c
-            tr = tr + ct * c
-        return _fold(fin, ell - 1), _fold(tr, ell - 1)
-
-    def fs_of_finite(self, ell: int, fin: AugClass, at_level: int) -> AugClass:
+    def fs_of_finite(self, ell: int, fin: ClassTensor, at_level: int) -> ClassTensor:
         """The finite-singular image: multiply by (sigma_ell - 1), unit-twisted.
 
-        at_level must be divisible by ell; the finite class is embedded there.
+        at_level must be divisible by ell; the finite part is embedded there.
         """
-        G = gamma(at_level)
-        gen_cls = aug_quot(at_level, 1).class_of(
-            RingElt.gen_minus_one(at_level, G.gens[ell]))
-        lifted = gr.embed_class(self.model.fs_unit[ell] * fin, at_level)
-        return gr.mult_classes(lifted, gen_cls)
+        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens[ell])
+        return fin.scale(self.model.fs_unit[ell]).embed(at_level).mult_class(sigma)
 
 
 def zero_collection(model: SyntheticLocalModel) -> dict[int, SynElt]:
@@ -211,28 +162,23 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
         pos += 2
     for n in sorted(split_levels):
         quot = aug_quot(n, model.r_of(n))
-        plus = tuple(p for p in model.split if n % p == 0)
-        data = quot.splitting(plus) if n > 1 else None
-        gen = data["new_gen"] if n > 1 else AugClass(quot, (1,))
+        gen = quot.splitting(model.plus(n))["new_gen"]
         g_ord = gen.order() or 17  # degree-0 classes are free; any range works
-        elt = SynElt(model, quot)
+        gen = np.array(gen.coords, dtype=np.int64)
+        rows = np.zeros((len(model.moduli), len(gen)), dtype=np.int64)
         for p in model.split:
             i = index[p]
-            ut = model.loc[p][i + 1][1]
             if n % p == 0:
                 # finite component vanishes; transverse matches fs of the
                 # previous level
                 prev = out[n // p]
-                fin_prev, _ = prev.loc(p)
-                target = prev.fs_of_finite(p, fin_prev, n)
-                elt.parts[i] = quot.zero()
-                elt.parts[i + 1] = pow(ut, -1, p - 1) * target
+                target = prev.fs_of_finite(p, prev.loc(p)[0], n)
+                rows[i + 1] = pow(model.loc[p][i + 1][1], -1, p - 1) * target.rows[0]
             else:
-                elt.parts[i] = rng.randrange(g_ord) * gen
-                elt.parts[i + 1] = quot.zero()
+                rows[i] = rng.randrange(g_ord) * gen
         if len(model.moduli) > 2 * len(model.split):
-            elt.parts[-1] = rng.randrange(g_ord) * gen
-        out[n] = SynElt(model, quot, elt.parts)
+            rows[-1] = rng.randrange(g_ord) * gen
+        out[n] = SynElt(model, quot, rows)
     # extend over inert primes: values depend only on the split part
     for n in model.levels():
         if n not in out:
@@ -256,11 +202,10 @@ def check_ks(coll: dict[int, SynElt], model: SyntheticLocalModel) -> dict:
                     failures.append(("i", n, ell))
             else:
                 prev = coll[n // ell]
-                fin_prev, _ = prev.loc(ell)
-                want = prev.fs_of_finite(ell, fin_prev, n)
+                want = prev.fs_of_finite(ell, prev.loc(ell)[0], n)
                 if not fin.is_zero():
                     failures.append(("ii-finite", n, ell))
-                if _fold(tr, ell - 1) != _fold(want, ell - 1):
+                if tr != want:
                     failures.append(("ii", n, ell))
         for ell in model.inert:
             if n % ell == 0:
@@ -275,6 +220,7 @@ def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
     failures = []
     for n, x in coll.items():
         n_plus = model.split_part(n)
+        plus = model.plus(n)
         for ell in model.split:
             fin, tr = x.loc(ell)
             if n % ell:
@@ -283,66 +229,46 @@ def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
                 continue
             # (ii)
             m = n // ell
-            lhs = x.pi(m)
-            fr_cls = aug_quot(n, 1).class_of(-1 * gr._frob_lift(n, m, ell))
-            rhs = coll[m].embed(n).mult_class(fr_cls)
-            if lhs != rhs:
+            prev = coll[m]
+            if x.pi(m) != prev.embed(n).mult_class(-1 * gr.frob_class(n, m, ell)):
                 failures.append(("ii", n, ell))
             # (iii)
-            lhs3 = _fold(_proj(x, model, tr), ell - 1)
-            prev = coll[m]
-            pf = _fin_new(prev, model, ell)
-            rhs3 = _fold(prev.fs_of_finite(ell, pf, n), ell - 1)
-            if lhs3 != rhs3:
+            if tr.proj_new(plus) != prev.fs_of_finite(ell, _fin_new(prev, ell), n):
                 failures.append(("iii", n, ell))
             # (iv) or (iv)'
             if not use_primed_iv:
-                total = _det_sum(
-                    n, n_plus,
-                    lambda k: gr.embed_class(_fin_new(coll[k], model, ell), n),
-                    gr.mult_classes)
-                if not _fold(total, ell - 1).is_zero():
+                total = _det_sum(n, n_plus, lambda k: _fin_new(coll[k], ell).embed(n))
+                if not total.is_zero():
                     failures.append(("iv", n, ell))
             else:
-                acc = aug_quot(n, model.r_of(n)).zero()
-                split_n = [p for p in model.split if n % p == 0]
-                for d_sigma, sign, pi_cls in gr.cycles_through(n, split_n, ell):
-                    yp = _fin_new(coll[n // d_sigma], model, ell)
-                    acc = acc - sign * gr.mult_classes(gr.embed_class(yp, n), pi_cls)
-                if _fold(_proj(x, model, fin), ell - 1) != _fold(acc, ell - 1):
+                acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
+                for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
+                    yp = _fin_new(coll[n // d_sigma], ell).embed(n)
+                    acc = acc - yp.mult_class(pi_cls).scale(sign)
+                if fin.proj_new(plus) != acc:
                     failures.append(("iv'", n, ell))
         for ell in model.inert:
             if n % ell == 0:
-                lhs = x.proj_new()
-                rhs = coll[n // ell].proj_new().embed(n)
+                lhs = x.proj_new(plus)
+                rhs = coll[n // ell].proj_new(plus).embed(n)
                 if lhs != rhs:
                     failures.append(("v", n, ell))
     return {"ok": not failures, "failures": failures}
 
 
-def _proj(x: SynElt, model: SyntheticLocalModel, c: AugClass) -> AugClass:
-    """The new-component projection of a class at the level of x."""
-    plus = tuple(p for p in model.split if x.level % p == 0)
-    return gr.proj_new(c, plus)
-
-
-def _fin_new(y: SynElt, model: SyntheticLocalModel, ell: int) -> AugClass:
+def _fin_new(y: SynElt, ell: int) -> ClassTensor:
     """The new-component projection of the finite part of y at ell."""
-    fin, _ = y.loc(ell)
-    return _proj(y, model, fin)
+    return y.loc(ell)[0].proj_new(y.model.plus(y.level))
 
 
-def _det_sum(n: int, n_plus: int, value, mult):
+def _det_sum(n: int, n_plus: int, value) -> ClassTensor:
     """Sum over d | n_plus of value(n/d) times D_{d,d} embedded at level n.
 
-    value(k) gives the level-k term already embedded at level n, and
-    mult(term, cls) multiplies it by a class.
+    value(k) gives the level-k term already embedded at level n.
     """
-    total = None
-    for dd in nt.divisors(n_plus):
-        y = value(n // dd)
-        term = y if dd == 1 else mult(y, gr.embed_class(gr.d_det(dd, dd)[1], n))
-        total = term if total is None else total + term
+    total = value(n)
+    for dd in nt.divisors(n_plus)[1:]:
+        total = total + value(n // dd).mult_class(gr.embed_class(gr.d_det(dd, dd)[1], n))
     return total
 
 
@@ -356,19 +282,10 @@ def transform(pre: dict[int, SynElt], model: SyntheticLocalModel) -> dict[int, S
     Raises ArithmeticError if an output leaves the new component.
     """
     out = {}
-    for n, x in pre.items():
-        n_plus = model.split_part(n)
-        quot = aug_quot(n, model.r_of(n))
-        total = SynElt(model, quot)
-        for dd in nt.divisors(n_plus):
-            y = pre[n // dd].embed(n)
-            if dd == 1:
-                term = y
-            else:
-                _, d_cls = gr.d_det(n, dd)
-                term = y.mult_class(d_cls)
-            total = total + term
-        for p in [p for p in model.split if n % p == 0]:
+    for n, total in pre.items():
+        for dd in nt.divisors(model.split_part(n))[1:]:
+            total = total + pre[n // dd].embed(n).mult_class(gr.d_det(n, dd)[1])
+        for p in model.plus(n):
             if not total.pi(n // p).is_zero():
                 raise ArithmeticError(
                     f"transform output escapes the new component at n={n}, "
@@ -381,15 +298,9 @@ def inverse_transform(ks: dict[int, SynElt], model: SyntheticLocalModel) -> dict
     """The unique collection with sum over d of kappa_{n/d} D_{n,d} = kappa~_n."""
     out: dict[int, SynElt] = {}
     for n in sorted(ks):
-        n_plus = model.split_part(n)
-        quot = aug_quot(n, model.r_of(n))
         acc = ks[n]
-        for dd in nt.divisors(n_plus):
-            if dd == 1:
-                continue
-            y = out[n // dd].embed(n)
-            _, d_cls = gr.d_det(n, dd)
-            acc = acc - y.mult_class(d_cls)
+        for dd in nt.divisors(model.split_part(n))[1:]:
+            acc = acc - out[n // dd].embed(n).mult_class(gr.d_det(n, dd)[1])
         out[n] = acc
     return out
 
@@ -405,12 +316,9 @@ def lemma58_extend(seed: dict[int, SynElt], model: SyntheticLocalModel,
     for n in sorted(model.levels()):
         if n % ell or n in out:
             continue
-        quot = aug_quot(n, model.r_of(n))
-        acc = SynElt(model, quot)
-        split_n = [p for p in model.split if n % p == 0]
-        for d_sigma, sign, pi_cls in gr.cycles_through(n, split_n, ell):
-            y = out[n // d_sigma].embed(n)
-            acc = acc - y.mult_class(pi_cls).scale(sign)
+        acc = SynElt(model, aug_quot(n, model.r_of(n)))
+        for d_sigma, sign, pi_cls in gr.cycles_through(n, model.plus(n), ell):
+            acc = acc - out[n // d_sigma].embed(n).mult_class(pi_cls).scale(sign)
         out[n] = acc
     return out
 
@@ -421,8 +329,7 @@ def lemma58_sum_check(coll: dict[int, SynElt], model: SyntheticLocalModel,
     for n in model.levels():
         if n % ell:
             continue
-        total = _det_sum(n, model.split_part(n), lambda k: coll[k].embed(n),
-                         SynElt.mult_class)
+        total = _det_sum(n, model.split_part(n), lambda k: coll[k].embed(n))
         if not total.is_zero():
             return False
     return True

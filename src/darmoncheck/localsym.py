@@ -104,7 +104,6 @@ def phi_fs(F: QuadField, x: QuadNum, ell: int, use_conjugate: bool = False) -> F
         raise ValueError("finite-singular map needs a unit at ell")
     u = unit_residue(x, place)
     sym = pow(u, -1, ell)
-    quot = aug_quot(ell, 1)
-    cls = quot.class_of(RingElt.gen_minus_one(ell, sym % ell))
+    cls = aug_quot(ell, 1).group_class(sym % ell)
     # via lambda^tau the transverse generator is (1, ell) = (ell, ell^{-1})^{-1}
     return FSClass(ell, -1 if use_conjugate else 1, cls)

@@ -284,9 +284,9 @@ def test_criterion_9_soundness_canaries():
     kappa = ks.random_ks(model, seed=9)
     bad = dict(kappa)
     g15 = bad[15]
-    pert = ks.SynElt(model, g15.quot, list(g15.parts))
-    pert.parts[0] = pert.parts[0] + g15.quot.splitting((5,))["new_gen"]
-    bad[15] = ks.SynElt(model, g15.quot, pert.parts)
+    parts = list(g15.parts)
+    parts[0] = parts[0] + g15.quot.splitting((5,))["new_gen"]
+    bad[15] = ks.SynElt(model, g15.quot, parts)
     rep2 = ks.check_ks(bad, model)
     assert not rep2["ok"] and any(f[1] == 15 for f in rep2["failures"])
     dt = time.time() - t0

@@ -128,6 +128,12 @@ def test_pi_d_examples():
         pi_d(c, 7)
 
 
+def test_embed_needs_a_multiple_of_the_level():
+    for r in (0, 1):  # degree 0 has no matrix to catch it
+        with pytest.raises(ValueError):
+            embed_class(aug_quot(5, r).zero(), 7)
+
+
 def test_proj_new_properties():
     # at prime level the new part is everything
     q = aug_quot(11, 1)

@@ -1,10 +1,12 @@
 """Synthetic Kolyvagin / pre-Kolyvagin systems and the transform."""
 
 import random
+from math import gcd
 
 import pytest
 
-from darmoncheck.groupring import AugClass, aug_quot
+from darmoncheck import groupring as gr, nt
+from darmoncheck.groupring import AugClass, AugQuot, aug_quot
 from darmoncheck.kolysys import (SynElt, block_model, check_ks, check_preks,
                                  cyclic_model, inverse_transform,
                                  lemma58_extend, lemma58_sum_check, random_ks,
@@ -76,9 +78,9 @@ def _d_ell_class(ell):
 def test_ks_canary_inert():
     bad = dict(KAPPA)
     g15 = bad[15]
-    pert = SynElt(MODEL, g15.quot, list(g15.parts))
-    pert.parts[0] = pert.parts[0] + g15.quot.splitting((5,))["new_gen"]
-    bad[15] = SynElt(MODEL, g15.quot, pert.parts)
+    parts = list(g15.parts)
+    parts[0] = parts[0] + g15.quot.splitting((5,))["new_gen"]
+    bad[15] = SynElt(MODEL, g15.quot, parts)
     rep = check_ks(bad, MODEL)
     assert not rep["ok"]
     assert any(f[0] == "iii" and f[1] == 15 for f in rep["failures"])
@@ -87,9 +89,9 @@ def test_ks_canary_inert():
 def test_preks_canary():
     bad = dict(PRE)
     g65 = bad[65]
-    pert = SynElt(MODEL, g65.quot, list(g65.parts))
-    pert.parts[-1] = pert.parts[-1] + g65.quot.splitting((5, 13))["new_gen"]
-    bad[65] = SynElt(MODEL, g65.quot, pert.parts)
+    parts = list(g65.parts)
+    parts[-1] = parts[-1] + g65.quot.splitting((5, 13))["new_gen"]
+    bad[65] = SynElt(MODEL, g65.quot, parts)
     rep = check_preks(bad, MODEL)
     assert not rep["ok"]
 
@@ -104,9 +106,9 @@ def test_iv_equivalent_to_primed_iv():
         if t % 3 == 0:
             # perturb to also compare failing verdicts
             g = pre[65]
-            pert = SynElt(model, g.quot, list(g.parts))
-            pert.parts[0] = pert.parts[0] + g.quot.splitting((5, 13))["new_gen"]
-            pre[65] = SynElt(model, g.quot, pert.parts)
+            parts = list(g.parts)
+            parts[0] = parts[0] + g.quot.splitting((5, 13))["new_gen"]
+            pre[65] = SynElt(model, g.quot, parts)
         a = check_preks(pre, model)["ok"]
         b = check_preks(pre, model, use_primed_iv=True)["ok"]
         assert a == b, t
@@ -124,9 +126,9 @@ def test_lemma58_extension():
     # a perturbed extension violates the sum identity
     bad = dict(ext)
     g = bad[65]
-    pert = SynElt(MODEL, g.quot, list(g.parts))
-    pert.parts[0] = pert.parts[0] + g.quot.splitting((5, 13))["new_gen"]
-    bad[65] = SynElt(MODEL, g.quot, pert.parts)
+    parts = list(g.parts)
+    parts[0] = parts[0] + g.quot.splitting((5, 13))["new_gen"]
+    bad[65] = SynElt(MODEL, g.quot, parts)
     assert not lemma58_sum_check(bad, MODEL, 13)
 
 
@@ -169,3 +171,72 @@ def test_three_prime_universe():
 def test_add_across_quotients_raises():
     with pytest.raises(ValueError):
         KAPPA[5] + KAPPA[13]
+
+
+def _folded(c, M):
+    """The image of a class in Z/M (x) I^r/I^{r+1}: coordinates mod gcd(M, d_i)."""
+    return tuple(x % gcd(M, d) if gcd(M, d) else x
+                 for x, d in zip(c.coords, c.parent.invariants))
+
+
+def _random_class(rng, quot):
+    return AugClass(quot, tuple(rng.randrange(d) if d else rng.randrange(-50, 50)
+                                for d in quot.invariants))
+
+
+@pytest.mark.parametrize("model", [
+    block_model((5, 13), (3,), seed=1, extra_factor=12),
+    block_model((3, 5, 7), (), seed=4),
+    cyclic_model((5, 13), (3,), seed=3, two_generators=True),
+])
+def test_tensor_maps_match_the_per_class_path(model):
+    # every map of a SynElt acts on each cyclic factor of A as the per-class
+    # map does, followed by the fold mod gcd(M_j, d_i)
+    rng = random.Random(str(model.moduli))
+    levels = model.levels()
+    for n in levels:
+        quot = aug_quot(n, model.r_of(n))
+        parts = [_random_class(rng, quot) for _ in model.moduli]
+        x = SynElt(model, quot, parts)
+        assert [c.coords for c in x.parts] == [_folded(c, M)
+                                               for c, M in zip(parts, model.moduli)]
+
+        def same(y, per_class):
+            assert [c.coords for c in y.parts] == [
+                _folded(per_class(c), M) for c, M in zip(x.parts, model.moduli)], n
+
+        for d in nt.divisors(n):
+            same(x.pi(d), lambda c: gr.pi_d(c, d))
+        for big in levels:
+            if big % n == 0:
+                same(x.embed(big), lambda c: gr.embed_class(c, big))
+        plus = model.plus(n)
+        same(x.proj_new(plus), lambda c: gr.proj_new(c, plus))
+        if n > 1:
+            v = _random_class(rng, aug_quot(n, 1))
+            same(x.mult_class(v), lambda c: gr.mult_classes(c, v))
+        k = AugClass(aug_quot(n, 0), (rng.randrange(-9, 10),))
+        same(x.mult_class(k), lambda c: gr.mult_classes(c, k))
+        for ell in model.split:
+            fin, tr = x.loc(ell)
+            for t, got in enumerate((fin, tr)):
+                want = quot.zero()
+                for cols, c in zip(model.loc[ell], x.parts):
+                    want = want + cols[t] * c
+                assert got.parts[0].coords == _folded(want, ell - 1), (n, ell)
+
+
+def test_check_preks_reduces_each_group_class_once(monkeypatch):
+    # the classes of (g - 1) in I_n/I_n^2 are kept on the degree-1 quotient,
+    # so one check_preks reduces at most one per (level, ell) it visits
+    calls = []
+    real = AugQuot.class_of
+
+    def counting(self, v):
+        calls.append((self.level, self.degree))
+        return real(self, v)
+
+    monkeypatch.setattr(AugQuot, "class_of", counting)
+    check_preks(PRE, MODEL)
+    pairs = {(n, ell) for n in MODEL.levels() for ell in MODEL.split if n % ell == 0}
+    assert len(calls) <= len(pairs), calls

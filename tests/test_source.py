@@ -1,9 +1,14 @@
 """Rules on the library's source that hold in every module."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import darmoncheck
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_in_library():
@@ -14,3 +19,24 @@ def test_no_assert_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names; a refactor that drops one
+    # fails here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, modname, attr in tracing.TRACED:
+        module = importlib.import_module(f"darmoncheck.{modname}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(module, cls_name, None)
+            ok = inspect.isclass(cls) and inspect.isfunction(vars(cls).get(meth))
+        else:
+            ok = callable(getattr(module, attr, None))
+        if not ok:
+            missing.append(name)
+    assert not missing, missing
