@@ -133,7 +133,7 @@ def cmd_theta(args) -> int:
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         cls = darmon.theta_class(F, args.level, h)
-        images.append({"q": q, "class": list(cls.coords)})
+        images.append({"q": q, "modulus": h.modulus, "class": list(cls.coords)})
     _emit({
         "field": F.d,
         "level": args.level,
@@ -156,7 +156,8 @@ def cmd_beta(args) -> int:
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         hh = darmon._hom_at_level(F, n_plus, h)
-        values.append({"q": q, "value": darmon.beta_value(F, n_plus, hh)})
+        values.append({"q": q, "modulus": hh.modulus,
+                       "value": darmon.beta_value(F, n_plus, hh)})
     _emit({
         "field": F.d,
         "level": args.level,
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run synthetic axiom property suites")
     p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_axioms)
 

@@ -6,12 +6,16 @@ oriented unit basis, with coefficients in augmentation quotients.  It is a
 every reduction of it through a homomorphism on the units (h, ord_at, the
 finite part at ell) is one product of a row of values with its rows
 (`TensorElt.evaluate`).  The theta side is reduced through homomorphisms
-into Z/(q-1) attached to auxiliary primes q.  Each reduction solves the
-discrete logs of all the residues zeta^a - 1 a level needs in one batched
-baby-step giant-step per auxiliary prime.  The class of the reduced theta
-element in the augmentation quotient is extracted by a linear solve over
-the power basis of I_n^r, with the auxiliary-prime congruence chosen strong
-enough that the extracted class is unique.
+into Z/M attached to auxiliary primes q, with M | q-1.  In degree r >= 1, M
+is the part of q-1 supported on the primes of the exponent of Gamma_n:
+every elementary divisor of I_n^r/I_n^{r+1} divides it, so Z/M (x)
+I^r/I^{r+1} is Z/(q-1) (x) I^r/I^{r+1}.  In degree 0, where I^0/I^1 = Z,
+M = q-1.  Each reduction projects the residues a level needs (zeta^a - 1,
+the units' values) into the subgroup of order M of (Z/q)^* and solves
+their discrete logs there in one batched baby-step giant-step.  The class
+of the reduced theta element in the augmentation quotient is extracted by
+a linear solve over the power basis of I_n^r, with the auxiliary-prime
+congruence chosen strong enough that the extracted class is unique.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
+
+import numpy as np
 
 from . import cyclo, groupring as gr, nt, quadfield as qf
 from .groupring import AugClass, ClassTensor, RingElt, aug_quot, gamma
@@ -88,11 +94,13 @@ class TensorElt(ClassTensor):
         """payload key -> (payload, class), for the nonzero classes."""
         return {_payload_key(x): (x, c) for x, c in self._pairs() if not c.is_zero()}
 
-    def evaluate(self, value, M: int) -> ClassTensor:
-        """The image in Z/M (x) I^r/I^{r+1} (M = 0: Z) under the homomorphism
-        x -> value(x) on payloads; payloads with zero rows are not evaluated."""
+    def evaluate(self, values, M: int) -> ClassTensor:
+        """The image in Z/M (x) I^r/I^{r+1} (M = 0: Z) under a homomorphism
+        on payloads; values maps a list of payloads to their images.  Only
+        the payloads with nonzero rows are evaluated, in one call."""
         live = self.rows.any(axis=1)
-        return self.reduce([value(x) if z else 0 for x, z in zip(self.payloads, live)], M)
+        out = iter(values([x for x, z in zip(self.payloads, live) if z]))
+        return self.reduce([next(out) if z else 0 for z in live], M)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElt) or other.quot is not self.quot:
@@ -109,10 +117,11 @@ class TensorElt(ClassTensor):
 
 @dataclass
 class ReductionHom:
-    """Evaluation modulo a degree-one prime above q, then discrete log.
+    """Evaluation modulo a degree-one prime above q, then discrete log mod M.
 
     Maps the multiplicative group generated by roots of unity of order nf,
-    sqrt(d), and q-unit rationals into Z/(q-1).
+    sqrt(d), and q-unit rationals into Z/M, for a divisor M of q-1 (q-1 when
+    not given).  The discrete logs are those to the base g, reduced mod M.
     """
 
     F: QuadField
@@ -121,17 +130,28 @@ class ReductionHom:
     g: int              # primitive root mod q
     zeta: int           # fixed image of the nf-th root of unity
     sqrt_disc: int      # image of sqrt(D)
-    _dlog_cache: dict = field(default_factory=dict)
+    M: int | None = None  # the target Z/M, q-1 when None
+    _dlog_cache: dict = field(default_factory=dict)  # residue -> log mod M
+
+    def __post_init__(self):
+        if self.M is None:
+            self.M = self.q - 1
+        if (self.q - 1) % self.M:
+            raise ValueError(f"{self.M} does not divide {self.q} - 1")
 
     @property
     def modulus(self) -> int:
-        return self.q - 1
+        return self.M
 
     def dlog(self, x: int) -> int:
         return self.dlogs([x])[0]
 
     def dlogs(self, xs) -> list[int]:
-        """Discrete logs of the residues xs, the uncached ones in one batch."""
+        """Discrete logs mod M of the residues xs, the uncached ones in one batch.
+
+        x^((q-1)/M) lies in the subgroup of order M, generated by
+        g^((q-1)/M), and its log there is the log of x mod M.
+        """
         q = self.q
         xs = [x % q for x in xs]
         if 0 in xs:
@@ -139,10 +159,13 @@ class ReductionHom:
         cache = self._dlog_cache
         todo = [x for x in dict.fromkeys(xs) if x not in cache]
         if todo:
+            k = (q - 1) // self.M
             try:
-                cache.update(zip(todo, nt.discrete_logs(todo, self.g, q, q - 1)))
+                logs = nt.discrete_logs(nt.pow_vec(todo, k, q).tolist(),
+                                        pow(self.g, k, q), q, self.M)
             except ValueError:
                 raise RuntimeError("discrete log failed") from None
+            cache.update(zip(todo, logs))
         return [cache[x] for x in xs]
 
     def zeta_power(self, k: int) -> int:
@@ -158,11 +181,9 @@ class ReductionHom:
             raise BadAuxiliaryPrime(f"degenerate value at q={self.q}")
         return num * pow(den, -1, self.q) % self.q
 
-    def value(self, payload) -> int:
-        """h(payload) in Z/(q-1)."""
-        if isinstance(payload, QuadNum):
-            return self.dlog(self.eval_quad(payload))
-        raise TypeError(f"unsupported payload {payload!r}")
+    def values(self, payloads) -> list[int]:
+        """h of every payload (a QuadNum), with one batched discrete log."""
+        return self.dlogs([self.eval_quad(x) for x in payloads])
 
     def alpha_value(self, m: int, c: int) -> int:
         """h of the c-twist of the level-m cyclotomic unit."""
@@ -171,32 +192,32 @@ class ReductionHom:
     def alpha_values(self, m: int, cs) -> list[int]:
         """h of the c-twist of the level-m cyclotomic unit, for every c in cs.
 
-        The residues zeta^(a c) - 1 of all the twists go to one batched
+        The residues zeta^(a c) - 1 of all the twists are read off one table
+        of the powers of zeta_mf, at a c mod mf, and go to one batched
         discrete log.
         """
         F = self.F
         mf = m * F.conductor
         z = self.zeta_power(self.level * F.conductor // mf)  # image of zeta_mf
-        zpow = [1] * mf
-        for j in range(1, mf):
-            zpow[j] = zpow[j - 1] * z % self.q
+        dtype = nt.int_dtype(self.q)
+        zpow = nt._powers(z, mf, self.q, dtype)
         plus, minus = cyclo.alpha_exponents(F, m)
-        exps = plus + minus
-        logs = self.dlogs([zpow[a * c % mf] - 1 for c in cs for a in exps])
-        k, k_plus = len(exps), len(plus)
-        out = []
-        for i in range(0, len(logs), k):
-            out.append((sum(logs[i:i + k_plus]) - sum(logs[i + k_plus:i + k]))
-                       % self.modulus)
-        return out
+        exps = np.array(plus + minus, dtype=np.int64)
+        at = np.multiply.outer(np.array(cs, dtype=np.int64), exps) % mf
+        logs = np.array(self.dlogs((zpow[at] - 1).ravel().tolist()), dtype=dtype)
+        logs = logs.reshape(at.shape)
+        k_plus = len(plus)
+        out = logs[:, :k_plus].sum(axis=1) - logs[:, k_plus:].sum(axis=1)
+        return (out % self.M).tolist()
 
 
 def _required_congruence(F: QuadField, n: int) -> int:
     """The modulus L with q = 1 mod L making the theta extraction unique.
 
-    The class in (Z/(q-1)) (x) I^r/I^{r+1} of a solution is independent of
-    all choices once v_p(q-1) >= v_p(e) + v_p(det I^r-basis) for each prime
-    p dividing the quotient exponent e.
+    The class in Z/M (x) I^r/I^{r+1} of a solution, with M the target of
+    the reduction hom (`make_reduction_hom`), is independent of all choices
+    once v_p(M) = v_p(q-1) >= v_p(e) + v_p(det I^r-basis) for each prime p
+    dividing the quotient exponent e.
     """
     r = F.r_of(n)
     L = n * F.conductor
@@ -225,7 +246,12 @@ def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
 
 
 def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
-    """A reduction homomorphism at q (requires q = 1 mod nf)."""
+    """A reduction homomorphism at q (requires q = 1 mod nf) into Z/M.
+
+    In degree r >= 1, M is the part of q-1 supported on the primes of the
+    exponent of Gamma_n, which every elementary divisor of I_n^r/I_n^{r+1}
+    divides; in degree 0, where I^0/I^1 = Z is free, M = q-1.
+    """
     mf = n * F.conductor
     if (q - 1) % mf:
         raise ValueError(f"{q} is not 1 mod {mf}")
@@ -243,13 +269,18 @@ def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
     sd %= q
     if pow(sd, 2, q) != F.disc % q:
         raise BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
-    return ReductionHom(F, n, q, g, zeta, sd)
+    M = q - 1
+    if F.r_of(n) >= 1:
+        M = 1
+        for p in nt.prime_factors(gamma(n).exponent):
+            M *= p ** nt.valuation(q - 1, p)
+    return ReductionHom(F, n, q, g, zeta, sd, M)
 
 
 def tensor_reduce(x: TensorElt, h: ReductionHom) -> AugClass:
-    """Sum of h(payload) * class, in (Z/(q-1)) (x) I^r/I^{r+1}."""
+    """Sum of h(payload) * class, in Z/M (x) I^r/I^{r+1}."""
     _check_hom_compat(x.quot, h)
-    return x.evaluate(h.value, h.modulus).parts[0]
+    return x.evaluate(h.values, h.modulus).parts[0]
 
 
 def _check_hom_compat(quot, h: ReductionHom):
@@ -314,11 +345,11 @@ def theta_values(F: QuadField, n: int, h: ReductionHom) -> dict[int, int]:
 
 
 def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
-    """The class of the reduced theta element in (Z/(q-1)) (x) I^r/I^{r+1}.
+    """The class of the reduced theta element in Z/M (x) I^r/I^{r+1}.
 
-    Solves for coordinates of the reduced theta vector over the power basis
-    of I_n^r; the auxiliary-prime congruence makes the class independent of
-    the choice of solution.
+    Solves mod M for coordinates of the reduced theta vector over the power
+    basis of I_n^r; the auxiliary-prime congruence makes the class
+    independent of the choice of solution (see _required_congruence).
     """
     r = F.r_of(n)
     quot = aug_quot(n, r)
@@ -331,12 +362,7 @@ def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     if aug:
         raise ArithmeticError("theta vector has nonzero augmentation; "
                               "norm compatibility violated")
-    # solving mod the part of M supported on the primes of e = exponent_m
-    # leaves the class unique (see _required_congruence)
-    m_solve = 1
-    for p in nt.prime_factors(quot.exponent_m):
-        m_solve *= p ** nt.valuation(M, p)
-    cls = quot.class_of_sum({g: v % M for g, v in vals.items()}, m_solve)
+    cls = quot.class_of_sum(vals, M)
     if cls is None:
         raise ArithmeticError("reduced theta element is not in the expected "
                               "ideal power (implementation or theory failure)")
@@ -512,18 +538,18 @@ def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
     if (h.q - 1) % (m * F.conductor):
         raise ValueError("hom not compatible with the level")
     zeta_m = pow(h.zeta, (h.level * F.conductor) // (m * F.conductor), h.q)
-    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h._dlog_cache)
+    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h.M, h._dlog_cache)
 
 
 # ---------------------------------------------------------------------------
 # pre-Kolyvagin axioms for the two concrete systems
 
 
-def _fpart_dlog(F: QuadField, x: QuadNum, ell: int) -> int:
-    """Discrete log mod ell-1 of the finite (unit) part of x at the place."""
+def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
+    """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
     place = F.place_above(ell)
-    u = qf.unit_residue(x, place)
-    return nt.discrete_log(u, nt.primitive_root(ell), ell, ell - 1)
+    us = [qf.unit_residue(x, place) for x in xs]
+    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1)
 
 
 def regulator_axiom_i(F: QuadField, n: int, ell: int) -> bool:
@@ -572,7 +598,8 @@ def regulator_axiom_iii(F: QuadField, n: int, ell: int) -> bool:
     m = n // ell
     place = F.place_above(ell)
     # left side: transverse coefficients are the valuations at the place
-    lhs = regulator(F, n).scale(qf.h_n(F, n)).evaluate(lambda x: qf.ord_at(x, place), 0)
+    lhs = regulator(F, n).scale(qf.h_n(F, n)).evaluate(
+        lambda xs: [qf.ord_at(x, place) for x in xs], 0)
     lhs = lhs.proj_new(F.split_primes(n)).parts[0]
     # right side: the level-m payloads sent through the finite-singular map
     # and multiplied into the new part
@@ -596,7 +623,7 @@ def regulator_axiom_iv(F: QuadField, n: int, ell: int) -> bool:
     def finite_new(m: int) -> ClassTensor:
         """proj(h_m (R_m)_{ell,f}) at level m."""
         reg = regulator(F, m).scale(qf.h_n(F, m))
-        fin = reg.evaluate(lambda x: _fpart_dlog(F, x, ell), ell - 1)
+        fin = reg.evaluate(lambda xs: _fpart_dlogs(F, xs, ell), ell - 1)
         return fin.proj_new(F.split_primes(m))
 
     lhs = finite_new(n)

@@ -329,6 +329,7 @@ class AugQuot:
         self._mult_tables: dict[tuple[int, int], list[np.ndarray]] = {}
         self._split_cache: dict[tuple, dict] = {}
         self._dets: dict[int, tuple] = {}
+        self._perm_pis: dict[tuple, AugClass] = {}  # Pi(sigma) by moved pairs
         self._group_classes: dict[int, AugClass] = {}
         # (divisors, free entries) of the tensor fold, by the moduli of A
         self._folds: dict[tuple, tuple] = {}
@@ -961,14 +962,20 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
 
 
 def perm_pi(p: PermData) -> AugClass:
-    """The product class Pi(sigma) = prod over q | d_sigma of pi_q(Fr_{sigma(q)} - 1)."""
+    """The product class Pi(sigma) = prod over q | d_sigma of pi_q(Fr_{sigma(q)} - 1).
+
+    Kept on its quotient I_n^t/I_n^{t+1}, by the moved pairs of sigma, as
+    `d_det` keeps D_{n,d}.
+    """
     n = p.level
-    moved = [q for q, r in p.sigma if q != r]
-    t = len(moved)
-    v = RingElt.unit(n)
-    for q in moved:
-        v = v * _frob_lift(n, q, p.mapping[q])
-    return aug_quot(n, t).class_of(v)
+    moved = tuple((q, r) for q, r in p.sigma if q != r)
+    quot = aug_quot(n, len(moved))
+    if moved not in quot._perm_pis:
+        v = RingElt.unit(n)
+        for q, r in moved:
+            v = v * _frob_lift(n, q, r)
+        quot._perm_pis[moved] = quot.class_of(v)
+    return quot._perm_pis[moved]
 
 
 def cycles_through(n: int, primes, ell: int):

@@ -15,7 +15,7 @@ class BadAuxiliaryPrime(ValueError):
     """An auxiliary prime hit a zero/undefined evaluation; pick another."""
 
 
-# the batched discrete log works in int64 while p * p stays below this
+# arithmetic mod p works in int64 while p * p stays below this
 _INT64_LIMIT = 1 << 63
 # at most this many (query, giant step) pairs are looked up at once
 _GIANT_BLOCK = 1 << 16
@@ -211,7 +211,7 @@ def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
     hs = [h % p for h in hs]
     if not hs:
         return []
-    dtype = np.int64 if p * p < _INT64_LIMIT else object
+    dtype = int_dtype(p)
     m = min(order, isqrt(order * len(hs)) + 1)
     # sort keys g^j * m + j: equal powers keep the least j first
     keys = _powers(g, m, p, dtype)
@@ -256,6 +256,27 @@ def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
 def discrete_log(h: int, g: int, p: int, order: int) -> int:
     """Solve g^x = h mod p for 0 <= x < order (a batch of one)."""
     return discrete_logs([h], g, p, order)[0]
+
+
+def int_dtype(p: int):
+    """The dtype of arrays of residues mod p: int64 while p*p fits in it,
+    Python integers (object) above that."""
+    return np.int64 if p * p < _INT64_LIMIT else object
+
+
+def pow_vec(xs, e: int, p: int) -> np.ndarray:
+    """x^e mod p for every x in xs (e >= 0), by one square-and-multiply
+    over the whole array."""
+    dtype = int_dtype(p)
+    base = np.array([x % p for x in xs], dtype=dtype)
+    out = np.ones(len(base), dtype=dtype)
+    while e:
+        if e & 1:
+            out = out * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return out
 
 
 def _powers(g: int, count: int, p: int, dtype) -> np.ndarray:

@@ -144,12 +144,31 @@ def test_theta_and_beta_commands():
     assert code == EXIT_PASS and len(out["reductions"]) == 5
     code, out = run(["beta", "--disc", "5", "--level", "11", "--primes", "5"])
     assert code == EXIT_PASS and len(out["values"]) == 5
+    # each reduction names its target Z/M: at r = 1 the part of q - 1 on
+    # the primes of the exponent of Gamma_11 (2 and 5), and beta lies in it
+    for v in out["values"]:
+        q, M = v["q"], v["modulus"]
+        assert M == 2 ** nt.valuation(q - 1, 2) * 5 ** nt.valuation(q - 1, 5)
+        assert 0 <= v["value"] < M
+    code, out = run(["theta", "--disc", "5", "--level", "11", "--primes", "2"])
+    assert all(x["modulus"] < x["q"] - 1 for x in out["reductions"])
+    # at r = 0 the target is all of Z/(q - 1)
+    code, out = run(["theta", "--disc", "5", "--level", "3", "--primes", "2"])
+    assert code == EXIT_PASS and out["r"] == 0
+    assert [x["modulus"] for x in out["reductions"]] == [x["q"] - 1 for x in out["reductions"]]
 
 
 def test_axioms_synthetic():
     code, out = run(["axioms", "--synthetic", "--trials", "3", "--seed", "0"])
     assert code == EXIT_PASS
     assert out["passed"] == 3 and out["failed"] == 0
+
+
+def test_axioms_need_a_trial():
+    # no trial is no evidence: a usage error, not "passed: 0"
+    for trials in ("0", "-3"):
+        code, out = run(["axioms", "--synthetic", "--trials", trials])
+        assert code == EXIT_USAGE and out is None, trials
 
 
 def test_deterministic_output():

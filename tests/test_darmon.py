@@ -38,7 +38,8 @@ def test_reduction_hom_multiplicative():
         if x.is_zero() or y.is_zero():
             continue
         try:
-            assert (h.value(x) + h.value(y)) % h.modulus == h.value(x * y)
+            hx, hy, hxy = h.values([x, y, x * y])
+            assert (hx + hy) % h.modulus == hxy
         except nt.BadAuxiliaryPrime:
             continue
 
@@ -331,6 +332,45 @@ def test_indstep_ii_identity():
         inner = bordered_regulator(F5, m, n).mult_class(v_cls_n).proj_new(plus_n)
         total = total - inner.embed(nl).mult_class(fr_cls).scale(hq)
     assert lhs == total
+
+
+@pytest.mark.parametrize("d, n", [(5, 1), (5, 3), (5, 11), (10, 39), (5, 181),
+                                  (7, 87), (29, 35), (13, 138)])
+def test_reduction_hom_modulus(d, n):
+    # M | q - 1, every elementary divisor of the quotient divides M, and the
+    # free degree-0 quotient keeps all of Z/(q - 1)
+    F = make_field(d)
+    r = F.r_of(n)
+    for q in find_aux_primes(F, n, 2):
+        M = make_reduction_hom(F, n, q).modulus
+        assert (q - 1) % M == 0
+        assert M % aug_quot(n, r).class_exponent == 0
+        if r == 0:
+            assert M == q - 1
+        else:
+            assert all(gamma(n).exponent % p == 0 for p in nt.prime_factors(M))
+
+
+@pytest.mark.parametrize("d, n", [(5, 11), (5, 33), (10, 39), (7, 87), (29, 35)])
+def test_restricted_hom_matches_full(d, n):
+    # the hom into Z/M and the one into all of Z/(q - 1), from the same q and
+    # g, give the same classes on both sides of the congruence
+    from darmoncheck.darmon import ReductionHom
+    F = make_field(d)
+    r = F.r_of(n)
+    assert r in (1, 2)
+    reg = regulator(F, n).scale(h_n(F, n) * 2 ** F.s_of(n))
+    n_plus = F.n_plus(n)
+    bcls = beta_class_at(F, n)
+    for q in find_aux_primes(F, n, 2):
+        h = make_reduction_hom(F, n, q)
+        full = ReductionHom(F, n, q, h.g, h.zeta, h.sqrt_disc, M=q - 1)
+        assert h.modulus < full.modulus == q - 1
+        assert theta_class(F, n, h) == theta_class(F, n, full)
+        assert tensor_reduce(reg, h) == tensor_reduce(reg, full)
+        assert (beta_value(F, n_plus, _hom_at_level(F, n_plus, h)) * bcls
+                == beta_value(F, n_plus, _hom_at_level(F, n_plus, full)) * bcls)
+        assert prop94_residual(F, n, h) == prop94_residual(F, n, full)
 
 
 def test_required_congruence_monotone():

@@ -226,6 +226,24 @@ def test_tensor_maps_match_the_per_class_path(model):
                 assert got.parts[0].coords == _folded(want, ell - 1), (n, ell)
 
 
+def test_warm_primed_check_preks_reduces_nothing(monkeypatch):
+    # Pi(sigma) is kept on its quotient, so a second primed check finds
+    # every class it needs there
+    model = block_model((5, 13), (3,), seed=1, extra_factor=12)
+    pre = inverse_transform(random_ks(model, seed=1), model)
+    assert check_preks(pre, model, use_primed_iv=True)["ok"]
+    calls = []
+    real = AugQuot.class_of
+
+    def counting(self, v):
+        calls.append((self.level, self.degree))
+        return real(self, v)
+
+    monkeypatch.setattr(AugQuot, "class_of", counting)
+    assert check_preks(pre, model, use_primed_iv=True)["ok"]
+    assert calls == []
+
+
 def test_check_preks_reduces_each_group_class_once(monkeypatch):
     # the classes of (g - 1) in I_n/I_n^2 are kept on the degree-1 quotient,
     # so one check_preks reduces at most one per (level, ell) it visits

@@ -116,6 +116,16 @@ def test_discrete_logs_batch():
         nt.discrete_logs([2], 4, 11, 5)  # 2 is not a power of 4
 
 
+def test_pow_vec_matches_pow():
+    # int64 below the guard, Python integers at p = 4294967311 above it
+    rng = random.Random(7)
+    for p in (11, 65537, 3037000493, 4294967311):
+        xs = [rng.randrange(-2 * p, 2 * p) for _ in range(40)] + [0, 1, p - 1]
+        for e in (0, 1, 2, 5, (p - 1) // 2, p - 2, rng.randrange(1, p)):
+            assert nt.pow_vec(xs, e, p).tolist() == [pow(x, e, p) for x in xs], (p, e)
+    assert nt.pow_vec([], 3, 11).tolist() == []
+
+
 def test_discrete_logs_above_int64_guard():
     # p * p >= 2**63: the batch runs on Python integers; a sample of residues
     p = 4294967311
