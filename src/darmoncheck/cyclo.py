@@ -314,10 +314,15 @@ class ThetaElt:
 
     def twist_residue(self, g: int) -> int:
         """Lift of g to (Z/nf)^x acting trivially on F (conductor part 1)."""
+        return self.twist_residues([g])[0]
+
+    def twist_residues(self, gs) -> list[int]:
+        """twist_residue of every g in gs: g + n ((1 - g) n^-1 mod f), g mod n."""
         n, f = self.level, self.F.conductor
         if n == 1:
-            return 1
-        return nt.crt([g % n, 1], [n, f])
+            return [1] * len(gs)
+        inv = pow(n, -1, f)
+        return [g % n + n * ((1 - g % n) * inv % f) for g in gs]
 
 
 def theta_prime(F: QuadField, n: int) -> ThetaElt:

@@ -5,16 +5,17 @@ oriented unit basis, with coefficients in augmentation quotients.  It is a
 `TensorElt`, the `groupring.ClassTensor` with one free row per unit, and
 every reduction of it through a homomorphism on the units (h, ord_at, the
 finite part at ell) is one product of a row of values with its rows
-(`TensorElt.evaluate`).  The theta side is reduced through homomorphisms
-into Z/M attached to auxiliary primes q, with M | q-1.  In degree r >= 1, M
-is the part of q-1 supported on the primes of the exponent of Gamma_n:
-every elementary divisor of I_n^r/I_n^{r+1} divides it, so Z/M (x)
-I^r/I^{r+1} is Z/(q-1) (x) I^r/I^{r+1}.  In degree 0, where I^0/I^1 = Z,
-M = q-1.  Each reduction projects the residues a level needs (zeta^a - 1,
-the units' values) into the subgroup of order M of (Z/q)^* and solves
-their discrete logs there in one batched baby-step giant-step.  The class
-of the reduced theta element in the augmentation quotient is extracted by
-a linear solve over the power basis of I_n^r, with the auxiliary-prime
+(`TensorElt.evaluate`).  Its pre-Kolyvagin axioms run through the checker of
+`kolysys`, with `ConcreteModel` as the local model.  The theta side is
+reduced through homomorphisms into Z/M attached to auxiliary primes q, with
+M | q-1.  In degree r >= 1, M is the part of q-1 supported on the primes of
+the exponent of Gamma_n: every elementary divisor of I_n^r/I_n^{r+1} divides
+it, so Z/M (x) I^r/I^{r+1} is Z/(q-1) (x) I^r/I^{r+1}.  In degree 0, where
+I^0/I^1 = Z, M = q-1.  Each reduction projects the residues a level needs
+(zeta^a - 1, the units' values) into the subgroup of order M of (Z/q)^* and
+solves their discrete logs there in one batched baby-step giant-step.  The
+class of the reduced theta element in the augmentation quotient is extracted
+by a linear solve over the power basis of I_n^r, with the auxiliary-prime
 congruence chosen strong enough that the extracted class is unique.
 """
 
@@ -26,9 +27,9 @@ from math import gcd, lcm
 
 import numpy as np
 
-from . import cyclo, groupring as gr, nt, quadfield as qf
+from . import cyclo, groupring as gr, kolysys, nt, quadfield as qf
 from .groupring import AugClass, ClassTensor, RingElt, aug_quot, gamma
-from .localsym import del_lift, phi_fs
+from .localsym import del_lift
 from .nt import BadAuxiliaryPrime, ResourceLimitError
 from .quadfield import QuadField, QuadNum
 
@@ -79,10 +80,6 @@ class TensorElt(ClassTensor):
 
     def _pairs(self) -> list:
         return list(zip(self.payloads, self.parts))
-
-    def add_term(self, x, c: AugClass):
-        total = TensorElt(self.quot, self._pairs() + [(x, c)])
-        self.payloads, self.moduli, self.rows = total.payloads, total.moduli, total.rows
 
     def __add__(self, other: "TensorElt") -> "TensorElt":
         if other.quot is not self.quot:
@@ -340,8 +337,7 @@ def theta_values(F: QuadField, n: int, h: ReductionHom) -> dict[int, int]:
     """h(gamma(alpha_n)) for every gamma in Gamma_n."""
     th = cyclo.theta_prime(F, n)
     G = gamma(n)
-    cs = [th.twist_residue(g if n > 1 else 1) for g in G.elements]
-    return dict(zip(G.elements, h.alpha_values(n, cs)))
+    return dict(zip(G.elements, h.alpha_values(n, th.twist_residues(G.elements))))
 
 
 def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
@@ -383,7 +379,7 @@ def beta_value(F: QuadField, n_plus: int, h: ReductionHom) -> int:
                                 p, p - 1)
         weights = [w * i % M for w, i in zip(weights, logs)]
     support = [(g, w) for g, w in zip(G.elements, weights) if w]
-    vals = h.alpha_values(n_plus, [th.twist_residue(g) for g, _ in support])
+    vals = h.alpha_values(n_plus, th.twist_residues([g for g, _ in support]))
     return sum(w * v for (_, w), v in zip(support, vals)) % M
 
 
@@ -552,6 +548,44 @@ def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
     return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1)
 
 
+@dataclass
+class ConcreteModel(kolysys.LocalModel):
+    """The local data of h_n R_n: A is free on the units of the regulator.
+
+    At a split ell the finite part of a unit is the discrete log of its unit
+    residue at the place above ell (`_fpart_dlogs`), in Z/(ell-1); the
+    transverse part is its valuation there, in Z.
+    """
+
+    F: QuadField
+    split: tuple[int, ...]
+    inert: tuple[int, ...]
+
+    def loc(self, x: TensorElt, ell: int) -> tuple[ClassTensor, ClassTensor]:
+        place = self.F.place_above(ell)
+        return (x.evaluate(lambda xs: _fpart_dlogs(self.F, xs, ell), ell - 1),
+                x.evaluate(lambda xs: [qf.ord_at(y, place) for y in xs], 0))
+
+    def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
+        """fin lifted to Z, times -(sigma_ell - 1): sigma_ell, the least
+        primitive root mod ell, is the base of the logs, and the lift is well
+        defined as (ell-1)(sigma_ell - 1) lies in I^2.  Gamma has no
+        2-component, and at ell = 2 the finite parts vanish: sigma_2 = 1."""
+        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens.get(ell, 1))
+        return ClassTensor(fin.quot, (0,), fin.rows).embed(at_level).mult_class(-1 * sigma)
+
+
+class _RegulatorLevels(dict):
+    """h_m R_m by level m, each built when it is first read."""
+
+    def __init__(self, F: QuadField):
+        self.F = F
+
+    def __missing__(self, m: int) -> TensorElt:
+        self[m] = x = regulator(self.F, m).scale(qf.h_n(self.F, m))
+        return x
+
+
 def regulator_axiom_i(F: QuadField, n: int, ell: int) -> bool:
     """Every term of R_n is a unit at ell (ell not dividing n)."""
     if n % ell == 0:
@@ -564,83 +598,28 @@ def regulator_axiom_i(F: QuadField, n: int, ell: int) -> bool:
                for e in ul.basis)
 
 
+def regulator_preks_axiom(F: QuadField, axiom: str, n: int, ell: int) -> bool:
+    """Axiom (ii), (iii), (iv)' or (v) for h_n R_n, by `kolysys.preks_failures`
+    at (n, ell) for a split ell | n, or at (n ell, ell) for an inert ell."""
+    inert = axiom == "v"
+    if (n % ell == 0) == inert or F.omega(ell) != (-1 if inert else 1):
+        kind = "an inert prime not dividing" if inert else "a split prime dividing"
+        raise ValueError(f"axiom ({axiom}) needs {kind} the level")
+    top = n * ell if inert else n
+    primes = nt.prime_factors(top)
+    model = ConcreteModel(F, tuple(p for p in primes if F.omega(p) == 1),
+                          tuple(p for p in primes if F.omega(p) != 1))
+    failures = kolysys.preks_failures(_RegulatorLevels(F), model, top, ell,
+                                      use_primed_iv=True)
+    label = "iv'" if axiom == "iv" else axiom
+    return all(f[0] != label for f in failures)
+
+
 def _reduction_homs(F: QuadField, n: int, num_primes: int,
                     bound: int) -> list[ReductionHom]:
     """Reduction homomorphisms at the first num_primes auxiliary primes."""
     return [make_reduction_hom(F, n, q)
             for q in find_aux_primes(F, n, num_primes, bound)]
-
-
-def regulator_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
-                       bound: int = 10 ** 9):
-    """(1 (x) pi_{n/ell})(h_n R_n) = h_{n/ell} R_{n/ell} pi_{n/ell}(1 - Fr_ell).
-
-    Compared exactly, and only if that fails under reduction homomorphisms.
-    """
-    if n % ell or F.omega(ell) != 1:
-        raise ValueError("axiom (ii) needs a split prime dividing the level")
-    m = n // ell
-    lhs = regulator(F, n).scale(qf.h_n(F, n)).pi(m)
-    fr_cls = -1 * gr.frob_class(n, m, ell)
-    rhs = regulator(F, m).scale(qf.h_n(F, m)).embed(n).mult_class(fr_cls)
-    if lhs == rhs:
-        return True, "exact"
-    for h in _reduction_homs(F, n, num_primes, bound):
-        if tensor_reduce(lhs, h) != tensor_reduce(rhs, h):
-            return False, "reductions"
-    return True, "reductions"
-
-
-def regulator_axiom_iii(F: QuadField, n: int, ell: int) -> bool:
-    """proj(h_n (R_n)_{ell,tr}) = (phi_fs (x) 1)(proj(h_{n/ell}(R_{n/ell})_ell))."""
-    if n % ell or F.omega(ell) != 1:
-        raise ValueError("axiom (iii) needs a split prime dividing the level")
-    m = n // ell
-    place = F.place_above(ell)
-    # left side: transverse coefficients are the valuations at the place
-    lhs = regulator(F, n).scale(qf.h_n(F, n)).evaluate(
-        lambda xs: [qf.ord_at(x, place) for x in xs], 0)
-    lhs = lhs.proj_new(F.split_primes(n)).parts[0]
-    # right side: the level-m payloads sent through the finite-singular map
-    # and multiplied into the new part
-    rhs = lhs.parent.zero()
-    reg_m = regulator(F, m).scale(qf.h_n(F, m)).proj_new(F.split_primes(m)).embed(n)
-    for x, c in reg_m.terms.values():
-        fs_cls = gr.embed_class(phi_fs(F, x, ell).normalized(), n)
-        rhs = rhs + gr.mult_classes(c, fs_cls)
-    return lhs == rhs
-
-
-def regulator_axiom_iv(F: QuadField, n: int, ell: int) -> bool:
-    """The finite-part identity with signed single-cycle permutation sums.
-
-    Both sides lie in Z/(ell-1) (x) I_n^r/I_n^{r+1}, where the discrete logs
-    of the finite parts at ell live.
-    """
-    if n % ell or F.omega(ell) != 1:
-        raise ValueError("axiom (iv) needs a split prime dividing the level")
-
-    def finite_new(m: int) -> ClassTensor:
-        """proj(h_m (R_m)_{ell,f}) at level m."""
-        reg = regulator(F, m).scale(qf.h_n(F, m))
-        fin = reg.evaluate(lambda xs: _fpart_dlogs(F, xs, ell), ell - 1)
-        return fin.proj_new(F.split_primes(m))
-
-    lhs = finite_new(n)
-    rhs = ClassTensor(lhs.quot, (ell - 1,))
-    for d_sigma, sign, pi_cls in gr.cycles_through(n, F.split_primes(n), ell):
-        rhs = rhs - finite_new(n // d_sigma).embed(n).mult_class(pi_cls).scale(sign)
-    return lhs == rhs
-
-
-def regulator_axiom_v(F: QuadField, n: int, ell: int) -> bool:
-    """h_{n ell} proj(R_{n ell}) = h_n proj(R_n) for inert ell not dividing n."""
-    if n % ell == 0 or F.omega(ell) != -1:
-        raise ValueError("axiom (v) needs an inert prime not dividing the level")
-    nl = n * ell
-    lhs = regulator(F, nl).scale(qf.h_n(F, nl)).proj_new(tuple(F.split_primes(nl)))
-    rhs = regulator(F, n).scale(qf.h_n(F, n)).proj_new(tuple(F.split_primes(n))).embed(nl)
-    return lhs == rhs
 
 
 def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
@@ -702,22 +681,17 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
 
     system: "regulator" (h_n R_n) or "theta" (2^{-s} theta~'_n).
     axiom: "i", "ii", "iii", "iv" (the primed form), or "v".
-    Checks made under reduction homomorphisms use num_primes auxiliary
-    primes below bound.
+    The regulator checks are exact.  num_primes and bound serve the theta
+    axioms (ii) and (v) only, which compare under reduction homomorphisms
+    at num_primes auxiliary primes below bound.
     """
     method = "exact"
     supported = True
     if system == "regulator":
         if axiom == "i":
             ok = regulator_axiom_i(F, n, ell)
-        elif axiom == "ii":
-            ok, method = regulator_axiom_ii(F, n, ell, num_primes, bound)
-        elif axiom == "iii":
-            ok = regulator_axiom_iii(F, n, ell)
-        elif axiom == "iv":
-            ok = regulator_axiom_iv(F, n, ell)
-        elif axiom == "v":
-            ok = regulator_axiom_v(F, n, ell)
+        elif axiom in ("ii", "iii", "iv", "v"):
+            ok = regulator_preks_axiom(F, axiom, n, ell)
         else:
             raise ValueError(f"unknown axiom {axiom!r}")
     elif system == "theta":

@@ -1,13 +1,16 @@
 """Abstract Kolyvagin-system and pre-Kolyvagin-system machinery.
 
 Collections indexed by squarefree products of a small prime universe take
-values in A (x) I_n^{r(n)}/I_n^{r(n)+1} for a synthetic finite coefficient
-group A = sum of Z/M_j.  An element is a `groupring.ClassTensor`: one row of
-class coordinates per cyclic factor of A, so every induced map is one
-matrix product on all factors at once.  Its finite and transverse
-components at ell are tensors with A = Z/(ell-1), and the axioms compare
-them there.  The transform into honest Kolyvagin systems multiplies by the
-Frobenius determinants D_{n,d} and is checked against the axiom lists.
+values in A (x) I_n^{r(n)}/I_n^{r(n)+1}, A = sum of Z/M_j.  An element is a
+`groupring.ClassTensor`, one row of class coordinates per cyclic factor of
+A, so every induced map is one matrix product.  The checkers read local data
+through a `LocalModel`: `loc(x, ell)` gives the (finite, transverse) pair at
+a split ell, and `fs` the finite-singular image of a finite part, in the
+module of the transverse parts.  `SyntheticLocalModel` serves the synthetic
+`SynElt`s: both parts are fixed multiples of the rows in Z/(ell-1), and fs
+is a unit twist of (sigma_ell - 1).  `darmon.ConcreteModel` serves h_n R_n.
+The transform into honest Kolyvagin systems multiplies by the Frobenius
+determinants D_{n,d} and is checked against the axiom lists.
 """
 
 from __future__ import annotations
@@ -22,23 +25,15 @@ from . import groupring as gr, nt
 from .groupring import ClassTensor, aug_quot, gamma
 
 
-@dataclass
-class SyntheticLocalModel:
-    """A synthetic stand-in for the global minus-part coefficient module.
+class LocalModel:
+    """The universe of a collection and its local data at the split primes.
 
-    moduli: the cyclic factors of A.
-    split: split primes of the universe; inert: the rest.
-    loc[l]: a 2-column integer matrix of multipliers A -> Z/(l-1) x Z/(l-1)
-            giving the finite and transverse components at l.
-    fs_unit[l]: the unit mod l-1 implementing the finite-singular map.
+    Subclasses set `split` (the split primes of the universe) and `inert`
+    (the rest), and implement `loc` and `fs`.
     """
 
-    moduli: tuple[int, ...]
     split: tuple[int, ...]
     inert: tuple[int, ...]
-    loc: dict[int, list[tuple[int, int]]]
-    fs_unit: dict[int, int]
-    seed: int | None = None
 
     @property
     def universe(self) -> tuple[int, ...]:
@@ -60,6 +55,42 @@ class SyntheticLocalModel:
 
     def r_of(self, n: int) -> int:
         return len(self.plus(n))
+
+    def loc(self, x: ClassTensor, ell: int) -> tuple[ClassTensor, ClassTensor]:
+        """The (finite, transverse) components of x at the split prime ell."""
+        raise NotImplementedError
+
+    def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
+        """The finite-singular image of a finite part at ell, at a level ell divides."""
+        raise NotImplementedError
+
+
+@dataclass
+class SyntheticLocalModel(LocalModel):
+    """A synthetic stand-in for the global minus-part coefficient module.
+
+    moduli: the cyclic factors of A.
+    split: split primes of the universe; inert: the rest.
+    cols[l]: a 2-column integer matrix of multipliers A -> Z/(l-1) x Z/(l-1)
+             giving the finite and transverse components at l.
+    fs_unit[l]: the unit mod l-1 implementing the finite-singular map.
+    """
+
+    moduli: tuple[int, ...]
+    split: tuple[int, ...]
+    inert: tuple[int, ...]
+    cols: dict[int, list[tuple[int, int]]]
+    fs_unit: dict[int, int]
+    seed: int | None = None
+
+    def loc(self, x: ClassTensor, ell: int) -> tuple[ClassTensor, ClassTensor]:
+        fin, tr = np.array(self.cols[ell], dtype=np.int64).T @ x.rows
+        return (ClassTensor(x.quot, (ell - 1,), fin),
+                ClassTensor(x.quot, (ell - 1,), tr))
+
+    def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
+        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens[ell])
+        return fin.scale(self.fs_unit[ell]).embed(at_level).mult_class(sigma)
 
 
 def _rand_unit(rng: random.Random, m: int) -> int:
@@ -84,17 +115,17 @@ def block_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
         moduli += [p - 1, p - 1]
     if extra_factor:
         moduli.append(extra_factor)
-    loc = {}
+    cols = {}
     fs_unit = {}
     for p in split:
         i = index[p]
         col = [(0, 0)] * len(moduli)
         col[i] = (_rand_unit(rng, p - 1), 0)
         col[i + 1] = (0, _rand_unit(rng, p - 1))
-        loc[p] = col
+        cols[p] = col
         fs_unit[p] = _rand_unit(rng, p - 1)
     return SyntheticLocalModel(tuple(moduli), tuple(split), tuple(inert),
-                               loc, fs_unit, seed)
+                               cols, fs_unit, seed)
 
 
 def cyclic_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
@@ -103,46 +134,30 @@ def cyclic_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
     rng = random.Random(("cyclic", split, inert, seed, two_generators).__repr__())
     M = lcm(*[p - 1 for p in split]) if split else 2
     moduli = (M, M * rng.choice([1, 2, 3])) if two_generators else (M,)
-    loc = {}
+    cols = {}
     fs_unit = {}
     for p in split:
-        cols = []
+        col = []
         for Mj in moduli:
             # homomorphisms Z/Mj -> Z/(p-1): multiplication by a multiple of
             # (p-1)/gcd(p-1, Mj)
             step = (p - 1) // gcd(p - 1, Mj)
-            cols.append((step * rng.randrange(0, gcd(p - 1, Mj)),
-                         step * rng.randrange(0, gcd(p - 1, Mj))))
-        loc[p] = cols
+            col.append((step * rng.randrange(0, gcd(p - 1, Mj)),
+                        step * rng.randrange(0, gcd(p - 1, Mj))))
+        cols[p] = col
         fs_unit[p] = _rand_unit(rng, p - 1)
-    return SyntheticLocalModel(moduli, tuple(split), tuple(inert), loc, fs_unit, seed)
+    return SyntheticLocalModel(moduli, tuple(split), tuple(inert), cols, fs_unit, seed)
 
 
 class SynElt(ClassTensor):
     """An element of A (x) I_n^r/I_n^{r+1}: one row per cyclic factor of A."""
 
-    __slots__ = ("model",)
-    _extra = ("model",)
+    __slots__ = ()
 
     def __init__(self, model: SyntheticLocalModel, quot, parts=None):
         """parts: the classes of the cyclic factors, or their coordinate rows."""
-        self.model = model
         super().__init__(quot, model.moduli,
                          None if parts is None else [getattr(c, "coords", c) for c in parts])
-
-    def loc(self, ell: int) -> tuple[ClassTensor, ClassTensor]:
-        """(finite, transverse) components at ell, in Z/(ell-1) (x) I_n^r/I_n^{r+1}."""
-        fin, tr = np.array(self.model.loc[ell], dtype=np.int64).T @ self.rows
-        return (ClassTensor(self.quot, (ell - 1,), fin),
-                ClassTensor(self.quot, (ell - 1,), tr))
-
-    def fs_of_finite(self, ell: int, fin: ClassTensor, at_level: int) -> ClassTensor:
-        """The finite-singular image: multiply by (sigma_ell - 1), unit-twisted.
-
-        at_level must be divisible by ell; the finite part is embedded there.
-        """
-        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens[ell])
-        return fin.scale(self.model.fs_unit[ell]).embed(at_level).mult_class(sigma)
 
 
 def zero_collection(model: SyntheticLocalModel) -> dict[int, SynElt]:
@@ -171,9 +186,8 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
             if n % p == 0:
                 # finite component vanishes; transverse matches fs of the
                 # previous level
-                prev = out[n // p]
-                target = prev.fs_of_finite(p, prev.loc(p)[0], n)
-                rows[i + 1] = pow(model.loc[p][i + 1][1], -1, p - 1) * target.rows[0]
+                target = model.fs(model.loc(out[n // p], p)[0], p, n)
+                rows[i + 1] = pow(model.cols[p][i + 1][1], -1, p - 1) * target.rows[0]
             else:
                 rows[i] = rng.randrange(g_ord) * gen
         if len(model.moduli) > 2 * len(model.split):
@@ -191,18 +205,17 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
 # axiom checkers
 
 
-def check_ks(coll: dict[int, SynElt], model: SyntheticLocalModel) -> dict:
+def check_ks(coll: dict[int, ClassTensor], model: LocalModel) -> dict:
     """Per-axiom, per-(n, ell) verdicts for the Kolyvagin-system axioms."""
     failures = []
     for n, x in coll.items():
         for ell in model.split:
-            fin, tr = x.loc(ell)
+            fin, tr = model.loc(x, ell)
             if n % ell:
                 if not tr.is_zero():
                     failures.append(("i", n, ell))
             else:
-                prev = coll[n // ell]
-                want = prev.fs_of_finite(ell, prev.loc(ell)[0], n)
+                want = model.fs(model.loc(coll[n // ell], ell)[0], ell, n)
                 if not fin.is_zero():
                     failures.append(("ii-finite", n, ell))
                 if tr != want:
@@ -214,51 +227,56 @@ def check_ks(coll: dict[int, SynElt], model: SyntheticLocalModel) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def check_preks(coll: dict[int, SynElt], model: SyntheticLocalModel,
+def check_preks(coll: dict[int, ClassTensor], model: LocalModel,
                 use_primed_iv: bool = False) -> dict:
     """Verdicts for the pre-Kolyvagin-system axioms ((iv) or its primed form)."""
-    failures = []
-    for n, x in coll.items():
-        n_plus = model.split_part(n)
-        plus = model.plus(n)
-        for ell in model.split:
-            fin, tr = x.loc(ell)
-            if n % ell:
-                if not tr.is_zero():
-                    failures.append(("i", n, ell))
-                continue
-            # (ii)
-            m = n // ell
-            prev = coll[m]
-            if x.pi(m) != prev.embed(n).mult_class(-1 * gr.frob_class(n, m, ell)):
-                failures.append(("ii", n, ell))
-            # (iii)
-            if tr.proj_new(plus) != prev.fs_of_finite(ell, _fin_new(prev, ell), n):
-                failures.append(("iii", n, ell))
-            # (iv) or (iv)'
-            if not use_primed_iv:
-                total = _det_sum(n, n_plus, lambda k: _fin_new(coll[k], ell).embed(n))
-                if not total.is_zero():
-                    failures.append(("iv", n, ell))
-            else:
-                acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
-                for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
-                    yp = _fin_new(coll[n // d_sigma], ell).embed(n)
-                    acc = acc - yp.mult_class(pi_cls).scale(sign)
-                if fin.proj_new(plus) != acc:
-                    failures.append(("iv'", n, ell))
-        for ell in model.inert:
-            if n % ell == 0:
-                lhs = x.proj_new(plus)
-                rhs = coll[n // ell].proj_new(plus).embed(n)
-                if lhs != rhs:
-                    failures.append(("v", n, ell))
+    failures = [f for n in coll for ell in model.split + model.inert
+                for f in preks_failures(coll, model, n, ell, use_primed_iv)]
     return {"ok": not failures, "failures": failures}
 
 
-def _fin_new(y: SynElt, ell: int) -> ClassTensor:
+def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
+                   ell: int, use_primed_iv: bool = False) -> list[tuple]:
+    """The pre-Kolyvagin-system axioms that fail at (n, ell), as (axiom, n, ell).
+
+    At a split ell: (i) if ell does not divide n, else (ii), (iii) and (iv)
+    (or (iv)').  At an inert ell dividing n: (v).  coll is read only at the
+    levels these axioms compare.
+    """
+    x = coll[n]
+    plus = model.plus(n)
+    if ell in model.inert:
+        if n % ell or x.proj_new(plus) == coll[n // ell].proj_new(plus).embed(n):
+            return []
+        return [("v", n, ell)]
+    fin, tr = model.loc(x, ell)
+    if n % ell:
+        return [] if tr.is_zero() else [("i", n, ell)]
+    failures = []
+    m = n // ell
+    prev = coll[m]
+    if x.pi(m) != prev.embed(n).mult_class(-1 * gr.frob_class(n, m, ell)):
+        failures.append(("ii", n, ell))
+    if tr.proj_new(plus) != model.fs(_fin_new(model, prev, ell), ell, n):
+        failures.append(("iii", n, ell))
+    if not use_primed_iv:
+        total = _det_sum(n, model.split_part(n),
+                         lambda k: _fin_new(model, coll[k], ell).embed(n))
+        if not total.is_zero():
+            failures.append(("iv", n, ell))
+    else:
+        acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
+        for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
+            yp = _fin_new(model, coll[n // d_sigma], ell).embed(n)
+            acc = acc - yp.mult_class(pi_cls).scale(sign)
+        if fin.proj_new(plus) != acc:
+            failures.append(("iv'", n, ell))
+    return failures
+
+
+def _fin_new(model: LocalModel, y: ClassTensor, ell: int) -> ClassTensor:
     """The new-component projection of the finite part of y at ell."""
-    return y.loc(ell)[0].proj_new(y.model.plus(y.level))
+    return model.loc(y, ell)[0].proj_new(model.plus(y.level))
 
 
 def _det_sum(n: int, n_plus: int, value) -> ClassTensor:
@@ -276,7 +294,7 @@ def _det_sum(n: int, n_plus: int, value) -> ClassTensor:
 # the transform and its inverse
 
 
-def transform(pre: dict[int, SynElt], model: SyntheticLocalModel) -> dict[int, SynElt]:
+def transform(pre: dict[int, ClassTensor], model: LocalModel) -> dict[int, ClassTensor]:
     """kappa~_n = sum over d | n_+ of kappa_{n/d} D_{n,d}.
 
     Raises ArithmeticError if an output leaves the new component.
@@ -294,9 +312,10 @@ def transform(pre: dict[int, SynElt], model: SyntheticLocalModel) -> dict[int, S
     return out
 
 
-def inverse_transform(ks: dict[int, SynElt], model: SyntheticLocalModel) -> dict[int, SynElt]:
+def inverse_transform(ks: dict[int, ClassTensor],
+                      model: LocalModel) -> dict[int, ClassTensor]:
     """The unique collection with sum over d of kappa_{n/d} D_{n,d} = kappa~_n."""
-    out: dict[int, SynElt] = {}
+    out: dict[int, ClassTensor] = {}
     for n in sorted(ks):
         acc = ks[n]
         for dd in nt.divisors(model.split_part(n))[1:]:

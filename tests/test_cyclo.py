@@ -1,11 +1,15 @@
 """Exact cyclotomic arithmetic and the twisted units."""
 
+import importlib.util
 import random
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from darmoncheck import nt
+from darmoncheck.groupring import gamma
 from darmoncheck.cyclo import (CycloNum, alpha, alpha_exponents, context,
                                cyclo_to_quad, cyclotomic_poly, galois_act,
                                norm_relation_check, quad_to_cyclo, sqrt_disc,
@@ -174,3 +178,19 @@ def test_alpha_unit_support():
             fac = nt.prime_factors(k)
             if len(fac) == 1:
                 assert fac[0] in (5, 11, 3)
+
+
+def test_twist_residues_are_the_crt_lifts(monkeypatch):
+    # the closed form agrees with nt.crt at every level of the benchmark sweep
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for _, pairs in workloads.SWEEP_STRATA:
+        for d, n in pairs:
+            th = theta_prime(make_field(d), n)
+            gs = gamma(n).elements
+            f = th.F.conductor
+            assert th.twist_residues(gs) == [nt.crt([g, 1], [n, f]) for g in gs], (d, n)
+            assert th.twist_residue(gs[-1]) == nt.crt([gs[-1], 1], [n, f])

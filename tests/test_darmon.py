@@ -7,7 +7,7 @@ import pytest
 
 from darmoncheck import cyclo, groupring as gr, nt
 from darmoncheck import quadfield as qf
-from darmoncheck.darmon import (TensorElt, beta_class_at, beta_value,
+from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_class_at, beta_value,
                                 bordered_regulator, derived_class,
                                 find_aux_primes, make_reduction_hom,
                                 prop94_residual, regulator,
@@ -16,6 +16,8 @@ from darmoncheck.darmon import (TensorElt, beta_class_at, beta_value,
                                 verify_darmon, verify_preks_axiom,
                                 _hom_at_level, _required_congruence)
 from darmoncheck.groupring import AugClass, RingElt, aug_quot, gamma
+from darmoncheck.kolysys import check_ks, check_preks, inverse_transform, transform
+from darmoncheck.localsym import phi_fs
 from darmoncheck.quadfield import QuadNum, fundamental_unit, h_n, make_field, unit_basis
 
 F5 = make_field(5)
@@ -84,9 +86,9 @@ def test_regulator_2x2_expansion():
     from darmoncheck.darmon import del_lift
     pd, ul = unit_basis(F5, 11)
     quot = aug_quot(11, 1)
-    manual = TensorElt(quot)
-    manual.add_term(ul.basis[0], quot.class_of(del_lift(F5, ul.basis[1], ul.places[0], 11)))
-    manual.add_term(ul.basis[1], -1 * quot.class_of(del_lift(F5, ul.basis[0], ul.places[0], 11)))
+    manual = TensorElt(quot, [
+        (ul.basis[0], quot.class_of(del_lift(F5, ul.basis[1], ul.places[0], 11))),
+        (ul.basis[1], -1 * quot.class_of(del_lift(F5, ul.basis[0], ul.places[0], 11)))])
     assert manual == regulator(F5, 11)
 
 
@@ -399,3 +401,53 @@ def test_vacuous_detection():
     # even levels where 2 splits and the odd part of the quotient is trivial
     for d, n in ((17, 2), (41, 6), (41, 10)):
         assert verify_darmon(make_field(d), n).verdict == "vacuous", (d, n)
+
+
+def _concrete(d, universe):
+    """The model of h_m R_m over a prime universe, and the collection."""
+    F = make_field(d)
+    model = ConcreteModel(F, tuple(p for p in universe if F.omega(p) == 1),
+                          tuple(p for p in universe if F.omega(p) == -1))
+    return model, {m: regulator(F, m).scale(h_n(F, m)) for m in model.levels()}
+
+
+@pytest.mark.parametrize("d, universe", [
+    (5, (11, 19, 3)), (13, (3, 17, 23, 2)), (17, (2, 13, 3))])
+def test_regulator_transform_is_a_kolyvagin_system(d, universe):
+    # h_n R_n is a pre-Kolyvagin system, and its transform by the Frobenius
+    # determinants D_{n,d} is a Kolyvagin system that transforms back
+    model, pre = _concrete(d, universe)
+    assert check_preks(pre, model)["ok"]
+    assert check_preks(pre, model, use_primed_iv=True)["ok"]
+    kappa = transform(pre, model)
+    assert check_ks(kappa, model)["ok"]
+    back = inverse_transform(kappa, model)
+    assert all(back[n] == pre[n] for n in pre)
+
+
+def test_regulator_preks_canary():
+    # negating h_11 R_11 breaks every axiom that compares level 11 with
+    # another level
+    model, pre = _concrete(5, (11, 19, 3))
+    pre[11] = pre[11].scale(-1)
+    for primed in (False, True):
+        rep = check_preks(pre, model, use_primed_iv=primed)
+        assert rep["failures"] == [("iii", 11, 11), ("v", 33, 3), ("ii", 209, 19)]
+
+
+@pytest.mark.parametrize("d, n, ell, vanishes", [
+    (5, 33, 11, False), (5, 209, 19, True), (17, 26, 2, True)])
+def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
+    # the concrete finite-singular map on the finite part of h_m R_m is the
+    # sum over its units x of class * phi_fs(x); at ell = 2 both vanish, as
+    # Gamma_n has no 2-component
+    F = make_field(d)
+    m = n // ell
+    model = ConcreteModel(F, tuple(F.split_primes(n)), ())
+    reg_m = regulator(F, m).scale(h_n(F, m)).proj_new(model.plus(m))
+    got = model.fs(model.loc(reg_m, ell)[0], ell, n)
+    want = aug_quot(n, F.r_of(n)).zero()
+    for x, c in reg_m.embed(n).terms.values():
+        want = want + gr.mult_classes(c, gr.embed_class(phi_fs(F, x, ell).normalized(), n))
+    assert got.parts == [want]
+    assert want.is_zero() == vanishes

@@ -218,10 +218,10 @@ def test_tensor_maps_match_the_per_class_path(model):
         k = AugClass(aug_quot(n, 0), (rng.randrange(-9, 10),))
         same(x.mult_class(k), lambda c: gr.mult_classes(c, k))
         for ell in model.split:
-            fin, tr = x.loc(ell)
+            fin, tr = model.loc(x, ell)
             for t, got in enumerate((fin, tr)):
                 want = quot.zero()
-                for cols, c in zip(model.loc[ell], x.parts):
+                for cols, c in zip(model.cols[ell], x.parts):
                     want = want + cols[t] * c
                 assert got.parts[0].coords == _folded(want, ell - 1), (n, ell)
 

@@ -21,6 +21,26 @@ def test_no_assert_in_library():
     assert not found, found
 
 
+def test_kolysys_imports_only_groupring_and_nt():
+    # darmon imports kolysys for its local-model protocol, so an import of
+    # darmon (or of a module that imports it) from kolysys would be circular
+    path = Path(darmoncheck.__file__).parent / "kolysys.py"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if not node.level:
+                if module[0] != "darmoncheck":
+                    continue
+                module = module[1:]
+            used.update(module[:1] if module and module[0]
+                        else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            used.update(alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("darmoncheck."))
+    assert used <= {"groupring", "nt"}, used
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names; a refactor that drops one
     # fails here rather than in a traced benchmark run
