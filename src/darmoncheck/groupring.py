@@ -12,6 +12,14 @@ form.  Because e_p * I(G_p)^r is contained in I(G_p)^{r+1} for
 e_p = exponent(G_p), all normal forms run with a working modulus (see
 intmat).
 
+G_p of Gamma_n is G_p of Gamma_{n_p}, n_p the product of the primes l | n
+with p | l - 1, as the other factors of Gamma_n have order prime to p.  In
+mixed-radix (g-1)-coordinates its lattices depend only on p and the orders
+of its cyclic factors, so `_Lattices` keeps them on gamma(n_p): the Hermite
+chain of I(G_p)^j, grown one power at a time, and the Smith data of each
+degree serve every degree and every level with the same n_p.  The embedding
+of G_p in Gamma_n is kept on gamma(n).
+
 A class is a tuple of the nontrivial Smith coordinates of each Sylow
 component, in order of p, each reduced mod its elementary divisor.
 `_Sylow.smith_coords` is the one place where (g-1)-coordinates become Smith
@@ -66,7 +74,6 @@ class UnitGroupMod:
         self.primes = tuple(nt.prime_factors(n))
         self.identity = 1 % n
         self.elements = tuple(r for r in range(n) if gcd(r, n) == 1) if n > 1 else (0,)
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.phi = len(self.elements)
         # least primitive root of each odd prime factor, embedded via CRT
         self.gens = {}
@@ -75,12 +82,41 @@ class UnitGroupMod:
                 continue
             self.gens[p] = self.embed_from(p, nt.primitive_root(p))
         self.exponent = lcm(*[p - 1 for p in self.primes]) if self.primes else 1
+        # by p: (lattices, elems, proj) of G_p here (`sylow`), and the
+        # lattices of G_p kept here when this level is n_p
+        self.sylows: dict[int, tuple] = {}
+        self.lattices: dict[int, _Lattices] = {}
+
+    def sylow(self, p: int) -> tuple:
+        """(lattices, elems, proj) of the Sylow p-subgroup G_p, p | exponent.
+
+        G_p is the product of the cyclic groups <s_l> of orders p^v,
+        s_l = gen_l^((l-1)/p^v) for v = v_p(l-1) > 0, and prod s_l^(i_l) sits
+        at the mixed-radix index of (i_l), first digit fastest.  elems are its
+        elements other than 1, and proj[g] the coordinate of g^a - 1 (-1 where
+        g^a = 1), a = 1 mod e_p and a = 0 mod e/e_p.
+        """
+        if p not in self.sylows:
+            elems, orders, n_p = [self.identity], [], 1
+            for l, g in self.gens.items():
+                v = nt.valuation(l - 1, p)
+                if v:
+                    s = self.power(g, (l - 1) // p ** v)
+                    elems = [self.mult(x, self.power(s, i)) for i in range(p ** v) for x in elems]
+                    orders.append(p ** v)
+                    n_p *= l
+            pos = {g: i for i, g in enumerate(elems[1:])}
+            ep = max(orders)
+            a = self.exponent // ep * pow(self.exponent // ep, -1, ep)
+            proj = {g: pos.get(self.power(g, a), -1) for g in self.elements}
+            home = gamma(n_p).lattices
+            if p not in home:
+                home[p] = _Lattices(tuple(orders))
+            self.sylows[p] = home[p], elems[1:], proj
+        return self.sylows[p]
 
     def mult(self, a: int, b: int) -> int:
         return a * b % self.n if self.n > 1 else 0
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.n) if self.n > 1 else 0
 
     def power(self, a: int, k: int) -> int:
         return pow(a, k, self.n) if self.n > 1 else 0
@@ -100,10 +136,6 @@ class UnitGroupMod:
         if self.n % d:
             raise ValueError(f"{d} does not divide {self.n}")
         return self.embed_from(d, a % d if d > 1 else 0)
-
-    def component(self, a: int, m: int) -> int:
-        """The Gamma_m-component of a under the CRT factorisation."""
-        return a % m if m > 1 else 0
 
     def __len__(self):
         return self.phi
@@ -214,59 +246,70 @@ def _apply_gen(coords: np.ndarray, perm: np.ndarray, sig_pos: int) -> np.ndarray
     return out
 
 
+class _Lattices:
+    """The powers of I(G_p), G_p a product of cyclic p-groups of `orders`,
+    in the coordinates of `UnitGroupMod.sylow`, modulo powers of
+    e_p = max(orders).  Each is built on first use and kept: the Hermite
+    chain one hnf_mod per power, and the Smith presentation of each degree,
+    of which only the columns with invariant d > 1 are kept."""
+
+    def __init__(self, orders: tuple[int, ...]):
+        self.orders = orders
+        self.ep = max(orders)
+        idx = np.arange(prod(orders))
+        # multiplying by s_j adds 1 to digit j of the index, mod its order:
+        # the coordinate of s_j h - 1 for every h != 1 (-1 where s_j h = 1),
+        # and that of s_j - 1
+        self.perms = []
+        for j, o in enumerate(orders):
+            step = prod(orders[:j])
+            image = idx + np.where(idx // step % o == o - 1, step * (1 - o), step)
+            self.perms.append((image[1:] - 1, step - 1))
+        self.chain = [None, np.eye(len(idx) - 1, dtype=np.int64)]  # chain[j] = I(G_p)^j
+        self.degrees: dict[int, tuple] = {}
+
+    def power(self, j: int) -> np.ndarray:
+        """Hermite basis of I(G_p)^j; e_p^(j-1) Z^k lies in it."""
+        while len(self.chain) <= j:
+            i = len(self.chain) - 1
+            rows = np.vstack([_apply_gen(self.chain[i], pm, sp) for pm, sp in self.perms])
+            self.chain.append(hnf_mod(rows, self.ep ** i))
+        return self.chain[j]
+
+    def degree(self, r: int) -> tuple:
+        """(basis of I^r, invariants, V, lifts, index [I : I^r]) of I^r/I^{r+1}."""
+        if r not in self.degrees:
+            low, high = self.power(r), self.power(r + 1)
+            # solving mod e_p^{r-1} leaves a drift in e_p^{r-1} * Z^k, which
+            # the Smith modulus e_p absorbs
+            X = high if r == 1 else hnf_solve_mod(low, high, self.ep ** (r - 1))
+            if X is None:
+                raise ValueError("I^{r+1} is not inside I^r")
+            d, V, W = snf_mod(X, self.ep)
+            keep = [i for i, di in enumerate(d) if di > 1]
+            # W[keep] @ low: representatives of the kept Smith basis, exact
+            # and valid mod I^{r+1}
+            V, lifts = V[:, keep], W[keep] @ low
+            for a in (low, V, lifts):  # shared by every quotient that reads them
+                a.setflags(write=False)
+            self.degrees[r] = (low, tuple(d[i] for i in keep), V, lifts,
+                               prod(int(low[c, c]) for c in range(len(low))))
+        return self.degrees[r]
+
+
 class _Sylow:
     """I(G_p)^r / I(G_p)^{r+1} for the Sylow p-subgroup G_p of Gamma_n.
 
-    G_p is generated by gen_l^((l-1)/p^v), v = v_p(l - 1) > 0, and g maps to
-    its p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).  Lattices live in the
-    (g-1)-coordinates of G_p minus {1} modulo powers of e_p = p^(v_p(e)); only
-    the Smith columns with invariant d > 1 are kept.
+    Reads the lattices of G_p from gamma(n_p), n_p the product of the
+    primes l | n with p | l - 1: G_p of Gamma_n is G_p of Gamma_{n_p}, as
+    the other factors of Gamma_n have order prime to p.  g maps to its
+    p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).
     """
 
     def __init__(self, G: UnitGroupMod, p: int, r: int):
-        self.p = p
-        self.degree = r
-        self.ep = ep = p ** nt.valuation(G.exponent, p)
-        elems = [G.identity]
-        gens = []
-        orders = []
-        for l, g in G.gens.items():
-            v = nt.valuation(l - 1, p)
-            if v:
-                s = G.power(g, (l - 1) // p ** v)
-                gens.append(s)
-                orders.append(p ** v)
-                elems = [G.mult(x, G.power(s, i)) for i in range(p ** v) for x in elems]
-        # G_p is the product of the cyclic groups <s_j> of these orders, and
-        # prod s_j^(i_j) sits at the mixed-radix index of (i_1, i_2, ...),
-        # first digit fastest
-        self.orders = tuple(orders)
-        self.elems = elems[1:]
-        pos = {g: i for i, g in enumerate(self.elems)}
-        a = G.exponent // ep * pow(G.exponent // ep, -1, ep)
-        # coordinate of g^a - 1 for every g in Gamma_n; -1 where g^a = 1
-        self.proj = {g: pos.get(G.power(g, a), -1) for g in G.elements}
-        k = len(self.elems)
-        perms = [(np.array([pos.get(G.mult(s, g), -1) for g in self.elems],
-                           dtype=np.int64), pos[s]) for s in gens]
-        low = np.eye(k, dtype=np.int64)  # I(G_p) in (g-1)-coordinates
-        for j in range(1, r + 1):
-            high = hnf_mod(np.vstack([_apply_gen(low, pm, sp) for pm, sp in perms]), ep ** j)
-            if j < r:
-                low = high
-        # present I^r / I^{r+1}; solving mod e_p^{r-1} leaves a drift in
-        # e_p^{r-1} * Z^k, which the Smith modulus e_p absorbs
-        X = high if r == 1 else hnf_solve_mod(low, high, ep ** (r - 1))
-        if X is None:
-            raise ValueError("I^{r+1} is not inside I^r")
-        d, V, W = snf_mod(X, ep)
-        keep = [i for i, di in enumerate(d) if di > 1]
-        self.basis = low  # I(G_p)^r
-        self.invariants = tuple(d[i] for i in keep)
-        self.V = V[:, keep]
-        # representatives of the kept Smith basis; exact, valid mod I^{r+1}
-        self.lifts = W[keep] @ low
-        self.index = prod(int(low[c, c]) for c in range(k))
+        lattices, self.elems, self.proj = G.sylow(p)
+        self.p, self.degree, self.ep, self.orders = p, r, lattices.ep, lattices.orders
+        self.basis, self.invariants, self.V, self.lifts, self.index = lattices.degree(r)
 
     def smith_coords(self, x: np.ndarray, m: int) -> np.ndarray | None:
         """Smith coordinates, not yet reduced, of elements of I(G_p)^r.

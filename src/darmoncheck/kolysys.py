@@ -205,17 +205,38 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
 # axiom checkers
 
 
+class _Locs(dict):
+    """model.loc(coll[k], ell) by (k, ell), each computed when first read.
+
+    It lives for one check: the axioms at every (n, ell) above k read the
+    same localisation of coll[k].
+    """
+
+    def __init__(self, coll: dict[int, ClassTensor], model: LocalModel):
+        self.coll, self.model = coll, model
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[ClassTensor, ClassTensor]:
+        k, ell = key
+        self[key] = out = self.model.loc(self.coll[k], ell)
+        return out
+
+    def fin_new(self, k: int, ell: int) -> ClassTensor:
+        """The new-component projection of the finite part of coll[k] at ell."""
+        return self[k, ell][0].proj_new(self.model.plus(k))
+
+
 def check_ks(coll: dict[int, ClassTensor], model: LocalModel) -> dict:
     """Per-axiom, per-(n, ell) verdicts for the Kolyvagin-system axioms."""
     failures = []
+    locs = _Locs(coll, model)
     for n, x in coll.items():
         for ell in model.split:
-            fin, tr = model.loc(x, ell)
+            fin, tr = locs[n, ell]
             if n % ell:
                 if not tr.is_zero():
                     failures.append(("i", n, ell))
             else:
-                want = model.fs(model.loc(coll[n // ell], ell)[0], ell, n)
+                want = model.fs(locs[n // ell, ell][0], ell, n)
                 if not fin.is_zero():
                     failures.append(("ii-finite", n, ell))
                 if tr != want:
@@ -230,26 +251,31 @@ def check_ks(coll: dict[int, ClassTensor], model: LocalModel) -> dict:
 def check_preks(coll: dict[int, ClassTensor], model: LocalModel,
                 use_primed_iv: bool = False) -> dict:
     """Verdicts for the pre-Kolyvagin-system axioms ((iv) or its primed form)."""
+    locs = _Locs(coll, model)
     failures = [f for n in coll for ell in model.split + model.inert
-                for f in preks_failures(coll, model, n, ell, use_primed_iv)]
+                for f in preks_failures(coll, model, n, ell, use_primed_iv, locs)]
     return {"ok": not failures, "failures": failures}
 
 
 def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
-                   ell: int, use_primed_iv: bool = False) -> list[tuple]:
+                   ell: int, use_primed_iv: bool = False,
+                   locs: _Locs | None = None) -> list[tuple]:
     """The pre-Kolyvagin-system axioms that fail at (n, ell), as (axiom, n, ell).
 
     At a split ell: (i) if ell does not divide n, else (ii), (iii) and (iv)
     (or (iv)').  At an inert ell dividing n: (v).  coll is read only at the
-    levels these axioms compare.
+    levels these axioms compare.  locs, when given, holds the localisations
+    of coll that an earlier call of the same check made.
     """
+    if locs is None:
+        locs = _Locs(coll, model)
     x = coll[n]
     plus = model.plus(n)
     if ell in model.inert:
         if n % ell or x.proj_new(plus) == coll[n // ell].proj_new(plus).embed(n):
             return []
         return [("v", n, ell)]
-    fin, tr = model.loc(x, ell)
+    fin, tr = locs[n, ell]
     if n % ell:
         return [] if tr.is_zero() else [("i", n, ell)]
     failures = []
@@ -257,26 +283,21 @@ def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
     prev = coll[m]
     if x.pi(m) != prev.embed(n).mult_class(-1 * gr.frob_class(n, m, ell)):
         failures.append(("ii", n, ell))
-    if tr.proj_new(plus) != model.fs(_fin_new(model, prev, ell), ell, n):
+    if tr.proj_new(plus) != model.fs(locs.fin_new(m, ell), ell, n):
         failures.append(("iii", n, ell))
     if not use_primed_iv:
         total = _det_sum(n, model.split_part(n),
-                         lambda k: _fin_new(model, coll[k], ell).embed(n))
+                         lambda k: locs.fin_new(k, ell).embed(n))
         if not total.is_zero():
             failures.append(("iv", n, ell))
     else:
         acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
         for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
-            yp = _fin_new(model, coll[n // d_sigma], ell).embed(n)
+            yp = locs.fin_new(n // d_sigma, ell).embed(n)
             acc = acc - yp.mult_class(pi_cls).scale(sign)
         if fin.proj_new(plus) != acc:
             failures.append(("iv'", n, ell))
     return failures
-
-
-def _fin_new(model: LocalModel, y: ClassTensor, ell: int) -> ClassTensor:
-    """The new-component projection of the finite part of y at ell."""
-    return model.loc(y, ell)[0].proj_new(model.plus(y.level))
 
 
 def _det_sum(n: int, n_plus: int, value) -> ClassTensor:

@@ -435,6 +435,24 @@ def test_regulator_preks_canary():
         assert rep["failures"] == [("iii", 11, 11), ("v", 33, 3), ("ii", 209, 19)]
 
 
+def test_check_preks_localises_each_level_once(monkeypatch):
+    # one check localises coll[k] at ell once, however many axioms above k
+    # read it: 16 levels times the 3 split primes 3, 17 and 23
+    model, pre = _concrete(13, (3, 17, 23, 2))
+    calls = []
+    real = ConcreteModel.loc
+
+    def counting(self, x, ell):
+        calls.append((x.level, ell))
+        return real(self, x, ell)
+
+    monkeypatch.setattr(ConcreteModel, "loc", counting)
+    for primed in (False, True):
+        calls.clear()
+        assert check_preks(pre, model, use_primed_iv=primed)["ok"]
+        assert len(calls) == len(set(calls)) == 48, primed
+
+
 @pytest.mark.parametrize("d, n, ell, vanishes", [
     (5, 33, 11, False), (5, 209, 19, True), (17, 26, 2, True)])
 def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):

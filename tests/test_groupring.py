@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
 import pytest
 
-from darmoncheck import nt
+from darmoncheck import groupring as gr, nt
 from darmoncheck.groupring import (AugClass, PermData, RingElt, aug_quot, d_det,
                                    derangements, embed_class, frobenius, gamma,
                                    in_new_component, monomial_class, mult_classes,
@@ -389,3 +390,80 @@ def test_induced_maps_match_their_definitions():
                     a, b = rand(q), rand(qs)
                     assert mult_classes(a, b) == target.class_of(q.lift(a) * qs.lift(b)), \
                         (n, r, s)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Empty gamma and aug_quot caches for one test, and the moduli of the
+    hnf_mod calls that groupring makes meanwhile."""
+    monkeypatch.setattr(gr, "gamma", lru_cache(maxsize=None)(gr.UnitGroupMod))
+    monkeypatch.setattr(gr, "aug_quot", lru_cache(maxsize=None)(gr.AugQuot))
+    moduli = []
+    real = gr.hnf_mod
+
+    def counting(rows, m):
+        moduli.append(m)
+        return real(rows, m)
+
+    monkeypatch.setattr(gr, "hnf_mod", counting)
+    return moduli
+
+
+def test_sylow_coordinates_are_mixed_radix():
+    # the level-independent lattices assume that s_j h sits where adding 1
+    # to digit j of h puts it; check against multiplication in Gamma_n
+    for n in (35, 105, 255, 273, 330, 1155):
+        G = gamma(n)
+        for p in nt.prime_factors(G.exponent):
+            lattices, elems, _ = G.sylow(p)
+            gens = [G.power(g, (l - 1) // p ** nt.valuation(l - 1, p))
+                    for l, g in G.gens.items() if nt.valuation(l - 1, p)]
+            assert len(gens) == len(lattices.perms), (n, p)
+            for s, (perm, at) in zip(gens, lattices.perms):
+                assert elems[at] == s, (n, p)
+                for g, i in zip(elems, perm):
+                    assert G.mult(s, g) == (G.identity if i < 0 else elems[i]), (n, p, g)
+
+
+def test_chain_is_built_once_per_level(cold):
+    # Gamma_255 = C_2 x C_4 x C_16 is a 2-group: degrees 1, 2 and 3 need
+    # I^2, I^3 and I^4, one hnf_mod each
+    for t in (1, 2, 3):
+        gr.aug_quot(255, t)
+    assert len(cold) == 3
+
+
+def test_levels_with_the_same_n_p_share_lattices(cold):
+    # 273 = 3 * 7 * 13 and 91 = 7 * 13 have the same Sylow 3-subgroup
+    # C_3 x C_3 (n_3 = 91), so the second build makes no 3-power hnf_mod call
+    gr.aug_quot(91, 2)
+    cold.clear()
+    gr.aug_quot(273, 2)
+    assert cold and not [m for m in cold if m % 3 == 0], cold
+    assert gr.gamma(273).sylow(3)[0] is gr.gamma(91).sylow(3)[0]
+
+
+def test_degree_order_does_not_matter(cold):
+    def data(order):
+        gr.gamma.cache_clear()
+        gr.aug_quot.cache_clear()
+        out = {}
+        for t in order:
+            q = gr.aug_quot(n, t)
+            out[t] = (q.invariants, [(c.basis.tolist(), c.V.tolist(), c.lifts.tolist())
+                                     for c in q._components])
+        return out
+
+    for n in (105, 210, 255, 330):
+        assert data((1, 2, 3)) == data((3, 2, 1)), n
+
+
+def test_cleared_caches_rebuild_the_lattices(cold):
+    gr.aug_quot(255, 2)
+    assert len(cold) == 2
+    gr.aug_quot(255, 2)
+    assert len(cold) == 2
+    gr.gamma.cache_clear()
+    gr.aug_quot.cache_clear()
+    gr.aug_quot(255, 2)
+    assert len(cold) == 4

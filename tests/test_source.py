@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import darmoncheck
@@ -60,3 +61,28 @@ def test_traced_names_resolve():
         if not ok:
             missing.append(name)
     assert not missing, missing
+
+
+def test_every_cache_is_cleared_by_the_benchmark(monkeypatch):
+    # the benchmark times each operation cold by clearing MODULE_CACHES; a
+    # cache it does not know would carry work from one operation to the next
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cleared = {id(c) for c in workloads.MODULE_CACHES}
+    found, missing = [], []
+    for path in sorted(Path(darmoncheck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = [node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and any(ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
+                         for d in node.decorator_list)]
+        if names:
+            module = importlib.import_module(f"darmoncheck.{path.stem}")
+            found += names
+            missing += [f"{path.name}:{name}" for name in names
+                        if id(getattr(module, name, None)) not in cleared]
+    assert found and not missing, missing
