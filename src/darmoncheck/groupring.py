@@ -23,19 +23,26 @@ of G_p in Gamma_n is kept on gamma(n).
 A class is a tuple of the nontrivial Smith coordinates of each Sylow
 component, in order of p, each reduced mod its elementary divisor.
 `_Sylow.smith_coords` is the one place where (g-1)-coordinates become Smith
-coordinates: in degree r >= 2 it solves them over the Hermite basis of
-I(G_p)^r (intmat.hnf_solve_mod), then maps them through the Smith transform.
+coordinates, by one matrix product.  Each degree keeps C = m_r B_r^(-1) mod
+e_p^r, B_r the Hermite basis of I(G_p)^r and m_r = e_p^(r-1) (integral, as
+m_r Z^k lies in I(G_p)^r): x is in I(G_p)^r exactly when x C = 0 mod m_r,
+and x C / m_r are its coordinates over B_r.  Reducing x mod e_p^r first
+changes neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in
+e_p I(G_p)^r, which lies in I(G_p)^{r+1}.  So a vector known only mod m has
+a class when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised when
+it does not.  The Smith form itself runs only on the positions S where the
+relation matrix B_{r+1} C / m_r has a pivot other than 1 (`_Lattices.degree`).
 
 The induced maps on classes are integer matrices, built the first time they
 are used and kept on the quotient they start from (the products on the one
 they land in), so they die with it.  A group homomorphism maps G_p into the
 Sylow p-subgroup of its target, so the matrices of pi_d and of the
 inclusions of levels are block-diagonal over p; each block maps the kept
-lifts of one component through the homomorphism and reduces them in one
-batched solve.  Products of classes vanish across primes, and within G_p
-they are bilinear, so multiplying by a class v is the matrix
-`AugQuot.mult_matrix(qa, v)`, contracted from one table of structure
-constants per component.
+lifts of one component through the homomorphism, which moves mixed-radix
+digits (`_Sylow.image_index`), and reduces them in one product.  Products
+of classes vanish across primes, and within G_p they are bilinear, so
+multiplying by a class v is the matrix `AugQuot.mult_matrix(qa, v)`,
+contracted from one table of structure constants per component.
 
 Both sides of Darmon's formula and the synthetic Kolyvagin systems take
 values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
@@ -58,7 +65,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import nt
-from .intmat import hnf_mod, hnf_solve_mod, snf_mod
+from .intmat import hnf_mod, hnf_solve_mod, matmul_mod, snf_mod
 from .nt import ResourceLimitError
 
 PHI_CAP = 1 << 14
@@ -82,37 +89,38 @@ class UnitGroupMod:
                 continue
             self.gens[p] = self.embed_from(p, nt.primitive_root(p))
         self.exponent = lcm(*[p - 1 for p in self.primes]) if self.primes else 1
-        # by p: (lattices, elems, proj) of G_p here (`sylow`), and the
-        # lattices of G_p kept here when this level is n_p
+        # by p: (lattices, elems, proj, owners) of G_p here (`sylow`), and
+        # the lattices of G_p kept here when this level is n_p
         self.sylows: dict[int, tuple] = {}
         self.lattices: dict[int, _Lattices] = {}
 
     def sylow(self, p: int) -> tuple:
-        """(lattices, elems, proj) of the Sylow p-subgroup G_p, p | exponent.
+        """(lattices, elems, proj, owners) of the Sylow p-subgroup G_p.
 
-        G_p is the product of the cyclic groups <s_l> of orders p^v,
-        s_l = gen_l^((l-1)/p^v) for v = v_p(l-1) > 0, and prod s_l^(i_l) sits
-        at the mixed-radix index of (i_l), first digit fastest.  elems are its
-        elements other than 1, and proj[g] the coordinate of g^a - 1 (-1 where
+        G_p (p | exponent) is the product of the cyclic groups <s_l> of
+        orders p^v, s_l = gen_l^((l-1)/p^v) for v = v_p(l-1) > 0, and
+        prod s_l^(i_l) sits at the mixed-radix index of (i_l), first digit
+        fastest; owners[j] is the prime l of digit j.  elems are the elements
+        other than 1, and proj[g] the coordinate of g^a - 1 (-1 where
         g^a = 1), a = 1 mod e_p and a = 0 mod e/e_p.
         """
         if p not in self.sylows:
-            elems, orders, n_p = [self.identity], [], 1
+            elems, orders, owners = [self.identity], [], []
             for l, g in self.gens.items():
                 v = nt.valuation(l - 1, p)
                 if v:
                     s = self.power(g, (l - 1) // p ** v)
                     elems = [self.mult(x, self.power(s, i)) for i in range(p ** v) for x in elems]
                     orders.append(p ** v)
-                    n_p *= l
+                    owners.append(l)
             pos = {g: i for i, g in enumerate(elems[1:])}
             ep = max(orders)
             a = self.exponent // ep * pow(self.exponent // ep, -1, ep)
             proj = {g: pos.get(self.power(g, a), -1) for g in self.elements}
-            home = gamma(n_p).lattices
+            home = gamma(prod(owners)).lattices
             if p not in home:
                 home[p] = _Lattices(tuple(orders))
-            self.sylows[p] = home[p], elems[1:], proj
+            self.sylows[p] = home[p], elems[1:], proj, tuple(owners)
         return self.sylows[p]
 
     def mult(self, a: int, b: int) -> int:
@@ -250,8 +258,8 @@ class _Lattices:
     """The powers of I(G_p), G_p a product of cyclic p-groups of `orders`,
     in the coordinates of `UnitGroupMod.sylow`, modulo powers of
     e_p = max(orders).  Each is built on first use and kept: the Hermite
-    chain one hnf_mod per power, and the Smith presentation of each degree,
-    of which only the columns with invariant d > 1 are kept."""
+    chain one hnf_mod per power, and per degree the map C and the Smith
+    presentation of `degree`."""
 
     def __init__(self, orders: tuple[int, ...]):
         self.orders = orders
@@ -277,24 +285,58 @@ class _Lattices:
         return self.chain[j]
 
     def degree(self, r: int) -> tuple:
-        """(basis of I^r, invariants, V, lifts, index [I : I^r]) of I^r/I^{r+1}."""
+        """(B_r, CV, invariants, V, lifts, index [I : I^r]) of I^r/I^{r+1}.
+
+        B_r is the Hermite basis of I^r, which contains m_r Z^k for
+        m_r = e_p^(r-1), so C = m_r B_r^(-1) is integral; it is kept mod
+        e_p^r.  Then x lies in I^r exactly when x C = 0 mod m_r, and x C / m_r
+        mod e_p are its coordinates over B_r.  Since e_p^r Z^k lies in
+        I^{r+1}, x may be reduced mod e_p^r first.  CV is C V mod e_p^r after
+        the columns of C that are not 0 mod m_r (the others pass every x, and
+        in degree 1 all do), so that one product x CV gives both the
+        membership test and the Smith coordinates (`_Sylow.smith_coords`).
+
+        The relations X = B_{r+1} C / m_r (mod e_p, as e_p I^r lies in
+        I^{r+1}) are upper triangular with unit diagonal outside a small set
+        S.  Back substitution expresses every basis vector through those of
+        S (the map T, with T[s] = e_s), so Smith form runs on the |S| x |S|
+        block X[S] T alone; V = T V_S, and the lifts are the rows of W_S at
+        the positions S, times B_r.
+        """
         if r not in self.degrees:
             low, high = self.power(r), self.power(r + 1)
-            # solving mod e_p^{r-1} leaves a drift in e_p^{r-1} * Z^k, which
-            # the Smith modulus e_p absorbs
-            X = high if r == 1 else hnf_solve_mod(low, high, self.ep ** (r - 1))
-            if X is None:
+            ep, k = self.ep, len(low)
+            m_r, mod = ep ** (r - 1), ep ** r
+            C = np.eye(k, dtype=np.int64)  # B_1 = Id
+            if r > 1:
+                C = hnf_solve_mod(low, m_r * C, mod)
+            Z = matmul_mod(high, C, mod)
+            if np.any(Z % m_r):
                 raise ValueError("I^{r+1} is not inside I^r")
-            d, V, W = snf_mod(X, self.ep)
+            X = Z // m_r
+            S = np.flatnonzero(np.diagonal(X) != 1)
+            T = np.zeros((k, len(S)), dtype=np.int64)
+            T[S, np.arange(len(S))] = 1
+            for c in range(k - 1, -1, -1):
+                if X[c, c] == 1:
+                    T[c] = -(X[c, c + 1:] @ T[c + 1:]) % ep
+            d, V, W = snf_mod(X[S] @ T % ep, ep)
             keep = [i for i, di in enumerate(d) if di > 1]
-            # W[keep] @ low: representatives of the kept Smith basis, exact
-            # and valid mod I^{r+1}
-            V, lifts = V[:, keep], W[keep] @ low
-            for a in (low, V, lifts):  # shared by every quotient that reads them
+            V = T @ V[:, keep] % ep
+            # representatives of the kept Smith basis, exact and valid mod
+            # I^{r+1}
+            lifts = W[keep] @ low[S]
+            CV = np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)])
+            for a in (low, CV, V, lifts):  # shared by every quotient that reads them
                 a.setflags(write=False)
-            self.degrees[r] = (low, tuple(d[i] for i in keep), V, lifts,
-                               prod(int(low[c, c]) for c in range(len(low))))
+            self.degrees[r] = (low, CV, tuple(d[i] for i in keep), V, lifts,
+                               prod(int(low[c, c]) for c in range(k)))
         return self.degrees[r]
+
+
+class PrecisionError(ArithmeticError):
+    """A vector known only mod m cannot fix its class: some component has
+    p^(v_p(m)) < e_p^r."""
 
 
 class _Sylow:
@@ -307,22 +349,43 @@ class _Sylow:
     """
 
     def __init__(self, G: UnitGroupMod, p: int, r: int):
-        lattices, self.elems, self.proj = G.sylow(p)
+        lattices, self.elems, self.proj, self.owners = G.sylow(p)
         self.p, self.degree, self.ep, self.orders = p, r, lattices.ep, lattices.orders
-        self.basis, self.invariants, self.V, self.lifts, self.index = lattices.degree(r)
+        (self.basis, self.CV, self.invariants, self.V, self.lifts,
+         self.index) = lattices.degree(r)
 
-    def smith_coords(self, x: np.ndarray, m: int) -> np.ndarray | None:
+    def smith_coords(self, x: np.ndarray, m: int | None = None) -> np.ndarray | None:
         """Smith coordinates, not yet reduced, of elements of I(G_p)^r.
 
-        x holds (g-1)-coordinates, one vector or one per row; in degree >= 2
-        they are solved over the basis of I(G_p)^r mod p^(v_p(m)), which must
-        make the class unique.  None when some row is not in I(G_p)^r.
+        x holds (g-1)-coordinates, one vector or one per row, as exact
+        integers, or known only mod m: that fixes the class when e_p^r
+        divides p^(v_p(m)), and raises PrecisionError when it does not.
+        One product with CV (see `_Lattices.degree`); None when some row is
+        not in I(G_p)^r.
         """
-        if self.degree >= 2:
-            x = hnf_solve_mod(self.basis, x, self.p ** nt.valuation(m, self.p))
-            if x is None:
-                return None
-        return x @ self.V
+        mod = self.ep ** self.degree
+        if m is not None and m % mod:
+            raise PrecisionError(f"p^v_p({m}) < e_p^r = {mod} for p = {self.p}")
+        z = matmul_mod(x, self.CV, mod)
+        j, m_r = self.CV.shape[1] - len(self.invariants), self.ep ** (self.degree - 1)
+        if np.any(z[..., :j] % m_r):
+            return None
+        return z[..., j:] // m_r
+
+    def image_index(self, tc: _Sylow, d: int) -> np.ndarray:
+        """Where g -> (g mod d, included in tc's level) sends each element.
+
+        Index in tc.elems of the image of each element of self.elems (-1
+        for 1): the digits of the primes l | d move to the positions of l in
+        tc, the others are dropped.
+        """
+        digits = np.unravel_index(np.arange(1, len(self.elems) + 1), self.orders, order="F")
+        steps = dict(zip(tc.owners, np.cumprod((1,) + tc.orders[:-1])))
+        idx = np.full(len(self.elems), -1)
+        for l, dig in zip(self.owners, digits):
+            if d % l == 0:
+                idx += dig * steps[l]
+        return idx
 
     def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Every product of a row of A with a row of B in Z[G_p].
@@ -408,13 +471,13 @@ class AugQuot:
         return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
                                     for i, d in enumerate(self.invariants)))
 
-    def class_of_sum(self, coeffs: dict[int, int], m: int) -> AugClass | None:
+    def class_of_sum(self, coeffs: dict[int, int], m: int | None = None) -> AugClass | None:
         """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
 
-        Each component takes the image under g -> g^(a_p).  In degree >= 2
-        that image is solved over the basis of I(G_p)^r mod p^(v_p(m)), which
-        must make the class unique (m = e^(r-1) always does); None when the
-        element is not in I^r.
+        Each component takes the image under g -> g^(a_p).  The coefficients
+        are exact integers, or known only mod m, which must fix the class:
+        e_p^r divides p^(v_p(m)) for every component (PrecisionError if
+        not).  None when the element is not in I^r.
         """
         y = []
         for comp in self._components:
@@ -437,7 +500,7 @@ class AugQuot:
             return AugClass(self, (v.aug(),))
         if v.aug() != 0:
             raise ValueError("element is not in the augmentation ideal")
-        c = self.class_of_sum(v.coeffs, self.exponent_m ** (self.degree - 1))
+        c = self.class_of_sum(v.coeffs)
         if c is None:
             raise ValueError("element does not lie in the expected ideal power")
         return c
@@ -475,29 +538,29 @@ class AugQuot:
 
     # -- induced maps ------------------------------------------------------
 
-    def _hom_matrix(self, phi, dst: AugQuot) -> np.ndarray:
+    def _hom_matrix(self, d: int, dst: AugQuot) -> np.ndarray:
         """Matrix on class coordinates of the map into `dst` (same degree)
-        induced by a group homomorphism phi from Gamma_n to dst.gamma.
+        induced by Gamma_n -> Gamma_d -> dst.gamma, reduction mod d and then
+        the inclusion (d divides both levels).
 
-        phi maps G_p into the Sylow p-subgroup of dst.gamma, so the matrix is
+        It maps G_p into the Sylow p-subgroup of dst.gamma, so the matrix is
         block-diagonal over p: a block sends the kept lifts of a component
-        through phi into the (g-1)-coordinates of the target's component and
-        reduces all of them in one solve.
+        through the map into the (g-1)-coordinates of the target's component
+        and reduces all of them in one product.
         """
         if self.degree == 0:
-            return np.eye(1, dtype=np.int64)  # the augmentation commutes with phi
+            return np.eye(1, dtype=np.int64)  # the augmentation commutes with the map
         M = np.zeros((len(self.invariants), len(dst.invariants)), dtype=np.int64)
         target = {c.p: (c, part) for c, part in zip(dst._components, dst._slices)}
-        m = dst.exponent_m ** (dst.degree - 1)
         for comp, rows in zip(self._components, self._slices):
             tc, cols = target[comp.p]
             if not comp.invariants or not tc.invariants:
                 continue
-            idx = np.array([tc.proj[phi(g)] for g in comp.elems])
+            idx = comp.image_index(tc, d)
             hit = idx >= 0
             X = np.zeros((len(comp.invariants), len(tc.elems)), dtype=np.int64)
             np.add.at(X.T, idx[hit], comp.lifts[:, hit].T)
-            Y = tc.smith_coords(X, m)
+            Y = tc.smith_coords(X)
             if Y is None:
                 raise ArithmeticError("image does not lie in the expected ideal power")
             M[rows, cols] = Y % np.array(tc.invariants)
@@ -508,8 +571,7 @@ class AugQuot:
         if d not in self._pi_matrices:
             if self.level % d:
                 raise ValueError(f"{d} does not divide {self.level}")
-            G = self.gamma
-            self._pi_matrices[d] = self._hom_matrix(lambda g: G.project(g, d), self)
+            self._pi_matrices[d] = self._hom_matrix(d, self)
         return self._pi_matrices[d]
 
     def embed_matrix(self, n: int) -> np.ndarray:
@@ -517,9 +579,7 @@ class AugQuot:
         if n not in self._embed_matrices:
             if n % self.level:
                 raise ValueError(f"{self.level} does not divide {n}")
-            G = gamma(n)
-            self._embed_matrices[n] = self._hom_matrix(
-                lambda g: G.embed_from(self.level, g), aug_quot(n, self.degree))
+            self._embed_matrices[n] = self._hom_matrix(self.level, aug_quot(n, self.degree))
         return self._embed_matrices[n]
 
     def mult_table(self, qa: AugQuot, qb: AugQuot) -> list[np.ndarray]:
@@ -532,7 +592,6 @@ class AugQuot:
         key = (qa.degree, qb.degree)
         if key not in self._mult_tables:
             R = self.degree
-            m = self.exponent_m ** (R - 1)
             blocks = []
             for ca, cb, ct in zip(qa._components, qb._components, self._components):
                 T = np.zeros((len(ca.invariants), len(cb.invariants), len(ct.invariants)),
@@ -541,7 +600,7 @@ class AugQuot:
                     # e_p^R * I(G_p) lies in I(G_p)^{R+1}, so the factors may
                     # be reduced mod e_p^R without changing the product's class
                     X = ct.products(ca.lifts % ct.ep ** R, cb.lifts % ct.ep ** R)
-                    Y = ct.smith_coords(X, m)
+                    Y = ct.smith_coords(X)
                     if Y is None:
                         raise ArithmeticError("product does not lie in the expected ideal power")
                     T[:] = (Y % np.array(ct.invariants)).reshape(T.shape)

@@ -17,6 +17,8 @@ import numpy as np
 from .nt import ResourceLimitError
 
 _INT64_GUARD = 1 << 31  # m*m must stay below 2**63
+# matmul_mod multiplies in int64 while k * (m-1)^2 stays below this
+INT64_PRODUCT_BOUND = 1 << 63
 
 
 def _check_modulus(m: int) -> None:
@@ -127,18 +129,20 @@ def hnf_solve(H, v, as_python: bool = False):
 def hnf_solve_mod(H: np.ndarray, v, m: int):
     """Solve x @ H = v, with x correct mod m; None when v is not in the lattice.
 
-    v is one vector, or a matrix whose rows are solved together; a matrix
-    gives the matrix of solutions, and None if any row is outside the lattice.
-    Requires m * Z^k <= lattice(H).  Internally works mod m * det(H): a final
-    residual divisible by m * det(H) differs from zero by m*det(H)*z @ H^{-1}
-    = m * z @ adj(H), an integral multiple of m, so the returned coordinates
-    agree with the exact solution mod m.  Falls back to exact big-integer
-    arithmetic, one row at a time, when the working modulus outgrows int64.
+    v is one vector, or a matrix whose rows are solved together; a vector
+    gives a vector, a matrix the matrix of solutions, and None if any row is
+    outside the lattice.  Requires m * Z^k <= lattice(H).  Internally works
+    mod m * det(H): a final residual divisible by m * det(H) differs from
+    zero by m*det(H)*z @ H^{-1} = m * z @ adj(H), an integral multiple of m,
+    so the returned coordinates agree with the exact solution mod m.  Falls
+    back to exact big-integer arithmetic, one row at a time, when the
+    working modulus outgrows int64.
     """
     w = np.array(v, dtype=np.int64)
     k = H.shape[0]
     if k == 0:
         return w
+    rows = w.reshape(-1, k)
     det = 1
     for c in range(k):
         det *= int(H[c, c])
@@ -147,38 +151,39 @@ def hnf_solve_mod(H: np.ndarray, v, m: int):
     if m_work >= _INT64_GUARD or (k + 1) * m_work * hmax >= (1 << 62):
         Hp = H.tolist()
         out = []
-        for row in w.reshape(-1, k):
+        for row in rows:
             x = hnf_solve(Hp, row, as_python=True)
             if x is None:
                 return None
             # reduce before int64: the exact coordinates can be huge
             out.append([xi % m for xi in x])
         x = np.array(out, dtype=np.int64)
-        return x if w.ndim == 2 else x[0]
-    if w.ndim == 2:
-        x = np.zeros((w.shape[0], k), dtype=np.int64)
-        for c in range(k):
-            p = H[c, c]
-            if np.any(w[:, c] % p):
-                return None
-            q = (w[:, c] // p) % m_work
-            x[:, c] = q
-            w[:, c:] -= np.outer(q, H[c, c:])
     else:
-        # one vector: numpy scalars and skipped zero quotients keep this
-        # loop several times faster than the batched one on a single row
-        x = np.zeros(k, dtype=np.int64)
+        x = np.zeros_like(rows)
         for c in range(k):
             p = H[c, c]
-            if w[c] % p:
+            if np.any(rows[:, c] % p):
                 return None
-            q = (w[c] // p) % m_work
-            x[c] = q
-            if q:
-                w[c:] -= q * H[c, c:]
-    if np.any(w % m_work):
-        raise AssertionError("modular solve integrity check failed")
-    return x % m
+            q = (rows[:, c] // p) % m_work
+            x[:, c] = q
+            rows[:, c:] -= np.outer(q, H[c, c:])
+        if np.any(rows % m_work):
+            raise AssertionError("modular solve integrity check failed")
+        x %= m
+    return x if w.ndim == 2 else x[0]
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a @ b mod m, exact for any integer entries.
+
+    Both factors are reduced mod m first; the product runs in int64 while
+    its inner dimension times (m - 1)^2 stays below INT64_PRODUCT_BOUND, and
+    in Python integers (object arrays) above it, so it never wraps.
+    """
+    a, b = np.asarray(a) % m, np.asarray(b) % m
+    if a.shape[-1] * (m - 1) ** 2 < INT64_PRODUCT_BOUND:
+        return a @ b % m
+    return (a.astype(object) @ b.astype(object) % m).astype(np.int64)
 
 
 def snf_mod(rows: np.ndarray, m: int) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -469,3 +469,23 @@ def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
         want = want + gr.mult_classes(c, gr.embed_class(phi_fs(F, x, ell).normalized(), n))
     assert got.parts == [want]
     assert want.is_zero() == vanishes
+
+
+@pytest.mark.parametrize("d, n, wrong_zero", [(13, 138, [False] * 5),
+                                               (29, 70, [False, True, False, False, False])])
+def test_rank_two_verdicts_under_the_precision_rule(d, n, wrong_zero):
+    # theta known mod M: M fixes every component's class (e_p^r divides
+    # p^(v_p(M))), and the verdicts and the zero pattern of the residuals are
+    # those of the solve over the whole Hermite basis
+    F = make_field(d)
+    assert F.r_of(n) == 2
+    for q in find_aux_primes(F, n, 5):
+        M = make_reduction_hom(F, n, q).modulus
+        for comp in aug_quot(n, 2)._components:
+            assert M % comp.ep ** 2 == 0, (q, comp.p)
+    right = verify_darmon(F, n)
+    assert right.verdict == "pass"
+    assert all(not any(p.residual) for p in right.primes)
+    wrong = verify_darmon(F, n, wrong_sign=True)
+    assert wrong.verdict == "fail"
+    assert [not any(p.residual) for p in wrong.primes] == wrong_zero

@@ -15,7 +15,8 @@ from darmoncheck.groupring import (AugClass, PermData, RingElt, aug_quot, d_det,
                                    perm_pi, perm_sign, permutations_of, pi_d,
                                    proj_new, single_orbit_nonfixed, smith_chain)
 from darmoncheck.groupring import _frob_lift
-from darmoncheck.intmat import hnf_mod, hnf_solve_mod, snf_mod
+from darmoncheck import intmat
+from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
 
 
 def test_gamma_basic():
@@ -415,7 +416,7 @@ def test_sylow_coordinates_are_mixed_radix():
     for n in (35, 105, 255, 273, 330, 1155):
         G = gamma(n)
         for p in nt.prime_factors(G.exponent):
-            lattices, elems, _ = G.sylow(p)
+            lattices, elems = G.sylow(p)[:2]
             gens = [G.power(g, (l - 1) // p ** nt.valuation(l - 1, p))
                     for l, g in G.gens.items() if nt.valuation(l - 1, p)]
             assert len(gens) == len(lattices.perms), (n, p)
@@ -467,3 +468,108 @@ def test_cleared_caches_rebuild_the_lattices(cold):
     gr.aug_quot.cache_clear()
     gr.aug_quot(255, 2)
     assert len(cold) == 4
+
+
+def test_image_index_matches_per_element_images():
+    # the digit index of pi_d and of the inclusions of levels against the
+    # images of the elements one at a time
+    for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155):
+        G = gamma(n)
+        q = aug_quot(n, 1)
+        for d in nt.divisors(n):
+            for comp in q._components:
+                want = [comp.proj[G.project(g, d)] for g in comp.elems]
+                assert comp.image_index(comp, d).tolist() == want, (n, d, comp.p)
+            low = aug_quot(d, 1)
+            target = {c.p: c for c in q._components}
+            for comp in low._components:
+                tc = target[comp.p]
+                want = [tc.proj[G.embed_from(d, g)] for g in comp.elems]
+                assert comp.image_index(tc, d).tolist() == want, (d, n, comp.p)
+
+
+def _sylow_reference(lattices, r):
+    """Invariants of I(G_p)^r/I(G_p)^{r+1} from the relation matrix solved
+    over the whole Hermite basis of I(G_p)^r, then Smith form on all of it."""
+    low, high, ep = lattices.power(r), lattices.power(r + 1), lattices.ep
+    X = high if r == 1 else hnf_solve_mod(low, high, ep ** (r - 1))
+    d, _, _ = snf_mod(X, ep)
+    return [x for x in d if x > 1]
+
+
+def test_smith_coords_against_exact_membership():
+    rng = random.Random(16)
+    cases = [(n, r) for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155, 1173)
+             for r in range(1, min(len(nt.prime_factors(n)), 4) + 1)]
+    for n, r in cases:
+        q = aug_quot(n, r)
+        if n in (35, 105, 195, 209, 210, 255, 330):
+            d, _, _ = _full_rank_reference(n, r)
+            assert _elementary_divisors(d) == sorted(q.invariants), (n, r)
+        outcomes = set()
+        for comp in q._components:
+            lattices = gamma(n).sylow(comp.p)[0]
+            assert list(comp.invariants) == _sylow_reference(lattices, r), (n, r, comp.p)
+            low, high, k = comp.basis, lattices.power(r + 1), len(comp.elems)
+            inv = np.array(comp.invariants)
+            low_py, high_py = low.tolist(), high.tolist()
+
+            def rand(B, zero_p=0.3):
+                u = np.array([0 if rng.random() < zero_p else rng.randrange(-3, 4)
+                              for _ in range(k)], dtype=np.int64)
+                return u @ B
+
+            for _ in range(6):
+                # x in I^r, and in I^{r+1} (class zero) when its B_r part vanishes
+                x = rand(low, zero_p=rng.choice([0.3, 0.97, 1.0])) + rand(high)
+                y = rand(low) * rng.choice([1, comp.ep])
+                cx, cy, cxy = (comp.smith_coords(v) % inv for v in (x, y, x + y))
+                zero = not cx.any()
+                assert zero == (hnf_solve(high_py, x, as_python=True) is not None), (n, r)
+                outcomes.add(zero)
+                assert np.array_equal(cxy, (cx + cy) % inv), (n, r, comp.p)
+                v = np.array([rng.randrange(-2, 3) for _ in range(k)], dtype=np.int64)
+                inside = hnf_solve(low_py, v, as_python=True) is not None
+                assert (comp.smith_coords(v) is not None) == inside, (n, r, comp.p)
+                if r >= 2:
+                    e0 = np.eye(1, k, dtype=np.int64)[0]  # s_1 - 1 is not in I^2
+                    assert comp.smith_coords(e0) is None, (n, r, comp.p)
+        assert outcomes == {True, False}, (n, r)
+
+
+def test_class_of_sum_modulus_must_fix_the_class():
+    # Gamma_105 = C_2 x C_4 x C_6: e_2 = 4 and e_3 = 3, so in degree 2 a
+    # vector known mod m has a class when 16 * 9 divides m
+    q = aug_quot(105, 2)
+    G = q.gamma
+    v = RingElt.gen_minus_one(105, G.gens[5]) * RingElt.gen_minus_one(105, G.gens[7])
+    exact = q.class_of(v)
+    for m in (144, 144 * 5, 144 * 16 * 27):
+        assert q.class_of_sum({g: c % m for g, c in v.coeffs.items()}, m) == exact, m
+    for m in (12, 48, 72, 80):
+        with pytest.raises(gr.PrecisionError):
+            q.class_of_sum(v.coeffs, m)
+
+
+def test_matmul_bound_edge_gives_the_same_classes(cold, monkeypatch):
+    # 255, r = 3 (e_2 = 16) built and read once with int64 products and once
+    # with every product in Python integers
+    def data():
+        gr.gamma.cache_clear()
+        gr.aug_quot.cache_clear()
+        q = gr.aug_quot(255, 3)
+        rng = random.Random(3)
+        G = q.gamma
+        classes = []
+        for _ in range(20):
+            v = RingElt.unit(255)
+            for _ in range(3):
+                v = v * RingElt.gen_minus_one(255, rng.choice(G.elements[1:]))
+            classes.append(q.class_of(v).coords)
+        comp = q._components[0]
+        return (q.invariants, comp.V.tolist(), comp.lifts.tolist(), classes,
+                q.pi_matrix(15).tolist(), q.pi_matrix(17).tolist())
+
+    fast = data()
+    monkeypatch.setattr(intmat, "INT64_PRODUCT_BOUND", 0)
+    assert data() == fast

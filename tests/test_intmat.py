@@ -8,7 +8,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
+from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, matmul_mod, snf_mod
 
 
 def _random_instance(rng):
@@ -120,3 +120,17 @@ def test_python_fallback_matches():
     b = hnf_solve(H, v, as_python=True)
     assert a is not None and list(a) == list(b) == [2, 1, 2]
     assert hnf_solve(H, np.array([4, 5, 17], dtype=np.int64)) is None
+
+
+def test_matmul_mod_is_exact_on_both_paths():
+    # m = 2^31 - 1 puts k * (m - 1)^2 past int64 for k >= 3: Python integers
+    rng = random.Random(11)
+    for m, k in ((97, 4), (2 ** 20, 6), (2 ** 31 - 1, 2), (2 ** 31 - 1, 5)):
+        A = np.array([[rng.randrange(-3 * m, 3 * m) for _ in range(k)] for _ in range(3)],
+                     dtype=np.int64)
+        B = np.array([[rng.randrange(-m, m) for _ in range(4)] for _ in range(k)],
+                     dtype=np.int64)
+        want = [[sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % m for j in range(4)]
+                for i in range(3)]
+        assert matmul_mod(A, B, m).tolist() == want, (m, k)
+        assert matmul_mod(A[0], B, m).tolist() == want[0], (m, k)
