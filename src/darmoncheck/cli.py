@@ -45,9 +45,13 @@ def _field(args) -> qf.QuadField:
         raise UsageError(f"--disc {args.disc}: {e}") from None
 
 
-def _check_level(F: qf.QuadField, n: int) -> None:
+def _check_squarefree(n: int) -> None:
     if n < 1 or not nt.is_squarefree(n):
         raise UsageError(f"level {n} must be a squarefree positive integer")
+
+
+def _check_level(F: qf.QuadField, n: int) -> None:
+    _check_squarefree(n)
     if n > 1 and gcd(n, F.conductor) != 1:
         raise UsageError(f"level {n} shares a factor with the conductor {F.conductor}")
 
@@ -187,8 +191,7 @@ def cmd_field(args) -> int:
 
 def cmd_augq(args) -> int:
     n = args.level
-    if not nt.is_squarefree(n):
-        raise UsageError("level must be squarefree")
+    _check_squarefree(n)
     r = args.degree if args.degree is not None else len(nt.prime_factors(n))
     if r < 0:
         raise UsageError("degree must be nonnegative")

@@ -8,20 +8,20 @@ finite part at ell) is one product of a row of values with its rows
 (`TensorElt.evaluate`).  Its pre-Kolyvagin axioms run through the checker of
 `kolysys`, with `ConcreteModel` as the local model.  The theta side is
 reduced through homomorphisms into Z/M attached to auxiliary primes q, with
-M | q-1.  In degree r >= 1, M is the part of q-1 supported on the primes of
-the exponent of Gamma_n: every elementary divisor of I_n^r/I_n^{r+1} divides
-it, so Z/M (x) I^r/I^{r+1} is Z/(q-1) (x) I^r/I^{r+1}.  In degree 0, where
-I^0/I^1 = Z, M = q-1.  Each reduction projects the residues a level needs
-(zeta^a - 1, the units' values) into the subgroup of order M of (Z/q)^* and
-solves their discrete logs there in one batched baby-step giant-step.  The
-class of the reduced theta element in the augmentation quotient is extracted
-by a linear solve over the power basis of I_n^r, with the auxiliary-prime
-congruence chosen strong enough that the extracted class is unique.
+M | q-1.  In degree r >= 1, M is `AugQuot.precision`, the product over the
+Sylow components of e_p^r: every elementary divisor of I_n^r/I_n^{r+1}
+divides it, so Z/M (x) I^r/I^{r+1} is Z/(q-1) (x) I^r/I^{r+1}, and it is
+the least modulus at which the reduced theta vector fixes its class.  The
+auxiliary primes are the q = 1 mod lcm(nf, M) (`_required_congruence`).  In
+degree 0, where I^0/I^1 = Z, M = q-1.  Each reduction projects the residues
+a level needs (zeta^a - 1, the units' values) into the subgroup of order M
+of (Z/q)^* and solves their discrete logs there in one batched baby-step
+giant-step.  The class of the reduced theta element is one matrix product
+of its vector, known mod M, per Sylow component (`AugQuot.class_of_sum`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
@@ -209,23 +209,13 @@ class ReductionHom:
 
 
 def _required_congruence(F: QuadField, n: int) -> int:
-    """The modulus L with q = 1 mod L making the theta extraction unique.
+    """The modulus L = lcm(nf, `AugQuot.precision`) of the auxiliary primes.
 
-    The class in Z/M (x) I^r/I^{r+1} of a solution, with M the target of
-    the reduction hom (`make_reduction_hom`), is independent of all choices
-    once v_p(M) = v_p(q-1) >= v_p(e) + v_p(det I^r-basis) for each prime p
-    dividing the quotient exponent e.
+    q = 1 mod nf puts the nf-th roots of unity in F_q, and q = 1 mod the
+    precision lets the theta vector, known mod M = precision (r >= 1), fix
+    its class (`make_reduction_hom`).  In degree 0 the precision is 1.
     """
-    r = F.r_of(n)
-    L = n * F.conductor
-    quot = aug_quot(n, r)
-    if r >= 1 and quot.order > 1:
-        e, det = quot.class_exponent, quot.ideal_index
-        extra = 1
-        for p in nt.prime_factors(e):
-            extra *= p ** (nt.valuation(e, p) + nt.valuation(det, p))
-        L = lcm(L, extra)
-    return L
+    return lcm(n * F.conductor, aug_quot(n, F.r_of(n)).precision)
 
 
 def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
@@ -243,11 +233,12 @@ def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
 
 
 def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
-    """A reduction homomorphism at q (requires q = 1 mod nf) into Z/M.
+    """A reduction homomorphism at q (requires q = 1 mod L) into Z/M.
 
-    In degree r >= 1, M is the part of q-1 supported on the primes of the
-    exponent of Gamma_n, which every elementary divisor of I_n^r/I_n^{r+1}
-    divides; in degree 0, where I^0/I^1 = Z is free, M = q-1.
+    In degree r >= 1, M is `AugQuot.precision` of I_n^r/I_n^{r+1}, the
+    least modulus at which the theta vector fixes its class; every
+    elementary divisor divides it.  In degree 0, where I^0/I^1 = Z is
+    free, M = q-1.
     """
     mf = n * F.conductor
     if (q - 1) % mf:
@@ -266,12 +257,8 @@ def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
     sd %= q
     if pow(sd, 2, q) != F.disc % q:
         raise BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
-    M = q - 1
-    if F.r_of(n) >= 1:
-        M = 1
-        for p in nt.prime_factors(gamma(n).exponent):
-            M *= p ** nt.valuation(q - 1, p)
-    return ReductionHom(F, n, q, g, zeta, sd, M)
+    r = F.r_of(n)
+    return ReductionHom(F, n, q, g, zeta, sd, aug_quot(n, r).precision if r else q - 1)
 
 
 def tensor_reduce(x: TensorElt, h: ReductionHom) -> AugClass:
@@ -293,21 +280,6 @@ def _odd_part(c: AugClass) -> AugClass:
 # the regulator side (exact)
 
 
-def _minor_class(lifts: list[list[RingElt]], j: int, n: int, r: int) -> AugClass:
-    """Determinant of the symbol matrix with column j removed."""
-    quot = aug_quot(n, r)
-    cols = [jj for jj in range(r + 1) if jj != j]
-    det = RingElt(n)
-    if r == 0:
-        return AugClass(quot, (1,))
-    for perm in itertools.permutations(range(r)):
-        term = RingElt.unit(n)
-        for i, pi_ in enumerate(perm):
-            term = term * lifts[i][cols[pi_]]
-        det = det + term * gr.perm_sign({i: p for i, p in enumerate(perm)})
-    return quot.class_of(det)
-
-
 def regulator(F: QuadField, n: int) -> TensorElt:
     """R_n as a formal sum of units tensor degree-r classes (exact)."""
     return bordered_regulator(F, n, n)
@@ -323,10 +295,11 @@ def bordered_regulator(F: QuadField, n: int, n2: int) -> TensorElt:
 
 def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
     """The minors expansion for an explicit (oriented) basis and places."""
-    r = len(places)
     lifts = [[del_lift(F, e, pl, n2) for e in basis] for pl in places]
-    return TensorElt(aug_quot(n2, r), [(eps, (-1) ** j * _minor_class(lifts, j, n2, r))
-                                       for j, eps in enumerate(basis)])
+    # the minor of the symbol matrix without the column of unit j
+    return TensorElt(aug_quot(n2, len(places)), [
+        (eps, (-1) ** j * gr.det_class(n2, [row[:j] + row[j + 1:] for row in lifts]))
+        for j, eps in enumerate(basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +316,9 @@ def theta_values(F: QuadField, n: int, h: ReductionHom) -> dict[int, int]:
 def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     """The class of the reduced theta element in Z/M (x) I^r/I^{r+1}.
 
-    Solves mod M for coordinates of the reduced theta vector over the power
-    basis of I_n^r; the auxiliary-prime congruence makes the class
-    independent of the choice of solution (see _required_congruence).
+    The theta vector is known mod M = h.modulus, and `AugQuot.class_of_sum`
+    reads its class from that when the precision of the quotient divides M
+    (PrecisionError if not), as it does for the homs of `make_reduction_hom`.
     """
     r = F.r_of(n)
     quot = aug_quot(n, r)

@@ -30,7 +30,10 @@ and x C / m_r are its coordinates over B_r.  Reducing x mod e_p^r first
 changes neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in
 e_p I(G_p)^r, which lies in I(G_p)^{r+1}.  So a vector known only mod m has
 a class when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised when
-it does not.  The Smith form itself runs only on the positions S where the
+it does not.  The least such m, the product of the e_p^r, is
+`AugQuot.precision`: the one source of the theta side's moduli in `darmon`,
+both the target Z/M of its reductions and the congruence on its auxiliary
+primes.  The Smith form itself runs only on the positions S where the
 relation matrix B_{r+1} C / m_r has a pivot other than 1 (`_Lattices.degree`).
 
 The induced maps on classes are integer matrices, built the first time they
@@ -285,7 +288,7 @@ class _Lattices:
         return self.chain[j]
 
     def degree(self, r: int) -> tuple:
-        """(B_r, CV, invariants, V, lifts, index [I : I^r]) of I^r/I^{r+1}.
+        """(B_r, CV, invariants, V, lifts) of I^r/I^{r+1}.
 
         B_r is the Hermite basis of I^r, which contains m_r Z^k for
         m_r = e_p^(r-1), so C = m_r B_r^(-1) is integral; it is kept mod
@@ -329,8 +332,7 @@ class _Lattices:
             CV = np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)])
             for a in (low, CV, V, lifts):  # shared by every quotient that reads them
                 a.setflags(write=False)
-            self.degrees[r] = (low, CV, tuple(d[i] for i in keep), V, lifts,
-                               prod(int(low[c, c]) for c in range(k)))
+            self.degrees[r] = low, CV, tuple(d[i] for i in keep), V, lifts
         return self.degrees[r]
 
 
@@ -351,8 +353,7 @@ class _Sylow:
     def __init__(self, G: UnitGroupMod, p: int, r: int):
         lattices, self.elems, self.proj, self.owners = G.sylow(p)
         self.p, self.degree, self.ep, self.orders = p, r, lattices.ep, lattices.orders
-        (self.basis, self.CV, self.invariants, self.V, self.lifts,
-         self.index) = lattices.degree(r)
+        self.basis, self.CV, self.invariants, self.V, self.lifts = lattices.degree(r)
 
     def smith_coords(self, x: np.ndarray, m: int | None = None) -> np.ndarray | None:
         """Smith coordinates, not yet reduced, of elements of I(G_p)^r.
@@ -460,9 +461,10 @@ class AugQuot:
         return lcm(1, *[d for d in self.invariants if d > 1])
 
     @property
-    def ideal_index(self) -> int:
-        """The index [I_n : I_n^r] (1 in degree 0), a product over components."""
-        return prod(c.index for c in self._components)
+    def precision(self) -> int:
+        """The least m such that every vector known mod m fixes its class:
+        the product over the components of e_p^r (`_Sylow.smith_coords`)."""
+        return prod(c.ep ** self.degree for c in self._components)
 
     # -- element <-> class ------------------------------------------------
 
@@ -1036,9 +1038,6 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
     """
     if plus is None:
         plus = gamma(n).primes
-    if d == 1:
-        one = aug_quot(n, 0)
-        return (), AugClass(one, (1,))
     if n % d or prod(nt.prime_factors(d)) != d:
         raise ValueError(f"{d} must be a squarefree divisor of the level")
     for p in nt.prime_factors(d):
@@ -1052,15 +1051,21 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
     targets = [[n // d if i == j else lj for j, lj in enumerate(ls)] for i in range(t)]
     lifts = [[_frob_lift(n, m, li) for m in row] for li, row in zip(ls, targets)]
     matrix = tuple(tuple(frob_class(n, m, li) for m in row) for li, row in zip(ls, targets))
-    det = RingElt(n)
-    for images in itertools.permutations(range(t)):
-        term = RingElt.unit(n)
-        for i, j in enumerate(images):
-            term = term * lifts[i][j]
-        s = perm_sign({i: j for i, j in enumerate(images)})
-        det = det + (term * s)
-    quot._dets[d] = matrix, quot.class_of(det)
+    quot._dets[d] = matrix, det_class(n, lifts)
     return quot._dets[d]
+
+
+def det_class(n: int, rows: list[list[RingElt]]) -> AugClass:
+    """The class in I_n^t/I_n^{t+1} of the determinant of a t x t matrix of
+    elements of I_n, by the signed sum over permutations; for t = 0 the
+    empty product, the class 1 of I^0/I^1 = Z."""
+    det = RingElt(n)
+    for images in itertools.permutations(range(len(rows))):
+        term = RingElt.unit(n)
+        for row, j in zip(rows, images):
+            term = term * row[j]
+        det = det + term * perm_sign(dict(enumerate(images)))
+    return aug_quot(n, len(rows)).class_of(det)
 
 
 def perm_pi(p: PermData) -> AugClass:

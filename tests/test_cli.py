@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from darmoncheck import darmon, nt
+from darmoncheck import darmon, groupring as gr, nt
 from darmoncheck.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_RESOURCE, EXIT_USAGE, EXIT_VACUOUS, main)
 
@@ -40,6 +40,13 @@ def test_verify_level_11():
     assert code == EXIT_PASS and out["verdict"] == "pass"
     assert out["r"] == 1 and out["s"] == 0 and out["h_n"] == 1
     assert len(out["primes"]) == 3
+
+
+def test_verify_rank_three_even_level():
+    # auxiliary primes q = 1 mod lcm(nf, precision) exist below the default
+    # bound at this r = 3 level where 2 splits
+    code, out = run(["verify", "--disc", "73", "--level", "114"])
+    assert code == EXIT_PASS and out["verdict"] == "pass" and out["r"] == 3
 
 
 def test_verify_even_level_where_two_splits():
@@ -98,16 +105,19 @@ def test_unread_flags_rejected():
         assert code == EXIT_USAGE, flag
 
 
-def test_augq_examples():
+def test_augq_examples(capsys):
     code, out = run(["augq", "--level", "209", "--degree", "2"])
     assert code == EXIT_PASS
     assert out["newOrder"] == 2
     assert out["invariants"] == [2, 2, 90]
     code, out = run(["augq", "--level", "11"])
     assert out["order"] == 10
-    for argv in (["--level", "44"], ["--level", "11", "--degree", "-1"]):
+    for argv in (["--level", "44"], ["--level", "11", "--degree", "-1"],
+                 ["--level", "-6"]):
         code, _ = run(["augq"] + argv)
         assert code == EXIT_USAGE, argv
+    # -6 is rejected for its sign, and the message says so
+    assert "level -6 must be a squarefree positive integer" in capsys.readouterr().err
 
 
 def test_field_command():
@@ -144,11 +154,11 @@ def test_theta_and_beta_commands():
     assert code == EXIT_PASS and len(out["reductions"]) == 5
     code, out = run(["beta", "--disc", "5", "--level", "11", "--primes", "5"])
     assert code == EXIT_PASS and len(out["values"]) == 5
-    # each reduction names its target Z/M: at r = 1 the part of q - 1 on
-    # the primes of the exponent of Gamma_11 (2 and 5), and beta lies in it
+    # each reduction names its target Z/M: at r = 1 the precision of
+    # I_11/I_11^2, e_2 * e_5 = 10, and beta lies in it
     for v in out["values"]:
-        q, M = v["q"], v["modulus"]
-        assert M == 2 ** nt.valuation(q - 1, 2) * 5 ** nt.valuation(q - 1, 5)
+        M = v["modulus"]
+        assert M == gr.aug_quot(11, 1).precision == 10
         assert 0 <= v["value"] < M
     code, out = run(["theta", "--disc", "5", "--level", "11", "--primes", "2"])
     assert all(x["modulus"] < x["q"] - 1 for x in out["reductions"])

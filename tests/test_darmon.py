@@ -1,7 +1,7 @@
 """Both sides of the congruence, reductions, and the axiom verifiers."""
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -60,7 +60,7 @@ def test_two_generators_same_verdicts():
               if nt.multiplicative_order(g, q) == q - 1)
     from darmoncheck.darmon import ReductionHom
     zeta2 = pow(g2, (q - 1) // 55, q)
-    from math import gcd
+    from math import gcd, lcm
     sd = 0
     zf = pow(zeta2, 11, q)
     for a in range(1, 6):
@@ -340,9 +340,12 @@ def test_indstep_ii_identity():
                                   (7, 87), (29, 35), (13, 138)])
 def test_reduction_hom_modulus(d, n):
     # M | q - 1, every elementary divisor of the quotient divides M, and the
-    # free degree-0 quotient keeps all of Z/(q - 1)
+    # free degree-0 quotient keeps all of Z/(q - 1); in degree r >= 1 M is
+    # the precision of the quotient, and L = lcm(nf, precision)
     F = make_field(d)
     r = F.r_of(n)
+    precision = aug_quot(n, r).precision
+    assert _required_congruence(F, n) == lcm(n * F.conductor, precision)
     for q in find_aux_primes(F, n, 2):
         M = make_reduction_hom(F, n, q).modulus
         assert (q - 1) % M == 0
@@ -350,7 +353,24 @@ def test_reduction_hom_modulus(d, n):
         if r == 0:
             assert M == q - 1
         else:
+            assert M == precision
             assert all(gamma(n).exponent % p == 0 for p in nt.prime_factors(M))
+
+
+@pytest.mark.parametrize("d, n", [(10, 39), (7, 87), (29, 35), (13, 138), (29, 70)])
+def test_precision_is_the_least_modulus(d, n):
+    # M = precision / p is still a multiple of the class exponent, so the hom
+    # is accepted, but the theta vector known mod M cannot fix its class
+    from darmoncheck.darmon import ReductionHom, _check_hom_compat
+    F = make_field(d)
+    quot = aug_quot(n, F.r_of(n))
+    assert quot.degree == 2
+    h = make_reduction_hom(F, n, find_aux_primes(F, n, 1)[0])
+    for p in nt.prime_factors(quot.precision):
+        weak = ReductionHom(F, n, h.q, h.g, h.zeta, h.sqrt_disc, M=quot.precision // p)
+        _check_hom_compat(quot, weak)
+        with pytest.raises(gr.PrecisionError):
+            theta_class(F, n, weak)
 
 
 @pytest.mark.parametrize("d, n", [(5, 11), (5, 33), (10, 39), (7, 87), (29, 35)])
@@ -471,12 +491,17 @@ def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
     assert want.is_zero() == vanishes
 
 
-@pytest.mark.parametrize("d, n, wrong_zero", [(13, 138, [False] * 5),
-                                               (29, 70, [False, True, False, False, False])])
+@pytest.mark.parametrize("d, n, wrong_zero", [
+    (13, 138, [False, True, False, False, False]),
+    (29, 70, [False, False, True, True, False]),
+    *((d, n, None) for d, n in ((10, 39), (7, 57), (7, 87), (29, 35), (34, 33),
+                                (14, 55), (10, 93), (2, 119), (7, 93), (15, 77),
+                                (13, 69)))])
 def test_rank_two_verdicts_under_the_precision_rule(d, n, wrong_zero):
-    # theta known mod M: M fixes every component's class (e_p^r divides
-    # p^(v_p(M))), and the verdicts and the zero pattern of the residuals are
-    # those of the solve over the whole Hermite basis
+    # the r = 2 inputs of the congruence sweep: theta known mod M fixes every
+    # component's class (e_p^r divides p^(v_p(M))), and the verdicts and the
+    # zero pattern of the residuals are those of the solve over the whole
+    # Hermite basis at the same primes
     F = make_field(d)
     assert F.r_of(n) == 2
     for q in find_aux_primes(F, n, 5):
@@ -488,4 +513,17 @@ def test_rank_two_verdicts_under_the_precision_rule(d, n, wrong_zero):
     assert all(not any(p.residual) for p in right.primes)
     wrong = verify_darmon(F, n, wrong_sign=True)
     assert wrong.verdict == "fail"
-    assert [not any(p.residual) for p in wrong.primes] == wrong_zero
+    if wrong_zero is not None:
+        assert [not any(p.residual) for p in wrong.primes] == wrong_zero
+
+
+@pytest.mark.parametrize("d, n", [(73, 114), (89, 110)])
+def test_rank_three_even_levels_reach_a_verdict(d, n):
+    # q = 1 mod lcm(nf, precision) leaves enough primes below 10^9 at these
+    # r = 3 levels, where 2 splits
+    F = make_field(d)
+    assert F.r_of(n) == 3
+    right = verify_darmon(F, n)
+    assert right.verdict == "pass"
+    assert all(not any(p.residual) for p in right.primes)
+    assert verify_darmon(F, n, wrong_sign=True).verdict == "fail"
