@@ -268,8 +268,10 @@ def tensor_reduce(x: TensorElt, h: ReductionHom) -> AugClass:
 
 
 def _check_hom_compat(quot, h: ReductionHom):
-    if h.modulus % quot.class_exponent:
-        raise ValueError("auxiliary prime too weak for this quotient")
+    """The one rule on the target Z/M: the precision of the quotient divides M."""
+    if h.modulus % quot.precision:
+        raise gr.PrecisionError(f"M = {h.modulus} is not a multiple of the precision "
+                                f"{quot.precision} of {quot!r}")
 
 
 def _odd_part(c: AugClass) -> AugClass:
@@ -317,8 +319,9 @@ def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     """The class of the reduced theta element in Z/M (x) I^r/I^{r+1}.
 
     The theta vector is known mod M = h.modulus, and `AugQuot.class_of_sum`
-    reads its class from that when the precision of the quotient divides M
-    (PrecisionError if not), as it does for the homs of `make_reduction_hom`.
+    reads its class from that when the precision of the quotient divides M,
+    as it does for the homs of `make_reduction_hom`.  A weaker M raises
+    PrecisionError before any theta value is computed.
     """
     r = F.r_of(n)
     quot = aug_quot(n, r)

@@ -6,35 +6,54 @@ abelian group, I^r / I^{r+1} (r >= 1) is the direct sum of the same
 quotients for its Sylow subgroups G_p, through the maps induced by the
 projections Gamma_n -> G_p (Passi, Group Rings and Their Augmentation
 Ideals, LNM 715).  So each quotient I_n^r / I_n^{r+1} is built one Sylow
-subgroup at a time: the powers of I(G_p) are integer lattices in the
-(g-1)-coordinates of G_p, and their quotient is presented by Smith normal
-form.  Because e_p * I(G_p)^r is contained in I(G_p)^{r+1} for
-e_p = exponent(G_p), all normal forms run with a working modulus (see
-intmat).
+subgroup at a time.  G_p of Gamma_n is G_p of Gamma_{n_p}, n_p the product
+of the primes l | n with p | l - 1, as the other factors of Gamma_n have
+order prime to p.  In mixed-radix coordinates its quotients depend only on p
+and the orders o_i of its cyclic factors <s_i>, so `_Lattices` keeps them on
+gamma(n_p), where every degree and every level with the same n_p share them.
+The embedding of G_p in Gamma_n is kept on gamma(n).
 
-G_p of Gamma_n is G_p of Gamma_{n_p}, n_p the product of the primes l | n
-with p | l - 1, as the other factors of Gamma_n have order prime to p.  In
-mixed-radix (g-1)-coordinates its lattices depend only on p and the orders
-of its cyclic factors, so `_Lattices` keeps them on gamma(n_p): the Hermite
-chain of I(G_p)^j, grown one power at a time, and the Smith data of each
-degree serve every degree and every level with the same n_p.  The embedding
-of G_p in Gamma_n is kept on gamma(n).
+Each I(G_p)^r / I(G_p)^{r+1} is computed in a truncation of Z[G_p], whose
+rank does not depend on |G_p|:
+
+* The monomials x^beta = prod (s_i - 1)^(beta_i), 0 <= beta_i < o_i, are a
+  Z-basis of Z[G_p], since Z[C_o] = Z[x]/((1+x)^o - 1).  The change from
+  group elements is unitriangular: s^a = sum over beta of
+  prod_i C(a_i, beta_i) x^beta, and x^beta = sum over a <= beta of
+  prod_i (-1)^(beta_i - a_i) C(beta_i, a_i) s^a.
+* H_{r+1}, the span of the x^beta with |beta| >= r + 1, lies in I^{r+1},
+  which lies in I^r.  So I^r/I^{r+1} = (I^r/H_{r+1}) / (I^{r+1}/H_{r+1}),
+  two lattices in Z^N, N = #{beta : 1 <= |beta| <= r, beta_i < o_i}: 15
+  for C_2 x C_4 x C_16 at r = 3, where |G_p| - 1 = 127.
+* I(G_p)^j is the sum over |alpha| = j of the tensor products of the
+  I(C_o_i)^alpha_i, because I(C_o)^a = x^a Z[C_o].  For a >= 1, I(C_o)^a has
+  the Z-basis x^a, ..., x^(a+o-2), reduced mod (1+x)^o - 1; `_Lattices.cyclic`
+  keeps its Hermite form.  So I^{r+1}/H_{r+1} is spanned by Kronecker
+  products of the rows of these small bases, and the products whose pivot
+  degrees sum past r vanish.  Its Hermite form runs mod e_p^r, because
+  e_p I(G_p)^r lies in I(G_p)^{r+1} for e_p = exponent(G_p) (see intmat).
+  I^r/H_{r+1} is I^r/H_r, the lattice of the degree below, beside the
+  monomials of degree r, which all lie in I^r.
+* The monomial coordinates of sum over h of x_h (h - 1) are x Mom, with
+  Mom[h, beta] = prod_i C(digit_i(h), beta_i): binomial moments of the
+  mixed-radix digits.
 
 A class is a tuple of the nontrivial Smith coordinates of each Sylow
 component, in order of p, each reduced mod its elementary divisor.
 `_Sylow.smith_coords` is the one place where (g-1)-coordinates become Smith
 coordinates, by one matrix product.  Each degree keeps C = m_r B_r^(-1) mod
-e_p^r, B_r the Hermite basis of I(G_p)^r and m_r = e_p^(r-1) (integral, as
-m_r Z^k lies in I(G_p)^r): x is in I(G_p)^r exactly when x C = 0 mod m_r,
-and x C / m_r are its coordinates over B_r.  Reducing x mod e_p^r first
-changes neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in
-e_p I(G_p)^r, which lies in I(G_p)^{r+1}.  So a vector known only mod m has
-a class when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised when
-it does not.  The least such m, the product of the e_p^r, is
-`AugQuot.precision`: the one source of the theta side's moduli in `darmon`,
-both the target Z/M of its reductions and the congruence on its auxiliary
-primes.  The Smith form itself runs only on the positions S where the
-relation matrix B_{r+1} C / m_r has a pivot other than 1 (`_Lattices.degree`).
+e_p^r, B_r the Hermite basis of I(G_p)^r/H_{r+1} and m_r = e_p^(r-1)
+(integral, as m_r Z^N lies in it): y is in I(G_p)^r exactly when
+y C = 0 mod m_r, and y C / m_r are its coordinates over B_r.  The product
+with Mom is folded into the same matrix.  Reducing x mod e_p^r first changes
+neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in e_p I(G_p)^r,
+which lies in I(G_p)^{r+1}.  So a vector known only mod m has a class when
+e_p^r divides p^(v_p(m)), and `PrecisionError` is raised when it does not.
+The least such m, the product of the e_p^r, is `AugQuot.precision`: the one
+source of the theta side's moduli in `darmon`, both the target Z/M of its
+reductions and the congruence on its auxiliary primes.  The Smith form
+itself runs only on the positions S where the relation matrix
+B_{r+1} C / m_r has a pivot other than 1 (`_Lattices.degree`).
 
 The induced maps on classes are integer matrices, built the first time they
 are used and kept on the quotient they start from (the products on the one
@@ -63,12 +82,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
 from . import nt
-from .intmat import hnf_mod, hnf_solve_mod, matmul_mod, snf_mod
+from .intmat import check_modulus, hnf_exact, hnf_mod, hnf_solve_mod, matmul_mod, snf_mod
 from .nt import ResourceLimitError
 
 PHI_CAP = 1 << 14
@@ -247,73 +266,147 @@ class RingElt:
         return f"RingElt({self.level}, {self.coeffs})"
 
 
-def _apply_gen(coords: np.ndarray, perm: np.ndarray, sig_pos: int) -> np.ndarray:
-    """Multiply elements of I (given in (g-1)-coordinates) by (sigma - 1)."""
-    out = np.zeros_like(coords)
-    valid = perm >= 0
-    out[:, perm[valid]] += coords[:, valid]
-    out -= coords
-    out[:, sig_pos] -= coords.sum(axis=1)
-    return out
-
-
 class _Lattices:
-    """The powers of I(G_p), G_p a product of cyclic p-groups of `orders`,
-    in the coordinates of `UnitGroupMod.sylow`, modulo powers of
-    e_p = max(orders).  Each is built on first use and kept: the Hermite
-    chain one hnf_mod per power, and per degree the map C and the Smith
-    presentation of `degree`."""
+    """I(G_p)^r / I(G_p)^{r+1} for G_p a product of cyclic p-groups of
+    `orders`, computed in the truncations Z[G_p]/H_{r+1} (module docstring).
+
+    Per degree r it keeps the Hermite basis of I^{r+1}/H_{r+1} (`high`) and
+    the data of `degree`; per (order, power, cut) the Hermite basis of the
+    cyclic factor's I(C_o)^a (`cyclic`).  All are built on first use, and
+    the degrees share them.
+    """
 
     def __init__(self, orders: tuple[int, ...]):
         self.orders = orders
         self.ep = max(orders)
-        idx = np.arange(prod(orders))
-        # multiplying by s_j adds 1 to digit j of the index, mod its order:
-        # the coordinate of s_j h - 1 for every h != 1 (-1 where s_j h = 1),
-        # and that of s_j - 1
-        self.perms = []
-        for j, o in enumerate(orders):
-            step = prod(orders[:j])
-            image = idx + np.where(idx // step % o == o - 1, step * (1 - o), step)
-            self.perms.append((image[1:] - 1, step - 1))
-        self.chain = [None, np.eye(len(idx) - 1, dtype=np.int64)]  # chain[j] = I(G_p)^j
+        # mixed-radix digits of the elements other than 1, first digit fastest
+        self.digits = np.array(np.unravel_index(np.arange(1, prod(orders)), orders, order="F"))
+        self.highs: dict[int, np.ndarray] = {}
         self.degrees: dict[int, tuple] = {}
+        self._cyclic: dict[tuple, list[list[int]]] = {}
+        self._monomials: dict[int, np.ndarray] = {}
 
-    def power(self, j: int) -> np.ndarray:
-        """Hermite basis of I(G_p)^j; e_p^(j-1) Z^k lies in it."""
-        while len(self.chain) <= j:
-            i = len(self.chain) - 1
-            rows = np.vstack([_apply_gen(self.chain[i], pm, sp) for pm, sp in self.perms])
-            self.chain.append(hnf_mod(rows, self.ep ** i))
-        return self.chain[j]
+    def cuts(self, r: int) -> list[int]:
+        """The top degree of each factor below H_{r+1}: min(o - 1, r)."""
+        return [min(o - 1, r) for o in self.orders]
+
+    def monomials(self, r: int) -> np.ndarray:
+        """The exponents beta of the monomials with 1 <= |beta| <= r, one per
+        row, ordered by total degree (so those of degree r - 1 come first)."""
+        if r not in self._monomials:
+            betas = [b for b in itertools.product(*[range(c + 1) for c in self.cuts(r)])
+                     if 0 < sum(b) <= r]
+            self._monomials[r] = np.array(sorted(betas, key=lambda b: (sum(b), b)),
+                                          dtype=np.int64).reshape(-1, len(self.orders))
+        return self._monomials[r]
+
+    def cyclic(self, o: int, a: int, R: int) -> list[list[int]]:
+        """Hermite basis of I(C_o)^a (a >= 1) in the monomials x, ..., x^R
+        of Z[C_o] = Z[x]/((1+x)^o - 1), cut below degree R + 1 (R <= o - 1).
+
+        I^a = x I^{a-1}, so x times a basis of I^{a-1} is a basis of I^a:
+        the shift of each row, where x * x^(o-1) = -sum_j C(o, j) x^j.  Cut at
+        R < o - 1, the row x^(o-1) of I^{a-1} is gone, and its image under x
+        is added back; every other row then ends below degree a - 1 <= R.
+        """
+        key = (o, a, R)
+        if key not in self._cyclic:
+            wrap = [-comb(o, j) for j in range(1, R + 1)]
+            if a == 1:
+                rows = [[int(i == j) for j in range(R)] for i in range(R)]
+            else:
+                rows = [wrap] if R < o - 1 else []
+                for row in self.cyclic(o, a - 1, R):
+                    top = row[-1] if R == o - 1 else 0
+                    rows.append([x + top * w for x, w in zip([0] + row[:-1], wrap)])
+                rows = hnf_exact(rows, R)
+            self._cyclic[key] = rows
+        return self._cyclic[key]
+
+    def high(self, r: int) -> np.ndarray:
+        """Hermite basis of I^{r+1}/H_{r+1} on `monomials(r)`; it contains
+        e_p^r Z^N.  With one factor it is the cyclic basis itself."""
+        if r not in self.highs:
+            mod = self.ep ** r
+            check_modulus(mod)
+            cuts = self.cuts(r)
+            if len(cuts) == 1:
+                B = np.array(self.cyclic(self.ep, r + 1, cuts[0]), dtype=np.int64)
+                self.highs[r] = B.reshape(cuts[0], cuts[0])
+            else:
+                cols = np.ravel_multi_index(self.monomials(r).T, [c + 1 for c in cuts])
+                self.highs[r] = hnf_mod(self._products(r, mod)[:, cols], mod)
+        return self.highs[r]
+
+    def _products(self, r: int, mod: int) -> np.ndarray:
+        """Rows spanning I^{r+1} mod H_{r+1} and mod `mod`, on the monomials
+        beta_i <= min(o_i - 1, r) in Kronecker order.
+
+        I^{r+1} is the sum over |alpha| = r + 1 of the tensor products of the
+        I(C_o_i)^alpha_i, so it is spanned by the Kronecker products of one
+        row of the basis of each I(C_o_i)^alpha_i; a product whose pivots
+        (least degrees) sum past r lies in H_{r+1}.
+        """
+        # per factor: the rows of its I^0 = Z[C_o], I^1, ..., I^{r+1} on
+        # degrees 0..R, with the power and the least degree of each row
+        stacks = []
+        for o, R in zip(self.orders, self.cuts(r)):
+            rows = [[int(i == j) for j in range(R + 1)] for i in range(R + 1)]
+            powers, least = [0] * (R + 1), list(range(R + 1))
+            for a in range(1, r + 2):
+                rows += [[0] + [x % mod for x in row] for row in self.cyclic(o, a, R)]
+                powers += [a] * R
+                least += range(1, R + 1)
+            stacks.append((np.array(rows, dtype=np.int64), np.array(powers), np.array(least)))
+        # the choices of one row per factor with powers summing to r + 1 and
+        # least degrees summing to at most r
+        asum, dsum, picks = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), []
+        for i, (_, powers, least) in enumerate(stacks):
+            A, D = (asum[:, None] + powers).ravel(), (dsum[:, None] + least).ravel()
+            ok = (D <= r) & ((A == r + 1) if i == len(stacks) - 1 else (A <= r + 1))
+            parent, own = np.divmod(np.flatnonzero(ok), len(powers))
+            picks = [j[parent] for j in picks] + [own]
+            asum, dsum = A[ok], D[ok]
+        M = stacks[0][0][picks[0]]
+        for (B, _, _), j in zip(stacks[1:], picks[1:]):
+            M = (M[:, :, None] * B[j][:, None, :]).reshape(len(j), -1) % mod
+        return M
 
     def degree(self, r: int) -> tuple:
         """(B_r, CV, invariants, V, lifts) of I^r/I^{r+1}.
 
-        B_r is the Hermite basis of I^r, which contains m_r Z^k for
-        m_r = e_p^(r-1), so C = m_r B_r^(-1) is integral; it is kept mod
-        e_p^r.  Then x lies in I^r exactly when x C = 0 mod m_r, and x C / m_r
-        mod e_p are its coordinates over B_r.  Since e_p^r Z^k lies in
-        I^{r+1}, x may be reduced mod e_p^r first.  CV is C V mod e_p^r after
-        the columns of C that are not 0 mod m_r (the others pass every x, and
-        in degree 1 all do), so that one product x CV gives both the
-        membership test and the Smith coordinates (`_Sylow.smith_coords`).
+        B_r is the Hermite basis of I^r/H_{r+1}: that of I^r/H_r (`high`
+        of r - 1) beside the monomials of degree r, which all lie in I^r.
+        It contains m_r Z^N for m_r = e_p^(r-1), so C = m_r B_r^(-1) is
+        integral; it is kept mod e_p^r.  Then y lies in I^r exactly when
+        y C = 0 mod m_r, and y C / m_r mod e_p are its coordinates over B_r.
+        Since e_p^r Z^N lies in I^{r+1}, y may be reduced mod e_p^r first.
 
         The relations X = B_{r+1} C / m_r (mod e_p, as e_p I^r lies in
         I^{r+1}) are upper triangular with unit diagonal outside a small set
         S.  Back substitution expresses every basis vector through those of
         S (the map T, with T[s] = e_s), so Smith form runs on the |S| x |S|
         block X[S] T alone; V = T V_S, and the lifts are the rows of W_S at
-        the positions S, times B_r.
+        the positions S, times B_r, taken back to group elements.
+
+        The monomial coordinates of the (g-1)-coordinates x are y = x Mom,
+        Mom[h, beta] = prod_i C(digit_i(h), beta_i), and x^beta is
+        sum over a <= beta of prod_i (-1)^(beta_i - a_i) C(beta_i, a_i) s^a.
+        CV is Mom times the columns of C that are not 0 mod m_r (the others
+        pass every y, and in degree 1 all do) and C V, mod e_p^r, so that one
+        product x CV gives both the membership test and the Smith coordinates
+        (`_Sylow.smith_coords`).
         """
         if r not in self.degrees:
-            low, high = self.power(r), self.power(r + 1)
-            ep, k = self.ep, len(low)
-            m_r, mod = ep ** (r - 1), ep ** r
-            C = np.eye(k, dtype=np.int64)  # B_1 = Id
+            ep, betas = self.ep, self.monomials(r)
+            k, m_r, mod = len(betas), ep ** (r - 1), ep ** r
+            low = np.eye(k, dtype=np.int64)
+            C = low.copy()  # B_1 = Id
             if r > 1:
+                prev = self.high(r - 1)
+                low[:len(prev), :len(prev)] = prev
                 C = hnf_solve_mod(low, m_r * C, mod)
-            Z = matmul_mod(high, C, mod)
+            Z = matmul_mod(self.high(r), C, mod)
             if np.any(Z % m_r):
                 raise ValueError("I^{r+1} is not inside I^r")
             X = Z // m_r
@@ -326,10 +419,20 @@ class _Lattices:
             d, V, W = snf_mod(X[S] @ T % ep, ep)
             keep = [i for i, di in enumerate(d) if di > 1]
             V = T @ V[:, keep] % ep
+            mom = np.ones((self.digits.shape[1], k), dtype=np.int64)
+            inv = np.ones((k, self.digits.shape[1]), dtype=np.int64)
+            for o, dig, beta in zip(self.orders, self.digits, betas.T):
+                top = int(beta.max())
+                binom = np.array([[comb(a, b) % mod for b in range(top + 1)] for a in range(o)])
+                sign = np.array([[(1 - 2 * ((b - a) % 2)) * comb(b, a) for a in range(o)]
+                                 for b in range(top + 1)])
+                mom = mom * binom[dig[:, None], beta] % mod
+                inv = inv * sign[beta[:, None], dig]
             # representatives of the kept Smith basis, exact and valid mod
-            # I^{r+1}
-            lifts = W[keep] @ low[S]
-            CV = np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)])
+            # I^{r+1}, in (g-1)-coordinates
+            lifts = W[keep] @ low[S] @ inv
+            CV = matmul_mod(mom, np.hstack([C[:, np.any(C % m_r, axis=0)],
+                                            matmul_mod(C, V, mod)]), mod)
             for a in (low, CV, V, lifts):  # shared by every quotient that reads them
                 a.setflags(write=False)
             self.degrees[r] = low, CV, tuple(d[i] for i in keep), V, lifts

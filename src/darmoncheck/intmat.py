@@ -21,7 +21,7 @@ _INT64_GUARD = 1 << 31  # m*m must stay below 2**63
 INT64_PRODUCT_BOUND = 1 << 63
 
 
-def _check_modulus(m: int) -> None:
+def check_modulus(m: int) -> None:
     if m >= _INT64_GUARD:
         raise ResourceLimitError(f"working modulus {m} too large for int64 path")
 
@@ -45,7 +45,7 @@ def hnf_mod(rows: np.ndarray, m: int) -> np.ndarray:
     k = rows.shape[1]
     if m == 1:
         return np.eye(k, dtype=np.int64)
-    _check_modulus(m)
+    check_modulus(m)
     W = np.asarray(rows, dtype=np.int64) % m
     W = W[np.any(W, axis=1)]
     piv_rows: list[np.ndarray] = []
@@ -81,6 +81,37 @@ def hnf_mod(rows: np.ndarray, m: int) -> np.ndarray:
         # entries right of the pivot may be reduced mod m (m*e_j row op)
         H[:c, c + 1:] %= m
     return H
+
+
+def hnf_exact(rows: list[list[int]], k: int) -> list[list[int]]:
+    """Row Hermite form of the lattice of rank k in Z^k spanned by `rows`.
+
+    Exact, in Python integers, for lattices a few columns wide (the bases of
+    cyclic factors in `groupring`).  Returns k rows, upper triangular with
+    positive pivots, entries above each pivot reduced into [0, pivot): the
+    form `hnf_mod` gives when the lattice contains m Z^k.
+    """
+    out = []
+    for c in range(k):
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            nxt = [p]
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r = [x - q * y for x, y in zip(r, p)]
+                    (nxt if r[c] else rows).append(r)
+            live = nxt
+        (p,) = live
+        out.append(p if p[c] > 0 else [-x for x in p])
+    for c in range(1, k):
+        for i in range(c):
+            q = out[i][c] // out[c][c]
+            if q:
+                out[i] = [x - q * y for x, y in zip(out[i], out[c])]
+    return out
 
 
 def hnf_solve(H, v, as_python: bool = False):
@@ -199,7 +230,7 @@ def snf_mod(rows: np.ndarray, m: int) -> tuple[list[int], np.ndarray, np.ndarray
     if m == 1:
         eye = np.eye(k, dtype=np.int64)
         return [1] * k, eye, eye.copy()
-    _check_modulus(m)
+    check_modulus(m)
     M = np.asarray(rows, dtype=np.int64) % m
     M = M[np.any(M, axis=1)]
     if M.shape[0] == 0:

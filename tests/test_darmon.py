@@ -358,17 +358,27 @@ def test_reduction_hom_modulus(d, n):
 
 
 @pytest.mark.parametrize("d, n", [(10, 39), (7, 87), (29, 35), (13, 138), (29, 70)])
-def test_precision_is_the_least_modulus(d, n):
-    # M = precision / p is still a multiple of the class exponent, so the hom
-    # is accepted, but the theta vector known mod M cannot fix its class
+def test_precision_is_the_least_modulus(d, n, monkeypatch):
+    # M = precision / p is still a multiple of the class exponent, but the
+    # theta vector known mod M cannot fix its class: the hom is refused
+    # before any theta value is computed
+    from darmoncheck import darmon
     from darmoncheck.darmon import ReductionHom, _check_hom_compat
     F = make_field(d)
     quot = aug_quot(n, F.r_of(n))
     assert quot.degree == 2
     h = make_reduction_hom(F, n, find_aux_primes(F, n, 1)[0])
+    _check_hom_compat(quot, h)
+
+    def unreachable(*args):
+        raise AssertionError("theta_values ran on a hom that cannot fix the class")
+
+    monkeypatch.setattr(darmon, "theta_values", unreachable)
     for p in nt.prime_factors(quot.precision):
         weak = ReductionHom(F, n, h.q, h.g, h.zeta, h.sqrt_disc, M=quot.precision // p)
-        _check_hom_compat(quot, weak)
+        assert weak.modulus % quot.class_exponent == 0
+        with pytest.raises(gr.PrecisionError):
+            _check_hom_compat(quot, weak)
         with pytest.raises(gr.PrecisionError):
             theta_class(F, n, weak)
 

@@ -3,7 +3,7 @@
 import itertools
 import random
 from functools import lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -286,22 +286,21 @@ def test_single_orbit_filter():
     assert single_orbit_nonfixed(mp)
 
 
-def _full_rank_reference(n, r):
-    """I_n^r / I_n^{r+1} built directly: lattices of rank phi(n) - 1 mod e^j.
+def _full_rank_chain(mult, elems, gens, e, r):
+    """I^r / I^{r+1} of a finite abelian group built directly: lattices of
+    rank len(elems) in the (g-1)-coordinates of `elems` (the elements other
+    than 1), mod e^j, e the exponent.
 
     Returns the Smith invariants of the quotient and the Hermite bases of I^r
     and I^{r+1}.
     """
-    G = gamma(n)
-    e = G.exponent
-    elems = [g for g in G.elements if g != G.identity]
     pos = {g: i for i, g in enumerate(elems)}
 
     def times_gen_minus_one(B, s):
         # (g - 1)(s - 1) = (gs - 1) - (g - 1) - (s - 1)
         out = -B
         for i, g in enumerate(elems):
-            j = pos.get(G.mult(s, g))
+            j = pos.get(mult(s, g))
             if j is not None:
                 out[:, j] += B[:, i]
         out[:, pos[s]] -= B.sum(axis=1)
@@ -309,13 +308,31 @@ def _full_rank_reference(n, r):
 
     low = np.eye(len(elems), dtype=np.int64)
     for j in range(1, r + 1):
-        high = hnf_mod(np.vstack([times_gen_minus_one(low, s) for s in G.gens.values()]),
-                       e ** j)
+        high = hnf_mod(np.vstack([times_gen_minus_one(low, s) for s in gens]), e ** j)
         if j < r:
             low = high
     X = high if r == 1 else hnf_solve_mod(low, high, e ** (r - 1))
     d, _, _ = snf_mod(X, e)
     return d, low, high
+
+
+def _full_rank_reference(n, r):
+    """I_n^r / I_n^{r+1} built directly: lattices of rank phi(n) - 1 mod e^j."""
+    G = gamma(n)
+    return _full_rank_chain(G.mult, [g for g in G.elements if g != G.identity],
+                            list(G.gens.values()), G.exponent, r)
+
+
+@lru_cache(maxsize=None)
+def _sylow_reference(n, p, r):
+    """The full-rank chain of G_p in the coordinates of its component of
+    aug_quot(n, r): the invariants > 1 and the Hermite bases of I(G_p)^r and
+    I(G_p)^{r+1}."""
+    G = gamma(n)
+    comp = next(c for c in aug_quot(n, r)._components if c.p == p)
+    gens = [comp.elems[prod(comp.orders[:j]) - 1] for j in range(len(comp.orders))]
+    d, low, high = _full_rank_chain(G.mult, list(comp.elems), gens, comp.ep, r)
+    return [x for x in d if x > 1], low, high
 
 
 def _elementary_divisors(invariants):
@@ -394,17 +411,25 @@ def test_induced_maps_match_their_definitions():
                         (n, r, s)
 
 
+class _Calls(list):
+    def __init__(self):
+        super().__init__()
+        self.widths = []
+
+
 @pytest.fixture
 def cold(monkeypatch):
     """Empty gamma and aug_quot caches for one test, and the moduli of the
-    hnf_mod calls that groupring makes meanwhile."""
+    hnf_mod calls that groupring makes meanwhile; `widths` holds their
+    column counts."""
     monkeypatch.setattr(gr, "gamma", lru_cache(maxsize=None)(gr.UnitGroupMod))
     monkeypatch.setattr(gr, "aug_quot", lru_cache(maxsize=None)(gr.AugQuot))
-    moduli = []
+    moduli = _Calls()
     real = gr.hnf_mod
 
     def counting(rows, m):
         moduli.append(m)
+        moduli.widths.append(rows.shape[1])
         return real(rows, m)
 
     monkeypatch.setattr(gr, "hnf_mod", counting)
@@ -412,27 +437,37 @@ def cold(monkeypatch):
 
 
 def test_sylow_coordinates_are_mixed_radix():
-    # the level-independent lattices assume that s_j h sits where adding 1
-    # to digit j of h puts it; check against multiplication in Gamma_n
+    # the level-independent lattices and the binomial moments assume that
+    # the element at mixed-radix index i is prod s_j^(digit_j(i)); check
+    # against multiplication in Gamma_n
     for n in (35, 105, 255, 273, 330, 1155):
         G = gamma(n)
         for p in nt.prime_factors(G.exponent):
             lattices, elems = G.sylow(p)[:2]
             gens = [G.power(g, (l - 1) // p ** nt.valuation(l - 1, p))
                     for l, g in G.gens.items() if nt.valuation(l - 1, p)]
-            assert len(gens) == len(lattices.perms), (n, p)
-            for s, (perm, at) in zip(gens, lattices.perms):
-                assert elems[at] == s, (n, p)
-                for g, i in zip(elems, perm):
-                    assert G.mult(s, g) == (G.identity if i < 0 else elems[i]), (n, p, g)
+            assert len(gens) == len(lattices.orders), (n, p)
+            for g, digits in zip(elems, lattices.digits.T):
+                want = G.identity
+                for s, a in zip(gens, digits):
+                    want = G.mult(want, G.power(s, int(a)))
+                assert g == want, (n, p, g)
 
 
 def test_chain_is_built_once_per_level(cold):
     # Gamma_255 = C_2 x C_4 x C_16 is a 2-group: degrees 1, 2 and 3 need
-    # I^2, I^3 and I^4, one hnf_mod each
+    # I^2/H_2, I^3/H_3 and I^4/H_4, one hnf_mod each (I^r/H_{r+1} is
+    # I^r/H_r beside the monomials of degree r)
     for t in (1, 2, 3):
         gr.aug_quot(255, t)
     assert len(cold) == 3
+
+
+def test_quotient_builds_stay_narrow(cold):
+    # Gamma_255 = C_2 x C_4 x C_16 has 127 elements other than 1, but in
+    # degree 3 the truncation Z[G_2]/H_4 has N_3 = 15 monomials
+    gr.aug_quot(255, 3)
+    assert max(cold.widths) == 15, cold.widths
 
 
 def test_levels_with_the_same_n_p_share_lattices(cold):
@@ -489,17 +524,8 @@ def test_image_index_matches_per_element_images():
                 assert comp.image_index(tc, d).tolist() == want, (d, n, comp.p)
 
 
-def _sylow_reference(lattices, r):
-    """Invariants of I(G_p)^r/I(G_p)^{r+1} from the relation matrix solved
-    over the whole Hermite basis of I(G_p)^r, then Smith form on all of it."""
-    low, high, ep = lattices.power(r), lattices.power(r + 1), lattices.ep
-    X = high if r == 1 else hnf_solve_mod(low, high, ep ** (r - 1))
-    d, _, _ = snf_mod(X, ep)
-    return [x for x in d if x > 1]
-
-
 def test_smith_coords_against_exact_membership():
-    rng = random.Random(16)
+    rng, prng = random.Random(16), random.Random(18)
     cases = [(n, r) for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155, 1173)
              for r in range(1, min(len(nt.prime_factors(n)), 4) + 1)]
     for n, r in cases:
@@ -509,9 +535,9 @@ def test_smith_coords_against_exact_membership():
             assert _elementary_divisors(d) == sorted(q.invariants), (n, r)
         outcomes = set()
         for comp in q._components:
-            lattices = gamma(n).sylow(comp.p)[0]
-            assert list(comp.invariants) == _sylow_reference(lattices, r), (n, r, comp.p)
-            low, high, k = comp.basis, lattices.power(r + 1), len(comp.elems)
+            invariants, low, high = _sylow_reference(n, comp.p, r)
+            assert list(comp.invariants) == invariants, (n, r, comp.p)
+            k = len(comp.elems)
             inv = np.array(comp.invariants)
             low_py, high_py = low.tolist(), high.tolist()
 
@@ -535,7 +561,32 @@ def test_smith_coords_against_exact_membership():
                 if r >= 2:
                     e0 = np.eye(1, k, dtype=np.int64)[0]  # s_1 - 1 is not in I^2
                     assert comp.smith_coords(e0) is None, (n, r, comp.p)
+            for _ in range(6):
+                # x = c (g_1 - 1) ... (g_r - 1) + y, y in I^{r+1}
+                x = np.eye(1, k, prng.randrange(k), dtype=np.int64)
+                for _ in range(r - 1):
+                    x = comp.products(x, np.eye(1, k, prng.randrange(k), dtype=np.int64))
+                x = prng.choice([1, 2, comp.p, comp.ep]) * x[0] + rand(high)
+                zero = not (comp.smith_coords(x) % inv).any()
+                assert zero == (hnf_solve(high_py, x, as_python=True) is not None), (n, r)
+                outcomes.add(zero)
         assert outcomes == {True, False}, (n, r)
+
+
+def test_cyclic_bases_are_hermite_forms():
+    # the basis of I(C_o)^a over the monomials x, ..., x^(o-1), against the
+    # full-rank chain of C_o = Z/o taken to monomials (s^i - 1 =
+    # sum_b C(i, b) x^b) and put in Hermite form; cut at R, the rows and
+    # columns up to R
+    for o in (2, 3, 4, 5, 8, 9, 16, 25):
+        lattices = gr._Lattices((o,))
+        mom = np.array([[comb(i, b) for b in range(1, o)] for i in range(1, o)])
+        for a in range(1, 9 if o <= 5 else 6):  # o = 4 needs a >= 6 to see the sign of x^o
+            _, low, _ = _full_rank_chain(lambda x, y: (x + y) % o, list(range(1, o)), [1], o, a)
+            want = hnf_mod(low @ mom, o ** (a - 1)).tolist()
+            assert lattices.cyclic(o, a, o - 1) == want, (o, a)
+            for R in range(max(a - 1, 1), o - 1):
+                assert lattices.cyclic(o, a, R) == [row[:R] for row in want[:R]], (o, a, R)
 
 
 def test_class_of_sum_modulus_must_fix_the_class():
