@@ -132,11 +132,12 @@ def cmd_theta(args) -> int:
     _check_level(F, args.level)
     a = cyclo.alpha(F, args.level)
     fingerprint = hashlib.sha256(repr((a.m, a.num, a.den)).encode()).hexdigest()[:16]
+    th = cyclo.theta_prime(F, args.level)
     images = []
     for q in darmon.find_aux_primes(F, args.level, args.primes,
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
-        cls = darmon.theta_class(F, args.level, h)
+        cls = darmon.theta_class(th, h)
         images.append({"q": q, "modulus": h.modulus, "class": list(cls.coords)})
     _emit({
         "field": F.d,
@@ -155,13 +156,14 @@ def cmd_beta(args) -> int:
     _check_level(F, args.level)
     n_plus = F.n_plus(args.level)
     cls = darmon.beta_class_at(F, args.level)
+    th = cyclo.theta_prime(F, n_plus)
     values = []
     for q in darmon.find_aux_primes(F, args.level, args.primes,
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         hh = darmon._hom_at_level(F, n_plus, h)
         values.append({"q": q, "modulus": hh.modulus,
-                       "value": darmon.beta_value(F, n_plus, hh)})
+                       "value": darmon.beta_value(th, hh)})
     _emit({
         "field": F.d,
         "level": args.level,
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     aux_flags = argparse.ArgumentParser(add_help=False)
     aux_flags.add_argument("--primes", type=_positive, default=5,
                            help="number of auxiliary primes")
-    aux_flags.add_argument("--bound", type=int, default=10 ** 9,
+    aux_flags.add_argument("--bound", type=_positive, default=10 ** 9,
                            help="search bound for auxiliary primes")
     with_aux = [field_flags, level_flags, aux_flags]
 

@@ -10,10 +10,13 @@ point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
+import numpy as np
+
 from . import nt
+from .groupring import gamma
 from .nt import ResourceLimitError
 from .quadfield import QuadField, QuadNum
 
@@ -280,6 +283,19 @@ def alpha_exponents(F: QuadField, n: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(plus), tuple(minus)
 
 
+def twist_exponents(F: QuadField, n: int, cs) -> tuple[np.ndarray, int]:
+    """The exponents of the c-twists of alpha_n, one row per c in cs.
+
+    Row i holds c_i a mod nf for the exponents a of `alpha_exponents`, plus
+    first; the second value is the number of plus exponents.  At a prime q,
+    a twist's residues are zeta_nf to the powers in its row, minus 1.
+    """
+    plus, minus = alpha_exponents(F, n)
+    exps = np.array(plus + minus, dtype=np.int64)
+    at = np.multiply.outer(np.asarray(cs, dtype=np.int64), exps) % (n * F.conductor)
+    return at, len(plus)
+
+
 @lru_cache(maxsize=None)
 def _alpha_cached(d: int, n: int) -> CycloNum:
     F = QuadField(d)
@@ -323,6 +339,15 @@ class ThetaElt:
             return [1] * len(gs)
         inv = pow(n, -1, f)
         return [g % n + n * ((1 - g % n) * inv % f) for g in gs]
+
+    @cached_property
+    def twist_table(self) -> tuple[np.ndarray, int]:
+        """`twist_exponents` at the twist residues of Gamma_n, one row per
+        element in the order of `gamma(n).elements`.  It does not depend on
+        the auxiliary prime, so a check builds it once and every reduction
+        of this theta element reads it."""
+        return twist_exponents(self.F, self.level,
+                               self.twist_residues(gamma(self.level).elements))
 
 
 def theta_prime(F: QuadField, n: int) -> ThetaElt:

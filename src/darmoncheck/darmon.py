@@ -16,13 +16,16 @@ auxiliary primes are the q = 1 mod lcm(nf, M) (`_required_congruence`).  In
 degree 0, where I^0/I^1 = Z, M = q-1.  Each reduction projects the residues
 a level needs (zeta^a - 1, the units' values) into the subgroup of order M
 of (Z/q)^* and solves their discrete logs there in one batched baby-step
-giant-step.  The class of the reduced theta element is one matrix product
-of its vector, known mod M, per Sylow component (`AugQuot.class_of_sum`).
+giant-step.  A check builds the exponent table of the twists gamma(alpha_n)
+once, on its `cyclo.ThetaElt`; each auxiliary prime then makes one array
+pass over it, from the powers of zeta to the discrete logs and the signed
+row sums.  The class of the reduced theta element is one matrix product of
+its vector, known mod M, per Sylow component (`AugQuot.class_of_sum`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
@@ -128,7 +131,6 @@ class ReductionHom:
     zeta: int           # fixed image of the nf-th root of unity
     sqrt_disc: int      # image of sqrt(D)
     M: int | None = None  # the target Z/M, q-1 when None
-    _dlog_cache: dict = field(default_factory=dict)  # residue -> log mod M
 
     def __post_init__(self):
         if self.M is None:
@@ -141,29 +143,25 @@ class ReductionHom:
         return self.M
 
     def dlog(self, x: int) -> int:
-        return self.dlogs([x])[0]
+        return int(self.dlogs([x])[0])
 
-    def dlogs(self, xs) -> list[int]:
-        """Discrete logs mod M of the residues xs, the uncached ones in one batch.
+    def dlogs(self, xs) -> np.ndarray:
+        """Discrete logs mod M of the residues xs (a sequence or a
+        one-dimensional array), in one batch.
 
         x^((q-1)/M) lies in the subgroup of order M, generated by
-        g^((q-1)/M), and its log there is the log of x mod M.
+        g^((q-1)/M), and its log there is the log of x mod M.  It is 0 mod q
+        only when x is, which no log can be.
         """
         q = self.q
-        xs = [x % q for x in xs]
-        if 0 in xs:
+        k = (q - 1) // self.M
+        xs = nt.pow_vec(xs, k, q)
+        if not xs.all():
             raise BadAuxiliaryPrime(f"zero value mod {q}")
-        cache = self._dlog_cache
-        todo = [x for x in dict.fromkeys(xs) if x not in cache]
-        if todo:
-            k = (q - 1) // self.M
-            try:
-                logs = nt.discrete_logs(nt.pow_vec(todo, k, q).tolist(),
-                                        pow(self.g, k, q), q, self.M)
-            except ValueError:
-                raise RuntimeError("discrete log failed") from None
-            cache.update(zip(todo, logs))
-        return [cache[x] for x in xs]
+        try:
+            return nt.discrete_logs(xs, pow(self.g, k, q), q, self.M)
+        except ValueError:
+            raise RuntimeError("discrete log failed") from None
 
     def zeta_power(self, k: int) -> int:
         return pow(self.zeta, k % (self.level * self.F.conductor), self.q)
@@ -180,32 +178,28 @@ class ReductionHom:
 
     def values(self, payloads) -> list[int]:
         """h of every payload (a QuadNum), with one batched discrete log."""
-        return self.dlogs([self.eval_quad(x) for x in payloads])
+        return self.dlogs([self.eval_quad(x) for x in payloads]).tolist()
 
     def alpha_value(self, m: int, c: int) -> int:
         """h of the c-twist of the level-m cyclotomic unit."""
-        return self.alpha_values(m, [c])[0]
+        return int(self.alpha_values(m, cyclo.twist_exponents(self.F, m, [c]))[0])
 
-    def alpha_values(self, m: int, cs) -> list[int]:
-        """h of the c-twist of the level-m cyclotomic unit, for every c in cs.
+    def alpha_values(self, m: int, table: tuple[np.ndarray, int]) -> np.ndarray:
+        """h of the twists of the level-m cyclotomic unit whose exponents are
+        the rows of table (`cyclo.twist_exponents`, built once per check).
 
-        The residues zeta^(a c) - 1 of all the twists are read off one table
-        of the powers of zeta_mf, at a c mod mf, and go to one batched
-        discrete log.
+        One array pass per prime: the residues zeta_mf^(a c) - 1 of all the
+        twists are read off one table of the powers of zeta_mf and go to one
+        batched discrete log; each twist's value is the signed sum of its row.
         """
+        at, k_plus = table
         F = self.F
         mf = m * F.conductor
         z = self.zeta_power(self.level * F.conductor // mf)  # image of zeta_mf
-        dtype = nt.int_dtype(self.q)
-        zpow = nt._powers(z, mf, self.q, dtype)
-        plus, minus = cyclo.alpha_exponents(F, m)
-        exps = np.array(plus + minus, dtype=np.int64)
-        at = np.multiply.outer(np.array(cs, dtype=np.int64), exps) % mf
-        logs = np.array(self.dlogs((zpow[at] - 1).ravel().tolist()), dtype=dtype)
-        logs = logs.reshape(at.shape)
-        k_plus = len(plus)
+        zpow = nt._powers(z, mf, self.q, nt.int_dtype(self.q))
+        logs = self.dlogs((zpow[at] - 1).ravel()).reshape(at.shape)
         out = logs[:, :k_plus].sum(axis=1) - logs[:, k_plus:].sum(axis=1)
-        return (out % self.M).tolist()
+        return out % self.M
 
 
 def _required_congruence(F: QuadField, n: int) -> int:
@@ -308,25 +302,31 @@ def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
 # the theta side (reduced through homomorphisms)
 
 
-def theta_values(F: QuadField, n: int, h: ReductionHom) -> dict[int, int]:
-    """h(gamma(alpha_n)) for every gamma in Gamma_n."""
-    th = cyclo.theta_prime(F, n)
-    G = gamma(n)
-    return dict(zip(G.elements, h.alpha_values(n, th.twist_residues(G.elements))))
+def theta_values(th: cyclo.ThetaElt, h: ReductionHom) -> dict[int, int]:
+    """h(gamma(alpha_n)) for every gamma in Gamma_n, n = th.level.
 
-
-def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
-    """The class of the reduced theta element in Z/M (x) I^r/I^{r+1}.
-
-    The theta vector is known mod M = h.modulus, and `AugQuot.class_of_sum`
-    reads its class from that when the precision of the quotient divides M,
-    as it does for the homs of `make_reduction_hom`.  A weaker M raises
-    PrecisionError before any theta value is computed.
+    The twists' exponent table is `th.twist_table`, built once per check;
+    each prime makes one array pass over it (`ReductionHom.alpha_values`).
     """
-    r = F.r_of(n)
-    quot = aug_quot(n, r)
+    return dict(zip(gamma(th.level).elements,
+                    h.alpha_values(th.level, th.twist_table).tolist()))
+
+
+def theta_class(th: cyclo.ThetaElt, h: ReductionHom) -> AugClass:
+    """The class of the reduced theta element th in Z/M (x) I^r/I^{r+1}.
+
+    A check makes th once (`cyclo.theta_prime`) and reduces it at each of
+    its auxiliary primes: the exponent table of the twists is kept on th,
+    and each prime costs one array pass (`theta_values`).  The theta vector
+    is known mod M = h.modulus, and `AugQuot.class_of_sum` reads its class
+    from that when the precision of the quotient divides M, as it does for
+    the homs of `make_reduction_hom`.  A weaker M raises PrecisionError
+    before any theta value is computed.
+    """
+    r = th.r
+    quot = aug_quot(th.level, r)
     _check_hom_compat(quot, h)
-    vals = theta_values(F, n, h)
+    vals = theta_values(th, h)
     M = h.modulus
     if r == 0:
         return AugClass(quot, (sum(vals.values()) % M,))
@@ -341,10 +341,10 @@ def theta_class(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     return cls
 
 
-def beta_value(F: QuadField, n_plus: int, h: ReductionHom) -> int:
-    """h applied to the Kolyvagin derivative D_{n+} alpha_{n+}."""
+def beta_value(th: cyclo.ThetaElt, h: ReductionHom) -> int:
+    """h applied to the Kolyvagin derivative D_{n+} alpha_{n+}, n+ = th.level."""
+    n_plus = th.level
     G = gamma(n_plus)
-    th = cyclo.theta_prime(F, n_plus)
     M = h.modulus
     weights = [1] * len(G.elements)
     for p in G.primes:
@@ -352,11 +352,12 @@ def beta_value(F: QuadField, n_plus: int, h: ReductionHom) -> int:
             weights = [0 if g % 2 == 0 else w for g, w in zip(G.elements, weights)]
             continue
         logs = nt.discrete_logs([g % p for g in G.elements], nt.primitive_root(p),
-                                p, p - 1)
+                                p, p - 1).tolist()
         weights = [w * i % M for w, i in zip(weights, logs)]
-    support = [(g, w) for g, w in zip(G.elements, weights) if w]
-    vals = h.alpha_values(n_plus, th.twist_residues([g for g, _ in support]))
-    return sum(w * v for (_, w), v in zip(support, vals)) % M
+    live = [i for i, w in enumerate(weights) if w]
+    at, k_plus = th.twist_table
+    vals = h.alpha_values(n_plus, (at[live], k_plus)).tolist()
+    return sum(weights[i] * v for i, v in zip(live, vals)) % M
 
 
 def beta_class_at(F: QuadField, n: int) -> AugClass:
@@ -372,10 +373,10 @@ def beta_class_at(F: QuadField, n: int) -> AugClass:
 
 def derived_class(F: QuadField, n: int):
     """The derivative class as (value under homs, class side) functions."""
-    n_plus = F.n_plus(n)
+    th = cyclo.theta_prime(F, F.n_plus(n))
 
     def value(h: ReductionHom) -> int:
-        return beta_value(F, n_plus, h)
+        return beta_value(th, h)
 
     return value, beta_class_at(F, n)
 
@@ -437,13 +438,14 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     hn = qf.h_n(F, n)
     quot = aug_quot(n, r)
     reg = regulator(F, n).scale(hn * (2 ** s) * (-1 if wrong_sign else 1))
+    theta = cyclo.theta_prime(F, n)
     results = []
     vacuous = r >= 1 and _group_odd_trivial(quot)
     qs = find_aux_primes(F, n, num_primes, bound)
     for q in qs:
         try:
             h = make_reduction_hom(F, n, q)
-            th = theta_class(F, n, h)
+            th = theta_class(theta, h)
             red = tensor_reduce(reg, h)
             if r == 0:
                 # residual in Z/(q-1); kill the 2-part of the group
@@ -495,13 +497,14 @@ def prop94_residual(F: QuadField, n: int, h: ReductionHom) -> AugClass:
     total = quot.zero()
     for dd in nt.divisors(F.n_plus(n)):
         m = n // dd
-        th_m = theta_class(F, m, _hom_at_level(F, m, h))
+        th_m = theta_class(cyclo.theta_prime(F, m), _hom_at_level(F, m, h))
         cls = gr.embed_class(th_m, n)
         for p in nt.prime_factors(dd):
             cls = gr.mult_classes(cls, gr.frob_class(n, n // dd, p))
         total = total + cls
-    bval, bcls = beta_value(F, F.n_plus(n), _hom_at_level(F, F.n_plus(n), h)), beta_class_at(F, n)
-    rhs = (2 ** F.s_of(n) * bval) * bcls
+    n_plus = F.n_plus(n)
+    bval = beta_value(cyclo.theta_prime(F, n_plus), _hom_at_level(F, n_plus, h))
+    rhs = (2 ** F.s_of(n) * bval) * beta_class_at(F, n)
     return total - rhs
 
 
@@ -510,7 +513,7 @@ def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
     if (h.q - 1) % (m * F.conductor):
         raise ValueError("hom not compatible with the level")
     zeta_m = pow(h.zeta, (h.level * F.conductor) // (m * F.conductor), h.q)
-    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h.M, h._dlog_cache)
+    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h.M)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +524,7 @@ def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
     """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
     place = F.place_above(ell)
     us = [qf.unit_residue(x, place) for x in xs]
-    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1)
+    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1).tolist()
 
 
 @dataclass
@@ -605,10 +608,11 @@ def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
     m = n // ell
     homs = _reduction_homs(F, n, num_primes, bound)
     fr_cls = -1 * gr.frob_class(n, m, ell)
+    theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
     ok = exact
     for h in homs:
-        lhs = gr.pi_d(theta_class(F, n, h), m)
-        th_m = theta_class(F, m, _hom_at_level(F, m, h))
+        lhs = gr.pi_d(theta_class(theta_n, h), m)
+        th_m = theta_class(theta_m, _hom_at_level(F, m, h))
         rhs = gr.mult_classes(gr.embed_class(th_m, n), fr_cls)
         if lhs != rhs:
             ok = False
@@ -622,9 +626,10 @@ def theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int = 3,
         raise ValueError("axiom (v) needs an inert prime dividing the level")
     m = n // ell
     plus = tuple(F.split_primes(n))
+    theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
     for h in _reduction_homs(F, n, num_primes, bound):
-        lhs = gr.proj_new(theta_class(F, n, h), plus)
-        th_m = theta_class(F, m, _hom_at_level(F, m, h))
+        lhs = gr.proj_new(theta_class(theta_n, h), plus)
+        th_m = theta_class(theta_m, _hom_at_level(F, m, h))
         rhs = 2 * gr.embed_class(gr.proj_new(th_m, plus), n)
         if lhs != rhs:
             return False, "reductions"

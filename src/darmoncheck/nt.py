@@ -198,20 +198,22 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
+def discrete_logs(hs, g: int, p: int, order: int) -> np.ndarray:
     """Solve g^x = h mod p, 0 <= x < order, for every h in hs in one batch.
 
     One baby-step giant-step serves the whole batch: a sorted table of about
     sqrt(order * len(hs)) baby steps g^j, then giant steps h * g^(-m i)
     taken for every unresolved query together, a block of steps at a time.
     Each x is the least solution.  The arithmetic is int64 while p*p fits in
-    it, and Python integers (object arrays) above that.  Raises ValueError
-    when some h is not a power of g.
+    it, and Python integers (object arrays) above that.  hs is a sequence
+    or a one-dimensional array (see `_residues`), and the logs come back as
+    an array of that dtype.  Raises ValueError when some h is not a power
+    of g.
     """
-    hs = [h % p for h in hs]
-    if not hs:
-        return []
     dtype = int_dtype(p)
+    hs = _residues(hs, p)
+    if not len(hs):
+        return hs
     m = min(order, isqrt(order * len(hs)) + 1)
     # sort keys g^j * m + j: equal powers keep the least j first
     keys = _powers(g, m, p, dtype)
@@ -223,7 +225,7 @@ def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
     block = min(giants, max(1, _GIANT_BLOCK // len(hs)))
     steps = _powers(pow(g, -m, p), block, p, dtype)
     stride = pow(g, -m * block, p)
-    cur = np.array(hs, dtype=dtype)
+    cur = hs
     pending = np.arange(len(hs))
     out = np.zeros(len(hs), dtype=dtype)
     for i0 in range(0, giants, block):
@@ -248,14 +250,14 @@ def discrete_logs(hs, g: int, p: int, order: int) -> list[int]:
         found[row] = True
         cur, pending = cur[~found], pending[~found]
         if not len(pending):
-            return out.tolist()
+            return out
         cur = cur * stride % p
     raise ValueError("discrete log not found (h not in <g>?)")
 
 
 def discrete_log(h: int, g: int, p: int, order: int) -> int:
     """Solve g^x = h mod p for 0 <= x < order (a batch of one)."""
-    return discrete_logs([h], g, p, order)[0]
+    return int(discrete_logs([h], g, p, order)[0])
 
 
 def int_dtype(p: int):
@@ -264,12 +266,21 @@ def int_dtype(p: int):
     return np.int64 if p * p < _INT64_LIMIT else object
 
 
-def pow_vec(xs, e: int, p: int) -> np.ndarray:
-    """x^e mod p for every x in xs (e >= 0), by one square-and-multiply
-    over the whole array."""
+def _residues(xs, p: int) -> np.ndarray:
+    """xs mod p as an array of `int_dtype(p)`.  An array is reduced by
+    numpy alone; any other sequence one Python integer at a time, since
+    numpy could read a mix of large and negative integers as floats."""
     dtype = int_dtype(p)
-    base = np.array([x % p for x in xs], dtype=dtype)
-    out = np.ones(len(base), dtype=dtype)
+    if isinstance(xs, np.ndarray):
+        return (xs % p).astype(dtype, copy=False)
+    return np.array([x % p for x in xs], dtype=dtype)
+
+
+def pow_vec(xs, e: int, p: int) -> np.ndarray:
+    """x^e mod p for every x in xs (a sequence or an array, see `_residues`;
+    e >= 0), by one square-and-multiply over the whole array."""
+    base = _residues(xs, p)
+    out = np.ones(len(base), dtype=base.dtype)
     while e:
         if e & 1:
             out = out * base % p

@@ -62,6 +62,16 @@ def test_verify_honours_bound():
         assert code == EXIT_RESOURCE, command
 
 
+def test_nonpositive_bound_is_a_usage_error(capsys):
+    # no auxiliary prime lies below a bound < 1: the flag is wrong, not the
+    # search
+    for command in ("verify", "theta", "beta"):
+        for bound in ("-5", "0"):
+            code, out = run([command, "--disc", "5", "--level", "11", "--bound", bound])
+            assert code == EXIT_USAGE and out is None, (command, bound)
+    assert "resource limit" not in capsys.readouterr().err
+
+
 def test_axiom_honours_bound():
     code, _ = run(["verify", "--disc", "5", "--level", "11", "--axiom", "ii",
                    "--system", "theta", "--ell", "11", "--bound", "20"])

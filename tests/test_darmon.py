@@ -1,7 +1,7 @@
 """Both sides of the congruence, reductions, and the axiom verifiers."""
 
 import random
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -67,8 +67,9 @@ def test_two_generators_same_verdicts():
         if gcd(a, 5) == 1:
             sd += F5.omega(a) * pow(zf, a, q)
     h2 = ReductionHom(F5, 11, q, g2, zeta2, sd % q)
-    t1 = theta_class(F5, 11, h1)
-    t2 = theta_class(F5, 11, h2)
+    th = cyclo.theta_prime(F5, 11)
+    t1 = theta_class(th, h1)
+    t2 = theta_class(th, h2)
     r1 = tensor_reduce(regulator(F5, 11), h1)
     r2 = tensor_reduce(regulator(F5, 11), h2)
     assert (t1 + r1).is_zero() == (t2 + r2).is_zero()
@@ -139,7 +140,7 @@ def test_reduction_hom_zero_residue():
         h.dlogs([1, 2, q])
     with pytest.raises(nt.BadAuxiliaryPrime):
         h.dlog(0)
-    assert h.dlogs([1, h.g, q + 1]) == [0, 1, 0]
+    assert h.dlogs([1, h.g, q + 1]).tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("d, n", [(5, 11), (13, 21), (10, 39), (7, 87)])
@@ -160,14 +161,78 @@ def test_theta_values_match_scalar_reference(d, n):
             x = nt.discrete_log(pow(h.zeta, a * c, q) - 1, h.g, q, q - 1)
             tot += F.omega(a) * x
         expect[g] = tot % h.modulus
-    assert theta_values(F, n, h) == expect
+    assert theta_values(th, h) == expect
+
+
+def _subgroup_log_theta_values(th, h):
+    # h(gamma(alpha_n)) one residue at a time: the scalar log of
+    # (zeta^(a c) - 1)^((q-1)/M) to the base g^((q-1)/M), in Z/M
+    F, n, q, M = th.F, th.level, h.q, h.modulus
+    k = (q - 1) // M
+    plus, minus = cyclo.alpha_exponents(F, n)
+    out = {}
+    for g in gamma(n).elements:
+        c = th.twist_residue(g)
+        tot = 0
+        for sign, exps in ((1, plus), (-1, minus)):
+            for a in exps:
+                x = pow(pow(h.zeta, a * c, q) - 1, k, q)
+                tot += sign * nt.discrete_log(x, pow(h.g, k, q), q, M)
+        out[g] = tot % M
+    return out
+
+
+def _prime_above_int64_guard(F, n):
+    # the least auxiliary prime for (F, n) with q * q >= 2**63
+    L = _required_congruence(F, n)
+    q = (isqrt(1 << 63) // L + 1) * L + 1
+    while not nt.is_prime(q):
+        q += L
+    return q
+
+
+@pytest.mark.parametrize("d, n, big", [(5, 1, False), (5, 11, False), (5, 209, False),
+                                       (73, 114, False), (5, 11, True), (5, 209, True)])
+def test_theta_values_array_path_matches_scalar_logs(d, n, big):
+    # r = 0, 1, 2 and 3; above the int64 guard the array path runs on
+    # Python integers
+    F = make_field(d)
+    q = _prime_above_int64_guard(F, n) if big else find_aux_primes(F, n, 1)[0]
+    assert (q * q >= 1 << 63) == big
+    h = make_reduction_hom(F, n, q)
+    th = cyclo.theta_prime(F, n)
+    assert th.r == {1: 0, 11: 1, 209: 2, 114: 3}[n]
+    assert theta_values(th, h) == _subgroup_log_theta_values(th, h)
+
+
+def test_one_exponent_table_per_check(monkeypatch):
+    # the twists' exponent table is built once per theta element, not once
+    # per auxiliary prime
+    from darmoncheck import darmon
+    calls = []
+    counted = cyclo.alpha_exponents
+
+    def counting(F, n):
+        calls.append(n)
+        return counted(F, n)
+
+    monkeypatch.setattr(cyclo, "alpha_exponents", counting)
+    cyclo._alpha_cached.cache_clear()
+    verify_darmon(F5, 209, num_primes=5)
+    assert calls == [209]
+    calls.clear()
+    cyclo._alpha_cached.cache_clear()
+    # alpha_33 and alpha_3 in the exact norm relation, then one table for
+    # each of the two levels, whatever the number of primes
+    assert darmon.theta_axiom_ii(F5, 33, 11)[0]
+    assert sorted(calls) == [3, 3, 33, 33]
 
 
 def test_theta_class_closed_form_rank_one():
     # at a split prime level: sum_a sigma^a(alpha) (x) (sigma^a - 1)
     q = find_aux_primes(F5, 11, 1)[0]
     h = make_reduction_hom(F5, 11, q)
-    th = theta_class(F5, 11, h)
+    th = theta_class(cyclo.theta_prime(F5, 11), h)
     G = gamma(11)
     quot = aug_quot(11, 1)
     thp = cyclo.theta_prime(F5, 11)
@@ -182,14 +247,14 @@ def test_theta_class_closed_form_rank_one():
     # at level 2 in a field where 2 splits, Gamma_2 and hence I_2 are trivial
     F17 = make_field(17)
     h2 = make_reduction_hom(F17, 2, find_aux_primes(F17, 2, 1)[0])
-    assert theta_class(F17, 2, h2) == aug_quot(2, 1).zero()
+    assert theta_class(cyclo.theta_prime(F17, 2), h2) == aug_quot(2, 1).zero()
 
 
 def test_theta_class_inert_closed_form():
     # theta~'_33 = 2 sum_a sigma^a(alpha_11) (x) (sigma^a-1) - alpha_1^2 (x) (Fr_3 - 1)
     q = find_aux_primes(F5, 33, 1)[0]
     h = make_reduction_hom(F5, 33, q)
-    th = theta_class(F5, 33, h)
+    th = theta_class(cyclo.theta_prime(F5, 33), h)
     G = gamma(33)
     quot = aug_quot(33, 1)
     h11 = _hom_at_level(F5, 11, h)
@@ -380,7 +445,7 @@ def test_precision_is_the_least_modulus(d, n, monkeypatch):
         with pytest.raises(gr.PrecisionError):
             _check_hom_compat(quot, weak)
         with pytest.raises(gr.PrecisionError):
-            theta_class(F, n, weak)
+            theta_class(cyclo.theta_prime(F, n), weak)
 
 
 @pytest.mark.parametrize("d, n", [(5, 11), (5, 33), (10, 39), (7, 87), (29, 35)])
@@ -393,15 +458,16 @@ def test_restricted_hom_matches_full(d, n):
     assert r in (1, 2)
     reg = regulator(F, n).scale(h_n(F, n) * 2 ** F.s_of(n))
     n_plus = F.n_plus(n)
+    th, th_plus = cyclo.theta_prime(F, n), cyclo.theta_prime(F, n_plus)
     bcls = beta_class_at(F, n)
     for q in find_aux_primes(F, n, 2):
         h = make_reduction_hom(F, n, q)
         full = ReductionHom(F, n, q, h.g, h.zeta, h.sqrt_disc, M=q - 1)
         assert h.modulus < full.modulus == q - 1
-        assert theta_class(F, n, h) == theta_class(F, n, full)
+        assert theta_class(th, h) == theta_class(th, full)
         assert tensor_reduce(reg, h) == tensor_reduce(reg, full)
-        assert (beta_value(F, n_plus, _hom_at_level(F, n_plus, h)) * bcls
-                == beta_value(F, n_plus, _hom_at_level(F, n_plus, full)) * bcls)
+        assert (beta_value(th_plus, _hom_at_level(F, n_plus, h)) * bcls
+                == beta_value(th_plus, _hom_at_level(F, n_plus, full)) * bcls)
         assert prop94_residual(F, n, h) == prop94_residual(F, n, full)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from darmoncheck import nt
@@ -101,19 +102,37 @@ def test_discrete_logs_batch():
     # every nonzero residue in one batch: the least exponent, checked by pow
     for p in (2, 3, 5, 11, 101, 3301, 65537):
         g = nt.primitive_root(p)
-        logs = nt.discrete_logs(range(1, p), g, p, p - 1)
+        logs = nt.discrete_logs(range(1, p), g, p, p - 1).tolist()
         assert all(pow(g, x, p) == h for h, x in zip(range(1, p), logs)), p
         assert all(0 <= x < p - 1 for x in logs)
         assert [nt.discrete_log(h, g, p, p - 1) for h in range(1, p, 97)] == logs[::97]
-    assert nt.discrete_logs([], 2, 11, 10) == []
+    assert nt.discrete_logs([], 2, 11, 10).tolist() == []
     # repeated queries and an element of a proper subgroup (order 5 mod 11)
-    assert nt.discrete_logs([3, 4, 3, 1], 4, 11, 5) == [4, 1, 4, 0]
+    assert nt.discrete_logs([3, 4, 3, 1], 4, 11, 5).tolist() == [4, 1, 4, 0]
     # with a multiple of the order the least solution still comes back
-    assert nt.discrete_logs([3, 5, 1], 4, 11, 10) == [4, 2, 0]
+    assert nt.discrete_logs([3, 5, 1], 4, 11, 10).tolist() == [4, 2, 0]
     with pytest.raises(ValueError):
         nt.discrete_logs([1, 0], 2, 11, 10)
     with pytest.raises(ValueError):
         nt.discrete_logs([2], 4, 11, 5)  # 2 is not a power of 4
+    # arrays, int64 or of Python integers, give the logs of the same list;
+    # at p = 4294967311 the arithmetic runs on Python integers
+    big = 4294967311
+    g10 = pow(nt.primitive_root(big), (big - 1) // 10, big)
+    for hs, g, p, order in (([3, 4, 3, 1], 4, 11, 5),
+                            ([5, 3300, 1, 17, 3306], nt.primitive_root(3301), 3301, 3300),
+                            ([g10, 1, pow(g10, 7, big) + big], g10, big, 10)):
+        expect = nt.discrete_logs(hs, g, p, order).tolist()
+        for dtype in (np.int64, object):
+            logs = nt.discrete_logs(np.array(hs, dtype=dtype), g, p, order)
+            assert logs.dtype == nt.int_dtype(p) and logs.tolist() == expect, (p, dtype)
+    assert expect == [1, 0, 7]
+    for dtype in (np.int64, object):
+        assert nt.discrete_logs(np.array([], dtype=dtype), 2, 11, 10).tolist() == []
+        with pytest.raises(ValueError):
+            nt.discrete_logs(np.array([1, 0], dtype=dtype), 2, 11, 10)
+        with pytest.raises(ValueError):
+            nt.discrete_logs(np.array([2], dtype=dtype), 4, 11, 5)
 
 
 def test_pow_vec_matches_pow():
@@ -122,8 +141,14 @@ def test_pow_vec_matches_pow():
     for p in (11, 65537, 3037000493, 4294967311):
         xs = [rng.randrange(-2 * p, 2 * p) for _ in range(40)] + [0, 1, p - 1]
         for e in (0, 1, 2, 5, (p - 1) // 2, p - 2, rng.randrange(1, p)):
-            assert nt.pow_vec(xs, e, p).tolist() == [pow(x, e, p) for x in xs], (p, e)
+            expect = [pow(x, e, p) for x in xs]
+            assert nt.pow_vec(xs, e, p).tolist() == expect, (p, e)
+            # the same xs as an int64 array and as an array of Python integers
+            assert nt.pow_vec(np.array(xs, dtype=object), e, p).tolist() == expect, (p, e)
+            assert nt.pow_vec(np.array(xs, dtype=np.int64), e, p).tolist() == expect, (p, e)
     assert nt.pow_vec([], 3, 11).tolist() == []
+    for dtype in (np.int64, object):
+        assert nt.pow_vec(np.array([], dtype=dtype), 3, 11).tolist() == []
 
 
 def test_discrete_logs_above_int64_guard():
@@ -134,7 +159,7 @@ def test_discrete_logs_above_int64_guard():
     rng = random.Random(5)
     xs = [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(5)]
     hs = [pow(g, x, p) for x in xs]
-    assert nt.discrete_logs(hs, g, p, p - 1) == xs
+    assert nt.discrete_logs(hs, g, p, p - 1).tolist() == xs
 
 
 def test_euler_phi_and_squarefree():
