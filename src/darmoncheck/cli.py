@@ -138,7 +138,7 @@ def cmd_theta(args) -> int:
                                     bound=args.bound):
         h = darmon.make_reduction_hom(F, args.level, q)
         cls = darmon.theta_class(th, h)
-        images.append({"q": q, "modulus": h.modulus, "class": list(cls.coords)})
+        images.append({"q": q, "modulus": h.modulus, "class": cls.rows[0].tolist()})
     _emit({
         "field": F.d,
         "level": args.level,

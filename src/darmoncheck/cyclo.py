@@ -269,16 +269,15 @@ def alpha_exponents(F: QuadField, n: int) -> tuple[tuple[int, ...], tuple[int, .
     is the quadratic character of a.  These are the residues 1 + n j, j < f,
     that are prime to f (n is prime to f), in increasing order.
     """
-    f = F.conductor
+    f, chi = F.conductor, F.chi
     if n > 1 and gcd(n, f) != 1:
         raise ValueError("level must be coprime to the conductor")
     plus, minus = [], []
     for a in range(1, n * f, n):
-        if gcd(a, f) != 1:
-            continue
-        if F.omega(a) == 1:
+        w = chi[a % f]
+        if w == 1:
             plus.append(a)
-        else:
+        elif w == -1:
             minus.append(a)
     return tuple(plus), tuple(minus)
 
@@ -410,10 +409,8 @@ def sqrt_disc(F: QuadField, m: int) -> CycloNum:
         raise ValueError("conductor must divide the modulus")
     t = m // f
     vec = [0] * m
-    for a in range(f):
-        w = F.omega(a) if gcd(a, f) == 1 else 0
-        if w:
-            vec[a * t % m] += w
+    for a, w in enumerate(F.chi):
+        vec[a * t] = w
     return CycloNum.from_vec(m, vec)
 
 

@@ -47,13 +47,14 @@ e_p^r, B_r the Hermite basis of I(G_p)^r/H_{r+1} and m_r = e_p^(r-1)
 y C = 0 mod m_r, and y C / m_r are its coordinates over B_r.  The product
 with Mom is folded into the same matrix.  Reducing x mod e_p^r first changes
 neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in e_p I(G_p)^r,
-which lies in I(G_p)^{r+1}.  So a vector known only mod m has a class when
-e_p^r divides p^(v_p(m)), and `PrecisionError` is raised when it does not.
-The least such m, the product of the e_p^r, is `AugQuot.precision`: the one
-source of the theta side's moduli in `darmon`, both the target Z/M of its
-reductions and the congruence on its auxiliary primes.  The Smith form
-itself runs only on the positions S where the relation matrix
-B_{r+1} C / m_r has a pivot other than 1 (`_Lattices.degree`).
+which lies in I(G_p)^{r+1}.  So a vector known only mod m has a class in
+component p when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised
+when p | m and it does not; for p not dividing m the component of
+Z/m (x) I^r/I^{r+1} is zero.  The least m that fixes every component, the
+product of the e_p^r, is `AugQuot.precision`; the theta side in `darmon`
+takes its odd part.  The Smith form itself runs only on the positions S
+where the relation matrix B_{r+1} C / m_r has a pivot other than 1
+(`_Lattices.degree`).
 
 The induced maps on classes are integer matrices, built the first time they
 are used and kept on the quotient they start from (the products on the one
@@ -580,12 +581,17 @@ class AugQuot:
         """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
 
         Each component takes the image under g -> g^(a_p).  The coefficients
-        are exact integers, or known only mod m, which must fix the class:
-        e_p^r divides p^(v_p(m)) for every component (PrecisionError if
-        not).  None when the element is not in I^r.
+        are exact integers, or known only mod m: then the result is the class
+        in Z/m (x) I^r/I^{r+1}.  A component with p not dividing m is zero
+        there and is not read; one with p | m must be fixed by the vector,
+        e_p^r dividing p^(v_p(m)) (PrecisionError if not).  None when the
+        element is not in I^r.
         """
         y = []
         for comp in self._components:
+            if m is not None and m % comp.p:
+                y.extend([0] * len(comp.invariants))
+                continue
             x = np.zeros(len(comp.elems), dtype=np.int64)
             for g, c in coeffs.items():
                 i = comp.proj[g]
@@ -989,8 +995,8 @@ class ClassTensor:
         return [AugClass(self.quot, tuple(row)) for row in self.rows.tolist()]
 
     def __add__(self, other: ClassTensor) -> ClassTensor:
-        if other.quot is not self.quot:
-            raise ValueError("elements belong to different quotients")
+        if other.quot is not self.quot or other.moduli != self.moduli:
+            raise ValueError("elements belong to different groups")
         return self._with(self.quot, self.rows + other.rows)
 
     def __sub__(self, other: ClassTensor) -> ClassTensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 from . import nt
@@ -161,6 +161,11 @@ class QuadField:
     def omega(self, ell: int) -> int:
         """+1 if ell splits, -1 if inert, 0 if ramified."""
         return nt.kronecker(self.disc, ell)
+
+    @cached_property
+    def chi(self) -> tuple[int, ...]:
+        """(D/a) for each residue a mod f, 0 where gcd(a, f) > 1."""
+        return tuple(nt.kronecker(self.disc, a) for a in range(self.conductor))
 
     def place_above(self, ell: int) -> PrimePlace:
         """The distinguished prime above a split ell (smaller root of d)."""

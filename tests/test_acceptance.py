@@ -9,9 +9,8 @@ import pytest
 
 from darmoncheck import cyclo, groupring as gr, kolysys as ks, nt
 from darmoncheck import quadfield as qf
-from darmoncheck.darmon import (find_aux_primes, make_reduction_hom,
-                                prop94_residual, theta_class, verify_base_case,
-                                verify_darmon, verify_preks_axiom)
+from darmoncheck.darmon import (prop94_residual, verify_base_case, verify_darmon,
+                                verify_preks_axiom)
 from darmoncheck.groupring import (AugClass, aug_quot, d_det, derangements,
                                    embed_class, gamma, in_new_component,
                                    monomial_class, perm_pi, perm_sign, pi_d,
@@ -256,14 +255,14 @@ def test_criterion_7_concrete_axioms():
             f"reported unsupported)")
 
 
-def test_criterion_8_derivative_identity():
+def test_criterion_8_derivative_identity(full_homs):
     t0 = time.time()
     F = make_field(5)
     checked = 0
     for n in (11, 33):
-        for q in find_aux_primes(F, n, 3):
-            h = make_reduction_hom(F, n, q)
-            assert prop94_residual(F, n, h).is_zero(), (n, q)
+        # into all of Z/(q - 1): every Sylow component, 2 included
+        for h in full_homs(F, n, 3):
+            assert prop94_residual(F, n, h).is_zero(), (n, h.q)
             checked += 1
     dt = time.time() - t0
     _report(8, checked >= 6 and dt < 60, dt,

@@ -49,6 +49,21 @@ def test_verify_rank_three_even_level():
     assert code == EXIT_PASS and out["verdict"] == "pass" and out["r"] == 3
 
 
+def test_verify_rank_three_level_past_the_two_part():
+    # q = 1 mod the odd modulus L = 13,408,494 exists below the default bound
+    code, out = run(["verify", "--disc", "73", "--level", "138"])
+    assert code == EXIT_PASS and out["verdict"] == "pass" and out["r"] == 3
+
+
+def test_verify_resource_limit_at_large_odd_modulus(capsys):
+    # the odd L is 1.9e11 and 7.9e8 here: no auxiliary prime, or too few,
+    # below the default bound 10^9
+    for disc, level in (("5", "6061"), ("2", "2737")):
+        code, out = run(["verify", "--disc", disc, "--level", level])
+        assert code == EXIT_RESOURCE and out is None, level
+        assert "resource limit" in capsys.readouterr().err, level
+
+
 def test_verify_even_level_where_two_splits():
     # 2 splits in Q(sqrt(17)); the form of the prime above 2 used to fail
     code, out = run(["verify", "--disc", "17", "--level", "26"])
@@ -164,18 +179,20 @@ def test_theta_and_beta_commands():
     assert code == EXIT_PASS and len(out["reductions"]) == 5
     code, out = run(["beta", "--disc", "5", "--level", "11", "--primes", "5"])
     assert code == EXIT_PASS and len(out["values"]) == 5
-    # each reduction names its target Z/M: at r = 1 the precision of
-    # I_11/I_11^2, e_2 * e_5 = 10, and beta lies in it
+    # each reduction names its target Z/M: at r = 1 the odd part of the
+    # precision of I_11/I_11^2, e_2 * e_5 = 10, and beta lies in it
+    assert gr.aug_quot(11, 1).precision == 10
     for v in out["values"]:
         M = v["modulus"]
-        assert M == gr.aug_quot(11, 1).precision == 10
+        assert M == 5
         assert 0 <= v["value"] < M
     code, out = run(["theta", "--disc", "5", "--level", "11", "--primes", "2"])
-    assert all(x["modulus"] < x["q"] - 1 for x in out["reductions"])
-    # at r = 0 the target is all of Z/(q - 1)
+    assert all(x["modulus"] == 5 for x in out["reductions"])
+    # at r = 0 the target is the odd part of Z/(q - 1)
     code, out = run(["theta", "--disc", "5", "--level", "3", "--primes", "2"])
     assert code == EXIT_PASS and out["r"] == 0
-    assert [x["modulus"] for x in out["reductions"]] == [x["q"] - 1 for x in out["reductions"]]
+    assert [x["modulus"] for x in out["reductions"]] == [
+        (x["q"] - 1) >> nt.valuation(x["q"] - 1, 2) for x in out["reductions"]]
 
 
 def test_axioms_synthetic():

@@ -1,10 +1,7 @@
 """Exact cyclotomic arithmetic and the twisted units."""
 
-import importlib.util
 import random
-import sys
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -180,13 +177,8 @@ def test_alpha_unit_support():
                 assert fac[0] in (5, 11, 3)
 
 
-def test_twist_residues_are_the_crt_lifts(monkeypatch):
+def test_twist_residues_are_the_crt_lifts(workloads):
     # the closed form agrees with nt.crt at every level of the benchmark sweep
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
     for _, pairs in workloads.SWEEP_STRATA:
         for d, n in pairs:
             th = theta_prime(make_field(d), n)

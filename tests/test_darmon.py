@@ -7,7 +7,7 @@ import pytest
 
 from darmoncheck import cyclo, groupring as gr, nt
 from darmoncheck import quadfield as qf
-from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_class_at, beta_value,
+from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_value,
                                 bordered_regulator, derived_class,
                                 find_aux_primes, make_reduction_hom,
                                 prop94_residual, regulator,
@@ -66,7 +66,7 @@ def test_two_generators_same_verdicts():
     for a in range(1, 6):
         if gcd(a, 5) == 1:
             sd += F5.omega(a) * pow(zf, a, q)
-    h2 = ReductionHom(F5, 11, q, g2, zeta2, sd % q)
+    h2 = ReductionHom(F5, 11, q, g2, zeta2, sd % q, h1.modulus)
     th = cyclo.theta_prime(F5, 11)
     t1 = theta_class(th, h1)
     t2 = theta_class(th, h2)
@@ -228,11 +228,11 @@ def test_one_exponent_table_per_check(monkeypatch):
     assert sorted(calls) == [3, 3, 33, 33]
 
 
-def test_theta_class_closed_form_rank_one():
-    # at a split prime level: sum_a sigma^a(alpha) (x) (sigma^a - 1)
-    q = find_aux_primes(F5, 11, 1)[0]
-    h = make_reduction_hom(F5, 11, q)
-    th = theta_class(cyclo.theta_prime(F5, 11), h)
+def test_theta_class_closed_form_rank_one(full_homs):
+    # at a split prime level: sum_a sigma^a(alpha) (x) (sigma^a - 1), in
+    # every Sylow component
+    (h,) = full_homs(F5, 11, 1)
+    th = theta_class(cyclo.theta_prime(F5, 11), h).parts[0]
     G = gamma(11)
     quot = aug_quot(11, 1)
     thp = cyclo.theta_prime(F5, 11)
@@ -246,15 +246,14 @@ def test_theta_class_closed_form_rank_one():
     assert acc == th
     # at level 2 in a field where 2 splits, Gamma_2 and hence I_2 are trivial
     F17 = make_field(17)
-    h2 = make_reduction_hom(F17, 2, find_aux_primes(F17, 2, 1)[0])
-    assert theta_class(cyclo.theta_prime(F17, 2), h2) == aug_quot(2, 1).zero()
+    (h2,) = full_homs(F17, 2, 1)
+    assert theta_class(cyclo.theta_prime(F17, 2), h2).parts == [aug_quot(2, 1).zero()]
 
 
-def test_theta_class_inert_closed_form():
+def test_theta_class_inert_closed_form(full_homs):
     # theta~'_33 = 2 sum_a sigma^a(alpha_11) (x) (sigma^a-1) - alpha_1^2 (x) (Fr_3 - 1)
-    q = find_aux_primes(F5, 33, 1)[0]
-    h = make_reduction_hom(F5, 33, q)
-    th = theta_class(cyclo.theta_prime(F5, 33), h)
+    (h,) = full_homs(F5, 33, 1)
+    th = theta_class(cyclo.theta_prime(F5, 33), h).parts[0]
     G = gamma(33)
     quot = aug_quot(33, 1)
     h11 = _hom_at_level(F5, 11, h)
@@ -319,10 +318,10 @@ def test_bad_prime_keeps_its_reason(monkeypatch):
         f"Gauss sum check failed at q={p.q}" for p in rep.primes]
 
 
-def test_prop94_levels():
+def test_prop94_levels(full_homs):
+    # in every Sylow component, 2 included
     for n in (11, 33):
-        for q in find_aux_primes(F5, n, 3):
-            h = make_reduction_hom(F5, n, q)
+        for h in full_homs(F5, n, 3):
             assert prop94_residual(F5, n, h).is_zero()
 
 
@@ -401,32 +400,39 @@ def test_indstep_ii_identity():
     assert lhs == total
 
 
+def _odd(m):
+    return m >> nt.valuation(m, 2)
+
+
 @pytest.mark.parametrize("d, n", [(5, 1), (5, 3), (5, 11), (10, 39), (5, 181),
                                   (7, 87), (29, 35), (13, 138)])
 def test_reduction_hom_modulus(d, n):
-    # M | q - 1, every elementary divisor of the quotient divides M, and the
-    # free degree-0 quotient keeps all of Z/(q - 1); in degree r >= 1 M is
-    # the precision of the quotient, and L = lcm(nf, precision)
+    # M | q - 1 is odd, every odd elementary divisor of the quotient divides
+    # M, and the free degree-0 quotient keeps the odd part of Z/(q - 1); in
+    # degree r >= 1 M is the odd part of the precision of the quotient, and
+    # L = lcm(nf, M)
     F = make_field(d)
     r = F.r_of(n)
-    precision = aug_quot(n, r).precision
-    assert _required_congruence(F, n) == lcm(n * F.conductor, precision)
+    quot = aug_quot(n, r)
+    odd = _odd(quot.precision)
+    assert _required_congruence(F, n) == lcm(n * F.conductor, odd)
     for q in find_aux_primes(F, n, 2):
         M = make_reduction_hom(F, n, q).modulus
-        assert (q - 1) % M == 0
-        assert M % aug_quot(n, r).class_exponent == 0
+        assert (q - 1) % M == 0 and M % 2 == 1
+        assert M % _odd(quot.class_exponent) == 0
         if r == 0:
-            assert M == q - 1
+            assert M == _odd(q - 1)
         else:
-            assert M == precision
+            assert M == odd
             assert all(gamma(n).exponent % p == 0 for p in nt.prime_factors(M))
 
 
 @pytest.mark.parametrize("d, n", [(10, 39), (7, 87), (29, 35), (13, 138), (29, 70)])
 def test_precision_is_the_least_modulus(d, n, monkeypatch):
-    # M = precision / p is still a multiple of the class exponent, but the
-    # theta vector known mod M cannot fix its class: the hom is refused
-    # before any theta value is computed
+    # the odd part M of the precision, divided by an odd p, is still a
+    # multiple of the odd part of the class exponent, but the theta vector
+    # known mod M / p cannot fix its class: the hom is refused before any
+    # theta value is computed
     from darmoncheck import darmon
     from darmoncheck.darmon import ReductionHom, _check_hom_compat
     F = make_field(d)
@@ -439,9 +445,10 @@ def test_precision_is_the_least_modulus(d, n, monkeypatch):
         raise AssertionError("theta_values ran on a hom that cannot fix the class")
 
     monkeypatch.setattr(darmon, "theta_values", unreachable)
-    for p in nt.prime_factors(quot.precision):
-        weak = ReductionHom(F, n, h.q, h.g, h.zeta, h.sqrt_disc, M=quot.precision // p)
-        assert weak.modulus % quot.class_exponent == 0
+    assert h.modulus == _odd(quot.precision) > 1
+    for p in nt.prime_factors(h.modulus):
+        weak = ReductionHom(F, n, h.q, h.g, h.zeta, h.sqrt_disc, h.modulus // p)
+        assert weak.modulus % _odd(quot.class_exponent) == 0
         with pytest.raises(gr.PrecisionError):
             _check_hom_compat(quot, weak)
         with pytest.raises(gr.PrecisionError):
@@ -449,26 +456,31 @@ def test_precision_is_the_least_modulus(d, n, monkeypatch):
 
 
 @pytest.mark.parametrize("d, n", [(5, 11), (5, 33), (10, 39), (7, 87), (29, 35)])
-def test_restricted_hom_matches_full(d, n):
+def test_restricted_hom_matches_full(d, n, full_homs):
     # the hom into Z/M and the one into all of Z/(q - 1), from the same q and
-    # g, give the same classes on both sides of the congruence
-    from darmoncheck.darmon import ReductionHom
+    # g, give the same classes on both sides of the congruence once the one
+    # in Z/(q - 1) (x) I^r/I^{r+1} is reduced to Z/M; and the derivative
+    # identity holds in every Sylow component
     F = make_field(d)
     r = F.r_of(n)
     assert r in (1, 2)
     reg = regulator(F, n).scale(h_n(F, n) * 2 ** F.s_of(n))
     n_plus = F.n_plus(n)
     th, th_plus = cyclo.theta_prime(F, n), cyclo.theta_prime(F, n_plus)
-    bcls = beta_class_at(F, n)
-    for q in find_aux_primes(F, n, 2):
-        h = make_reduction_hom(F, n, q)
-        full = ReductionHom(F, n, q, h.g, h.zeta, h.sqrt_disc, M=q - 1)
-        assert h.modulus < full.modulus == q - 1
-        assert theta_class(th, h) == theta_class(th, full)
-        assert tensor_reduce(reg, h) == tensor_reduce(reg, full)
-        assert (beta_value(th_plus, _hom_at_level(F, n_plus, h)) * bcls
-                == beta_value(th_plus, _hom_at_level(F, n_plus, full)) * bcls)
-        assert prop94_residual(F, n, h) == prop94_residual(F, n, full)
+    for full in full_homs(F, n, 2):
+        h = make_reduction_hom(F, n, full.q)
+        M = h.modulus
+        assert M < full.modulus == full.q - 1
+
+        def restricted(x):
+            return gr.ClassTensor(x.quot, (M,), x.rows)
+
+        assert theta_class(th, h) == restricted(theta_class(th, full))
+        assert tensor_reduce(reg, h) == restricted(tensor_reduce(reg, full))
+        assert (beta_value(th_plus, _hom_at_level(F, n_plus, h))
+                == beta_value(th_plus, _hom_at_level(F, n_plus, full)) % M)
+        assert prop94_residual(F, n, h) == restricted(prop94_residual(F, n, full))
+        assert prop94_residual(F, n, full).is_zero()
 
 
 def test_required_congruence_monotone():
@@ -489,11 +501,13 @@ def test_tensor_elt_normalisation():
 
 
 def test_vacuous_detection():
-    # a level whose new component is 2-torsion only: gcd(l-1) a power of 2
-    # use the quotient oddness helper directly
-    from darmoncheck.darmon import _group_odd_trivial
-    assert _group_odd_trivial(aug_quot(3, 1))  # Z/2
-    assert not _group_odd_trivial(aug_quot(11, 1))
+    # a level whose quotient has no odd part: in degree r >= 1 the target
+    # Z/M of the theta side is Z/1
+    from darmoncheck.darmon import _theta_modulus
+    assert _theta_modulus(aug_quot(3, 1)) == 1  # Z/2
+    assert _theta_modulus(aug_quot(11, 1)) == 5
+    assert _theta_modulus(aug_quot(3, 0)) == 1
+    assert _theta_modulus(aug_quot(3, 0), 13) == 3
     # even levels where 2 splits and the odd part of the quotient is trivial
     for d, n in ((17, 2), (41, 6), (41, 10)):
         assert verify_darmon(make_field(d), n).verdict == "vacuous", (d, n)
@@ -568,22 +582,22 @@ def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
 
 
 @pytest.mark.parametrize("d, n, wrong_zero", [
-    (13, 138, [False, True, False, False, False]),
-    (29, 70, [False, False, True, True, False]),
+    (13, 138, [False, False, False, True, False]),
+    (29, 70, [False, True, False, True, False]),
     *((d, n, None) for d, n in ((10, 39), (7, 57), (7, 87), (29, 35), (34, 33),
                                 (14, 55), (10, 93), (2, 119), (7, 93), (15, 77),
                                 (13, 69)))])
 def test_rank_two_verdicts_under_the_precision_rule(d, n, wrong_zero):
-    # the r = 2 inputs of the congruence sweep: theta known mod M fixes every
-    # component's class (e_p^r divides p^(v_p(M))), and the verdicts and the
-    # zero pattern of the residuals are those of the solve over the whole
-    # Hermite basis at the same primes
+    # the r = 2 inputs of the congruence sweep: theta known mod the odd M
+    # fixes every odd component's class (e_p^r divides p^(v_p(M))), and the
+    # verdicts and the zero pattern of the residuals are those of the solve
+    # over the whole Hermite basis at the same primes
     F = make_field(d)
     assert F.r_of(n) == 2
     for q in find_aux_primes(F, n, 5):
         M = make_reduction_hom(F, n, q).modulus
         for comp in aug_quot(n, 2)._components:
-            assert M % comp.ep ** 2 == 0, (q, comp.p)
+            assert M % comp.ep ** 2 == 0 if comp.p > 2 else M % 2, (q, comp.p)
     right = verify_darmon(F, n)
     assert right.verdict == "pass"
     assert all(not any(p.residual) for p in right.primes)
@@ -595,11 +609,37 @@ def test_rank_two_verdicts_under_the_precision_rule(d, n, wrong_zero):
 
 @pytest.mark.parametrize("d, n", [(73, 114), (89, 110)])
 def test_rank_three_even_levels_reach_a_verdict(d, n):
-    # q = 1 mod lcm(nf, precision) leaves enough primes below 10^9 at these
-    # r = 3 levels, where 2 splits
+    # q = 1 mod lcm(nf, M) leaves enough primes below 10^9 at these r = 3
+    # levels, where 2 splits
     F = make_field(d)
     assert F.r_of(n) == 3
     right = verify_darmon(F, n)
     assert right.verdict == "pass"
     assert all(not any(p.residual) for p in right.primes)
     assert verify_darmon(F, n, wrong_sign=True).verdict == "fail"
+
+
+@pytest.mark.parametrize("d, n, L", [(73, 138, 13_408_494), (97, 186, 20_297_250),
+                                     (13, 1173, 20_296_419)])
+def test_odd_modulus_reaches_a_verdict(d, n, L):
+    # with the 2-part of the precision, L = 53.6M, 81.2M and 8.3e10 left
+    # fewer than five primes q = 1 mod L below 10^9 at these r = 3 levels
+    F = make_field(d)
+    assert F.r_of(n) == 3 and _required_congruence(F, n) == L
+    right = verify_darmon(F, n)
+    assert right.verdict == "pass"
+    assert all(not any(p.residual) for p in right.primes)
+    assert verify_darmon(F, n, wrong_sign=True).verdict == "fail"
+
+
+def test_sweep_verdicts(workloads):
+    # every input of the benchmark's congruence sweep: the right sign passes
+    # and the wrong sign fails, unless the quotient has no odd part, which
+    # makes both vacuous
+    for _, pairs in workloads.SWEEP_STRATA:
+        for d, n in pairs:
+            F = make_field(d)
+            right = verify_darmon(F, n).verdict
+            wrong = verify_darmon(F, n, wrong_sign=True).verdict
+            assert right in ("pass", "vacuous") and wrong in ("fail", "vacuous"), (d, n)
+            assert (right == "vacuous") == (wrong == "vacuous"), (d, n)

@@ -591,14 +591,18 @@ def test_cyclic_bases_are_hermite_forms():
 
 def test_class_of_sum_modulus_must_fix_the_class():
     # Gamma_105 = C_2 x C_4 x C_6: e_2 = 4 and e_3 = 3, so in degree 2 a
-    # vector known mod m has a class when 16 * 9 divides m
+    # vector known mod m has a class when 16 * 9 divides m; when only one
+    # of 2 and 3 divides m, the class in Z/m (x) I^2/I^3 is that component
     q = aug_quot(105, 2)
     G = q.gamma
-    v = RingElt.gen_minus_one(105, G.gens[5]) * RingElt.gen_minus_one(105, G.gens[7])
+    s7 = RingElt.gen_minus_one(105, G.gens[7])
+    v = (RingElt.gen_minus_one(105, G.gens[5]) + s7) * s7  # both components nonzero
     exact = q.class_of(v)
-    for m in (144, 144 * 5, 144 * 16 * 27):
-        assert q.class_of_sum({g: c % m for g, c in v.coeffs.items()}, m) == exact, m
-    for m in (12, 48, 72, 80):
+    for m in (144, 144 * 5, 144 * 16 * 27, 80, 9 * 7):
+        want = gr.ClassTensor(q, (m,), [exact.coords]).parts[0]
+        assert q.class_of_sum({g: c % m for g, c in v.coeffs.items()}, m) == want, m
+        assert (want == exact) == (m % 144 == 0)
+    for m in (12, 48, 72, 3 * 5):
         with pytest.raises(gr.PrecisionError):
             q.class_of_sum(v.coeffs, m)
 

@@ -4,7 +4,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import darmoncheck
@@ -63,15 +62,9 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
-def test_every_cache_is_cleared_by_the_benchmark(monkeypatch):
+def test_every_cache_is_cleared_by_the_benchmark(workloads):
     # the benchmark times each operation cold by clearing MODULE_CACHES; a
     # cache it does not know would carry work from one operation to the next
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
     cleared = {id(c) for c in workloads.MODULE_CACHES}
     found, missing = [], []
     for path in sorted(Path(darmoncheck.__file__).parent.glob("*.py")):
