@@ -52,15 +52,14 @@ def test_reduction_hom_zeta_order():
     assert nt.multiplicative_order(h.zeta, q) == 55
 
 
-def test_two_generators_same_verdicts():
-    # homs built from different primitive roots agree on verdicts
-    q = find_aux_primes(F5, 11, 1)[0]
-    h1 = make_reduction_hom(F5, 11, q)
+def _residual_zero_under_two_generators(h1):
+    # the residual's verdict under h1 and under the hom into the same Z/M
+    # built from the next primitive root mod q
+    q = h1.q
     g2 = next(g for g in range(h1.g + 1, q)
               if nt.multiplicative_order(g, q) == q - 1)
     from darmoncheck.darmon import ReductionHom
     zeta2 = pow(g2, (q - 1) // 55, q)
-    from math import gcd, lcm
     sd = 0
     zf = pow(zeta2, 11, q)
     for a in range(1, 6):
@@ -72,7 +71,23 @@ def test_two_generators_same_verdicts():
     t2 = theta_class(th, h2)
     r1 = tensor_reduce(regulator(F5, 11), h1)
     r2 = tensor_reduce(regulator(F5, 11), h2)
-    assert (t1 + r1).is_zero() == (t2 + r2).is_zero()
+    return (t1 + r1).is_zero(), (t2 + r2).is_zero()
+
+
+def test_two_generators_same_verdicts(full_homs):
+    # homs into all of Z/(q - 1), 2-component included, built from different
+    # primitive roots agree on verdicts
+    (h1,) = full_homs(F5, 11, 1)
+    assert h1.modulus == h1.q - 1
+    z1, z2 = _residual_zero_under_two_generators(h1)
+    assert z1 == z2
+
+
+def test_two_generators_same_verdicts_odd():
+    # the same on the odd modulus of make_reduction_hom
+    h1 = make_reduction_hom(F5, 11, find_aux_primes(F5, 11, 1)[0])
+    z1, z2 = _residual_zero_under_two_generators(h1)
+    assert z1 == z2
 
 
 def test_regulator_shapes():
