@@ -114,7 +114,7 @@ def cmd_regulator(args) -> int:
     for payload, cls in reg.terms.values():
         terms.append({
             "unit": {"a": str(payload.a), "b": str(payload.b)},
-            "class": list(cls.coords),
+            "class": cls.rows[0].tolist(),
         })
     _emit({
         "field": F.d,
@@ -168,7 +168,7 @@ def cmd_beta(args) -> int:
         "field": F.d,
         "level": args.level,
         "n_plus": n_plus,
-        "class": list(cls.coords),
+        "class": cls.rows[0].tolist(),
         "values": values,
     })
     return EXIT_PASS

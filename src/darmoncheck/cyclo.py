@@ -254,10 +254,6 @@ def _one(m: int):
     return tuple(v)
 
 
-def galois_act(c: int, x: CycloNum) -> CycloNum:
-    return x.galois(c)
-
-
 # ---------------------------------------------------------------------------
 # the twisted cyclotomic unit alpha_n and its theta element
 

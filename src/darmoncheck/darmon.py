@@ -12,16 +12,19 @@ M | q-1.  The paper proves the congruence for every odd prime p, so M is odd
 (`_theta_modulus`): in degree r >= 1 the odd part of `AugQuot.precision`,
 the product over the Sylow components of e_p^r, and in degree 0, where
 I^0/I^1 = Z, the odd part of q-1.  Both sides land in the one-row
-`ClassTensor` Z/M (x) I^r/I^{r+1}, the odd part of Z/(q-1) (x) I^r/I^{r+1}.
-The auxiliary primes are the q = 1 mod lcm(nf, M) (`_required_congruence`),
-one sequence for every odd p.  Each reduction projects the residues a level
-needs (zeta^a - 1, the units' values) into the subgroup of order M of
-(Z/q)^* and solves their discrete logs there in one batched baby-step
-giant-step.  A check builds the exponent table of the twists gamma(alpha_n)
-once, on its `cyclo.ThetaElt`; each auxiliary prime then makes one array
-pass over it, from the powers of zeta to the discrete logs and the signed
-row sums.  The class of the reduced theta element is one matrix product of
-its vector, known mod M, per odd Sylow component (`AugQuot.class_of_sum`).
+`ClassTensor` Z/M (x) I^r/I^{r+1}, the odd part of Z/(q-1) (x) I^r/I^{r+1};
+every single class here, such as the derivative class, is a one-row
+`ClassTensor` too.  The auxiliary primes are the q = 1 mod lcm(nf, M)
+(`_required_congruence`), one sequence for every odd p; in degree 0 a q
+with M = 1 checks nothing and is skipped.  Each reduction projects the
+residues a level needs (zeta^a - 1, the units' values) into the subgroup of
+order M of (Z/q)^* and solves their discrete logs there in one batched
+baby-step giant-step.  A check builds the exponent table of the twists
+gamma(alpha_n) once, on its `cyclo.ThetaElt`; each auxiliary prime then
+makes one array pass over it, from the powers of zeta to the discrete logs
+and the signed row sums.  The class of the reduced theta element is one matrix product of
+its vector, known mod M, per odd Sylow component: `AugQuot.class_of_sum`
+gives it as the one-row tensor with moduli (M,).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import cyclo, groupring as gr, kolysys, nt, quadfield as qf
-from .groupring import AugClass, ClassTensor, RingElt, aug_quot, gamma
+from .groupring import ClassTensor, aug_quot, gamma
 from .localsym import del_lift
 from .nt import BadAuxiliaryPrime, ResourceLimitError
 from .quadfield import QuadField, QuadNum
@@ -53,9 +56,11 @@ class TensorElt(ClassTensor):
 
     An element of A (x) I_n^r/I_n^{r+1} with A free on the payloads: one
     free row of class coordinates per payload, so the induced maps are those
-    of `ClassTensor`.  Payloads are QuadNum values, merged by key, and
-    inverses are normalised onto the class side: x^{-1} (x) v = x (x) -v,
-    so every payload but -1 has |x| > 1.
+    of `ClassTensor`.  terms are (payload, class) pairs, each class a
+    one-row `ClassTensor` at quot whose row is added to its payload's.
+    Payloads are QuadNum values, merged by key, and inverses are normalised
+    onto the class side: x^{-1} (x) v = x (x) -v, so every payload but -1
+    has |x| > 1.
     """
 
     __slots__ = ("payloads",)
@@ -64,7 +69,7 @@ class TensorElt(ClassTensor):
     def __init__(self, quot, terms=None):
         payloads, rows, index = [], [], {}
         for x, c in terms or []:
-            if c.parent is not quot:
+            if c.quot is not quot:
                 raise ValueError("class belongs to a different quotient")
             if isinstance(x, QuadNum):
                 if x == 1:
@@ -72,13 +77,12 @@ class TensorElt(ClassTensor):
                 if x.abs_cmp_one() < 0:
                     x, c = QuadNum(x.d, 1) / x, -c
             key = _payload_key(x)
-            if key not in index:
+            if key in index:
+                rows[index[key]] = rows[index[key]] + c.rows[0]
+            else:
                 index[key] = len(payloads)
                 payloads.append(x)
-                rows.append([0] * len(quot.invariants))
-            row = rows[index[key]]
-            for i, y in enumerate(c.coords):
-                row[i] += y
+                rows.append(c.rows[0])
         self.payloads = payloads
         super().__init__(quot, (0,) * len(payloads), rows)
 
@@ -106,10 +110,7 @@ class TensorElt(ClassTensor):
     def __eq__(self, other):
         if not isinstance(other, TensorElt) or other.quot is not self.quot:
             return NotImplemented
-        return self._canon() == other._canon()
-
-    def _canon(self):
-        return {k: c.coords for k, (x, c) in self.terms.items()}
+        return self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +219,19 @@ def _required_congruence(F: QuadField, n: int) -> int:
 
 
 def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
-    """Smallest primes q = 1 mod L usable for reductions at this level."""
+    """Smallest primes q = 1 mod L usable for reductions at this level.
+
+    In degree 0 the target Z/M has M the odd part of q - 1, and a q with
+    M = 1 (a Fermat prime) checks nothing, so it is skipped.
+    """
     L = _required_congruence(F, n)
+    quot = aug_quot(n, F.r_of(n))
     out = []
     q = L + 1
     while len(out) < count:
         if q > bound:
             raise ResourceLimitError("not enough auxiliary primes below the bound")
-        if nt.is_prime(q):
+        if nt.is_prime(q) and (quot.degree or _theta_modulus(quot, q) > 1):
             out.append(q)
         q += L
     return out
@@ -308,7 +314,8 @@ def theta_values(th: cyclo.ThetaElt, h: ReductionHom) -> dict[int, int]:
 
 def theta_class(th: cyclo.ThetaElt, h: ReductionHom) -> ClassTensor:
     """The reduced theta element th in Z/M (x) I^r/I^{r+1}, M = h.modulus:
-    the one-row `ClassTensor` with moduli (M,).
+    the one-row `ClassTensor` with moduli (M,), as `AugQuot.class_of_sum`
+    gives it.
 
     A check makes th once (`cyclo.theta_prime`) and reduces it at each of
     its auxiliary primes: the exponent table of the twists is kept on th,
@@ -334,7 +341,7 @@ def theta_class(th: cyclo.ThetaElt, h: ReductionHom) -> ClassTensor:
     if cls is None:
         raise ArithmeticError("reduced theta element is not in the expected "
                               "ideal power (implementation or theory failure)")
-    return ClassTensor(quot, (M,), [cls.coords])
+    return cls
 
 
 def beta_value(th: cyclo.ThetaElt, h: ReductionHom) -> int:
@@ -356,25 +363,10 @@ def beta_value(th: cyclo.ThetaElt, h: ReductionHom) -> int:
     return sum(weights[i] * v for i, v in zip(live, vals)) % M
 
 
-def beta_class_at(F: QuadField, n: int) -> AugClass:
+def beta_class_at(F: QuadField, n: int) -> ClassTensor:
     """The monomial class prod (sigma_l - 1) over split l, at level n."""
-    r = F.r_of(n)
-    quot = aug_quot(n, r)
-    G = gamma(n)
-    v = RingElt.unit(n)
-    for p in F.split_primes(n):
-        v = v * RingElt.gen_minus_one(n, G.gens[p])
-    return quot.class_of(v)
-
-
-def derived_class(F: QuadField, n: int):
-    """The derivative class as (value under homs, class side) functions."""
-    th = cyclo.theta_prime(F, F.n_plus(n))
-
-    def value(h: ReductionHom) -> int:
-        return beta_value(th, h)
-
-    return value, beta_class_at(F, n)
+    return gr.monomial_class(aug_quot(n, F.r_of(n)),
+                             [(p, gamma(n).gens.get(p, 1)) for p in F.split_primes(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +423,7 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     r, s = F.r_of(n), F.s_of(n)
     qs = find_aux_primes(F, n, num_primes, bound)
     hn = qf.h_n(F, n)
-    reg = regulator(F, n).scale(hn * (2 ** s) * (-1 if wrong_sign else 1))
+    reg = hn * (2 ** s) * (-1 if wrong_sign else 1) * regulator(F, n)
     theta = cyclo.theta_prime(F, n)
     results = []
     vacuous = r >= 1 and _theta_modulus(aug_quot(n, r)) == 1
@@ -487,8 +479,8 @@ def prop94_residual(F: QuadField, n: int, h: ReductionHom) -> ClassTensor:
         total = total + cls
     n_plus = F.n_plus(n)
     bval = beta_value(cyclo.theta_prime(F, n_plus), _hom_at_level(F, n_plus, h))
-    rhs = ClassTensor(quot, (h.modulus,), [beta_class_at(F, n).coords])
-    return total - rhs.scale(2 ** F.s_of(n) * bval)
+    rhs = ClassTensor(quot, (h.modulus,), beta_class_at(F, n).rows)
+    return total - 2 ** F.s_of(n) * bval * rhs
 
 
 def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
@@ -534,7 +526,7 @@ class ConcreteModel(kolysys.LocalModel):
         defined as (ell-1)(sigma_ell - 1) lies in I^2.  Gamma has no
         2-component, and at ell = 2 the finite parts vanish: sigma_2 = 1."""
         sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens.get(ell, 1))
-        return ClassTensor(fin.quot, (0,), fin.rows).embed(at_level).mult_class(-1 * sigma)
+        return ClassTensor(fin.quot, (0,), fin.rows).embed(at_level).mult_class(-sigma)
 
 
 class _RegulatorLevels(dict):
@@ -544,7 +536,7 @@ class _RegulatorLevels(dict):
         self.F = F
 
     def __missing__(self, m: int) -> TensorElt:
-        self[m] = x = regulator(self.F, m).scale(qf.h_n(self.F, m))
+        self[m] = x = qf.h_n(self.F, m) * regulator(self.F, m)
         return x
 
 
@@ -590,7 +582,7 @@ def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
     exact = cyclo.norm_relation_check(F, n, ell)
     m = n // ell
     homs = _reduction_homs(F, n, num_primes, bound)
-    fr_cls = -1 * gr.frob_class(n, m, ell)
+    fr_cls = -gr.frob_class(n, m, ell)
     theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
     ok = exact
     for h in homs:
@@ -611,7 +603,7 @@ def theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int = 3,
     theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
     for h in _reduction_homs(F, n, num_primes, bound):
         lhs = theta_class(theta_n, h).proj_new(plus)
-        rhs = theta_class(theta_m, _hom_at_level(F, m, h)).proj_new(plus).embed(n).scale(2)
+        rhs = 2 * theta_class(theta_m, _hom_at_level(F, m, h)).proj_new(plus).embed(n)
         if lhs != rhs:
             return False, "reductions"
     return True, "reductions"

@@ -38,16 +38,17 @@ rank does not depend on |G_p|:
   Mom[h, beta] = prod_i C(digit_i(h), beta_i): binomial moments of the
   mixed-radix digits.
 
-A class is a tuple of the nontrivial Smith coordinates of each Sylow
-component, in order of p, each reduced mod its elementary divisor.
-`_Sylow.smith_coords` is the one place where (g-1)-coordinates become Smith
-coordinates, by one matrix product.  Each degree keeps C = m_r B_r^(-1) mod
-e_p^r, B_r the Hermite basis of I(G_p)^r/H_{r+1} and m_r = e_p^(r-1)
-(integral, as m_r Z^N lies in it): y is in I(G_p)^r exactly when
-y C = 0 mod m_r, and y C / m_r are its coordinates over B_r.  The product
-with Mom is folded into the same matrix.  Reducing x mod e_p^r first changes
-neither, because e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in e_p I(G_p)^r,
-which lies in I(G_p)^{r+1}.  So a vector known only mod m has a class in
+A class holds the nontrivial Smith coordinates of each Sylow component, in
+order of p, each reduced mod its elementary divisor (one row of a
+`ClassTensor`, below).  `_Sylow.smith_coords` is the one place where
+(g-1)-coordinates become Smith coordinates, by one matrix product.  Each
+degree keeps C = m_r B_r^(-1) mod e_p^r, B_r the Hermite basis of
+I(G_p)^r/H_{r+1} and m_r = e_p^(r-1) (integral, as m_r Z^N lies in it):
+y is in I(G_p)^r exactly when y C = 0 mod m_r, and y C / m_r are its
+coordinates over B_r.  The product with Mom is folded into the same matrix.
+Reducing x mod e_p^r first changes neither, because
+e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in e_p I(G_p)^r, which lies in
+I(G_p)^{r+1}.  So a vector known only mod m has a class in
 component p when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised
 when p | m and it does not; for p not dividing m the component of
 Z/m (x) I^r/I^{r+1} is zero.  The least m that fixes every component, the
@@ -72,10 +73,12 @@ values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
 A = sum of Z/M_j.  `ClassTensor` is that one format: an int64 matrix with
 one row per generator of A and one column per class coordinate, entry
 (j, i) reduced mod gcd(M_j, d_i) (M_j = 0: a free generator).  Every
-induced map acts on it as one product rows @ P with the matrices above,
-and a single class is its one-row case (`pi_d`, `embed_class`, `proj_new`,
-`mult_classes`).  `cycles_through` expands the single-cycle sums of the
-determinant lemma, for the regulator and the synthetic systems alike.
+induced map acts on it as one product rows @ P with the matrices above.
+A class of I^r/I^{r+1} is its one-row case A = Z, moduli (0,), and a class
+in Z/m (x) I^r/I^{r+1} the one-row case with moduli (m,); every function
+here that gives a class gives one of these.  `cycles_through` expands the
+single-cycle sums of the determinant lemma, for the regulator and the
+synthetic systems alike.
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ class UnitGroupMod:
         orders p^v, s_l = gen_l^((l-1)/p^v) for v = v_p(l-1) > 0, and
         prod s_l^(i_l) sits at the mixed-radix index of (i_l), first digit
         fastest; owners[j] is the prime l of digit j.  elems are the elements
-        other than 1, and proj[g] the coordinate of g^a - 1 (-1 where
-        g^a = 1), a = 1 mod e_p and a = 0 mod e/e_p.
+        other than 1, and proj, an array over the residues mod n, holds at
+        each g in Gamma_n the coordinate of g^a - 1 (-1 where g^a = 1, and at
+        the residues not in Gamma_n), a = 1 mod e_p and a = 0 mod e/e_p.
         """
         if p not in self.sylows:
             elems, orders, owners = [self.identity], [], []
@@ -139,7 +143,8 @@ class UnitGroupMod:
             pos = {g: i for i, g in enumerate(elems[1:])}
             ep = max(orders)
             a = self.exponent // ep * pow(self.exponent // ep, -1, ep)
-            proj = {g: pos.get(self.power(g, a), -1) for g in self.elements}
+            proj = np.full(self.n, -1, dtype=np.int64)
+            proj[list(self.elements)] = [pos.get(self.power(g, a), -1) for g in self.elements]
             home = gamma(prod(owners)).lattices
             if p not in home:
                 home[p] = _Lattices(tuple(orders))
@@ -516,10 +521,10 @@ class AugQuot:
 
     In degree r >= 1 the quotient is the direct sum of the same quotients
     for the Sylow subgroups G_p of Gamma_n, one `_Sylow` component per prime
-    p dividing e = exponent(Gamma_n).  A class is the tuple of the
-    components' nontrivial Smith coordinates, concatenated in order of p;
-    `invariants` are the matching elementary divisors (prime powers, not a
-    Smith chain: see `smith_chain`).
+    p dividing e = exponent(Gamma_n).  A class is the one-row `ClassTensor`
+    of the components' nontrivial Smith coordinates, concatenated in order
+    of p; `invariants` are the matching elementary divisors (prime powers,
+    not a Smith chain: see `smith_chain`).
     """
 
     def __init__(self, n: int, r: int):
@@ -540,8 +545,8 @@ class AugQuot:
         self._mult_tables: dict[tuple[int, int], list[np.ndarray]] = {}
         self._split_cache: dict[tuple, dict] = {}
         self._dets: dict[int, tuple] = {}
-        self._perm_pis: dict[tuple, AugClass] = {}  # Pi(sigma) by moved pairs
-        self._group_classes: dict[int, AugClass] = {}
+        self._perm_pis: dict[tuple, ClassTensor] = {}  # Pi(sigma) by moved pairs
+        self._group_classes: dict[int, ClassTensor] = {}
         # (divisors, free entries) of the tensor fold, by the moduli of A
         self._folds: dict[tuple, tuple] = {}
         self._components: list[_Sylow] = []
@@ -560,11 +565,6 @@ class AugQuot:
         self.order = prod(self.invariants)
 
     @property
-    def class_exponent(self) -> int:
-        """The exponent of the finite part of the quotient (lcm of d > 1)."""
-        return lcm(1, *[d for d in self.invariants if d > 1])
-
-    @property
     def precision(self) -> int:
         """The least m such that every vector known mod m fixes its class:
         the product over the components of e_p^r (`_Sylow.smith_coords`)."""
@@ -572,43 +572,39 @@ class AugQuot:
 
     # -- element <-> class ------------------------------------------------
 
-    def _reduced(self, y) -> AugClass:
-        """The class with Smith coordinates y, reduced by the invariants."""
-        return AugClass(self, tuple(int(y[i]) % d if d else int(y[i])
-                                    for i, d in enumerate(self.invariants)))
-
-    def class_of_sum(self, coeffs: dict[int, int], m: int | None = None) -> AugClass | None:
+    def class_of_sum(self, coeffs: dict[int, int],
+                     m: int | None = None) -> ClassTensor | None:
         """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
 
-        Each component takes the image under g -> g^(a_p).  The coefficients
-        are exact integers, or known only mod m: then the result is the class
-        in Z/m (x) I^r/I^{r+1}.  A component with p not dividing m is zero
-        there and is not read; one with p | m must be fixed by the vector,
-        e_p^r dividing p^(v_p(m)) (PrecisionError if not).  None when the
-        element is not in I^r.
+        Each component takes the image under g -> g^(a_p), one index array
+        over the keys, and sums the coefficients in one `np.add.at`.  The
+        coefficients are exact integers (moduli (0,)), or known only mod m:
+        then the result is the class in Z/m (x) I^r/I^{r+1}, moduli (m,).  A
+        component with p not dividing m is zero there and is not read; one
+        with p | m must be fixed by the vector, e_p^r dividing p^(v_p(m))
+        (PrecisionError if not).  None when the element is not in I^r.
         """
-        y = []
-        for comp in self._components:
+        keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+        values = np.fromiter(coeffs.values(), dtype=np.int64, count=len(coeffs))
+        y = np.zeros(len(self.invariants), dtype=np.int64)
+        for comp, part in zip(self._components, self._slices):
             if m is not None and m % comp.p:
-                y.extend([0] * len(comp.invariants))
                 continue
-            x = np.zeros(len(comp.elems), dtype=np.int64)
-            for g, c in coeffs.items():
-                i = comp.proj[g]
-                if i >= 0:
-                    x[i] += c
-            x = comp.smith_coords(x, m)
+            # the keys with g^a = 1 (proj -1) land in an extra last slot
+            x = np.zeros(len(comp.elems) + 1, dtype=np.int64)
+            np.add.at(x, comp.proj[keys], values)
+            x = comp.smith_coords(x[:-1], m)
             if x is None:
                 return None
-            y.extend(x)
-        return self._reduced(y)
+            y[part] = x
+        return ClassTensor(self, (m or 0,), y[None])
 
-    def class_of(self, v: RingElt) -> AugClass:
+    def class_of(self, v: RingElt) -> ClassTensor:
         """Reduce an element of I^r to its class; raises if v is not in I^r."""
         if v.level != self.level:
             raise ValueError("level mismatch")
         if self.degree == 0:
-            return AugClass(self, (v.aug(),))
+            return ClassTensor(self, (0,), [[v.aug()]])
         if v.aug() != 0:
             raise ValueError("element is not in the augmentation ideal")
         c = self.class_of_sum(v.coeffs)
@@ -616,7 +612,7 @@ class AugQuot:
             raise ValueError("element does not lie in the expected ideal power")
         return c
 
-    def group_class(self, g: int) -> AugClass:
+    def group_class(self, g: int) -> ClassTensor:
         """The class of (g - 1) in I_n/I_n^2 (degree 1), kept on the quotient."""
         if self.degree != 1:
             raise ValueError("group elements give classes in degree 1")
@@ -624,22 +620,20 @@ class AugQuot:
             self._group_classes[g] = self.class_of(RingElt.gen_minus_one(self.level, g))
         return self._group_classes[g]
 
-    def zero(self) -> AugClass:
-        if self.degree == 0:
-            return AugClass(self, (0,))
-        return AugClass(self, (0,) * len(self.invariants))
+    def zero(self) -> ClassTensor:
+        return ClassTensor(self, (0,))
 
-    def lift(self, c: AugClass) -> RingElt:
+    def lift(self, c: ClassTensor) -> RingElt:
         """A group-ring representative of a class (well-defined mod I^{r+1}).
 
         The sum of the component lifts, through the inclusions G_p in Gamma_n.
         """
         if self.degree == 0:
-            return RingElt.unit(self.level) * c.coords[0]
+            return RingElt.unit(self.level) * int(c.rows[0, 0])
         out: dict[int, int] = {}
         tot = 0
         for comp, part in zip(self._components, self._slices):
-            v = np.asarray(c.coords[part], dtype=np.int64) @ comp.lifts
+            v = c.rows[0, part] @ comp.lifts
             for i in np.nonzero(v)[0]:
                 out[comp.elems[i]] = int(v[i])
                 tot += int(v[i])
@@ -719,19 +713,18 @@ class AugQuot:
             self._mult_tables[key] = blocks
         return self._mult_tables[key]
 
-    def mult_matrix(self, qa: AugQuot, v: AugClass) -> np.ndarray:
+    def mult_matrix(self, qa: AugQuot, v: ClassTensor) -> np.ndarray:
         """Matrix of c -> c * v from qa into this quotient (the product's).
 
-        Contracts v with the structure constants of `mult_table`; a degree-0
-        factor multiplies as an integer.
+        Contracts the class v with the structure constants of `mult_table`;
+        a degree-0 factor multiplies as an integer.
         """
-        qb = v.parent
+        qb, b = v.quot, v.rows[0]
         if qa.degree == 0:
-            return np.array([v.coords], dtype=np.int64)
+            return v.rows[:1]
         if qb.degree == 0:
-            return v.coords[0] * np.eye(len(qa.invariants), dtype=np.int64)
+            return int(b[0]) * np.eye(len(qa.invariants), dtype=np.int64)
         M = np.zeros((len(qa.invariants), len(self.invariants)), dtype=np.int64)
-        b = np.asarray(v.coords, dtype=np.int64)
         for T, sa, sb, st, ct in zip(self.mult_table(qa, qb), qa._slices, qb._slices,
                                      self._slices, self._components):
             if T.size:
@@ -771,89 +764,21 @@ class AugQuot:
         for p in plus:
             if self.level % p:
                 raise ValueError(f"{p} does not divide {self.level}")
-        data: dict = {"plus": plus}
-        if self.degree == 0:
-            data["proj"] = None
-            data["new_gen"] = AugClass(self, (1,))
-            data["g"] = 0
-            self._split_cache[plus] = data
-            return data
-        kq = len(self.invariants)
-        P = np.eye(kq, dtype=np.int64)
-        for p in plus:
-            P = P @ (np.eye(kq, dtype=np.int64) - self.pi_matrix(self.level // p))
-        data["proj"] = P
-        G = self.gamma
-        mono = RingElt.unit(self.level)
-        for p in plus:
-            if p == 2:
-                mono = RingElt(self.level)
-                break
-            mono = mono * RingElt.gen_minus_one(self.level, G.gens[p])
-        data["new_gen"] = self.class_of(mono)
-        data["g"] = gcd(*[p - 1 for p in plus]) if plus else 0
+        # the generator of Gamma_p is 1 at p = 2, where Gamma_2 is trivial
+        gens = [(p, self.gamma.gens.get(p, 1)) for p in plus]
+        data = {"plus": plus, "proj": None, "new_gen": monomial_class(self, gens),
+                "g": gcd(*[p - 1 for p in plus]) if plus else 0}
+        if self.degree:
+            kq = len(self.invariants)
+            P = np.eye(kq, dtype=np.int64)
+            for p in plus:
+                P = P @ (np.eye(kq, dtype=np.int64) - self.pi_matrix(self.level // p))
+            data["proj"] = P
         self._split_cache[plus] = data
         return data
 
     def __repr__(self):
         return f"AugQuot(n={self.level}, r={self.degree}, invariants={self.invariants})"
-
-
-class AugClass:
-    """An element of a presented quotient I_n^r / I_n^{r+1}."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent: AugQuot, coords: tuple[int, ...]):
-        self.parent = parent
-        self.coords = coords
-
-    def __add__(self, other: AugClass) -> AugClass:
-        self._compat(other)
-        d = self.parent.invariants
-        return AugClass(self.parent, tuple((a + b) % m if m else a + b
-                                           for a, b, m in zip(self.coords, other.coords, d)))
-
-    def __sub__(self, other: AugClass) -> AugClass:
-        return self + (-other)
-
-    def __neg__(self) -> AugClass:
-        d = self.parent.invariants
-        return AugClass(self.parent, tuple((-a) % m if m else -a
-                                           for a, m in zip(self.coords, d)))
-
-    def __mul__(self, k: int) -> AugClass:
-        d = self.parent.invariants
-        return AugClass(self.parent, tuple((a * k) % m if m else a * k
-                                           for a, m in zip(self.coords, d)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, AugClass) and self.parent is other.parent
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.coords))
-
-    def _compat(self, other: AugClass):
-        if self.parent is not other.parent:
-            raise ValueError("classes belong to different quotients")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        if self.parent.degree == 0:
-            return 0 if self.coords[0] else 1
-        o = 1
-        for a, m in zip(self.coords, self.parent.invariants):
-            if a:
-                o = lcm(o, m // gcd(a, m))
-        return o
-
-    def __repr__(self):
-        return f"AugClass({self.parent!r}, {self.coords})"
 
 
 def smith_chain(divisors) -> list[int]:
@@ -882,7 +807,7 @@ def aug_quot(n: int, r: int) -> AugQuot:
     return AugQuot(n, r)
 
 
-def monomial_class(quot: AugQuot, gammas: list[tuple[int, int]]) -> AugClass:
+def monomial_class(quot: AugQuot, gammas: list[tuple[int, int]]) -> ClassTensor:
     """Class of prod (g_l - 1) for g_l in Gamma_l, one factor per listed prime."""
     if len(gammas) != quot.degree:
         raise ValueError(f"need exactly {quot.degree} factors, got {len(gammas)}")
@@ -897,39 +822,30 @@ def monomial_class(quot: AugQuot, gammas: list[tuple[int, int]]) -> AugClass:
     return quot.class_of(v)
 
 
-def _row(x: AugClass) -> ClassTensor:
-    """A class as the one-row tensor Z (x) I^r/I^{r+1}."""
-    return ClassTensor(x.parent, (0,), [x.coords])
-
-
-def pi_d(x: AugClass, d: int) -> AugClass:
+def pi_d(x: ClassTensor, d: int) -> ClassTensor:
     """Image of a class under the induced map pi_d."""
-    return _row(x).pi(d).parts[0]
+    return x.pi(d)
 
 
-def proj_new(x: AugClass, plus: tuple[int, ...] | None = None) -> AugClass:
+def proj_new(x: ClassTensor, plus: tuple[int, ...] | None = None) -> ClassTensor:
     """Projection onto the new component of the designated splitting."""
-    return _row(x).proj_new(x.parent.gamma.primes if plus is None else plus).parts[0]
+    return x.proj_new(x.quot.gamma.primes if plus is None else plus)
 
 
-def in_new_component(x: AugClass, plus: tuple[int, ...] | None = None) -> bool:
+def in_new_component(x: ClassTensor, plus: tuple[int, ...] | None = None) -> bool:
     """Membership test via vanishing of every pi_{n/l}, l designated."""
-    quot = x.parent
-    if plus is None:
-        plus = quot.gamma.primes
-    if quot.degree == 0:
-        return True
-    return all(pi_d(x, quot.level // p).is_zero() for p in plus)
+    plus = x.quot.gamma.primes if plus is None else plus
+    return x.degree == 0 or all(x.pi(x.level // p).is_zero() for p in plus)
 
 
-def subgroup_order(quot: AugQuot, classes: list[AugClass]) -> int:
+def subgroup_order(quot: AugQuot, classes: list[ClassTensor]) -> int:
     """Order of the subgroup of the quotient generated by the given classes."""
     if quot.degree == 0:
         raise ValueError("free quotient")
     kq = len(quot.invariants)
     if kq == 0:
         return 1
-    rows = [list(c.coords) for c in classes]
+    rows = [c.rows[0].tolist() for c in classes]
     rows += [[quot.invariants[i] if j == i else 0 for j in range(kq)]
              for i in range(kq)]
     e = max(quot.exponent_m, 1)
@@ -938,14 +854,14 @@ def subgroup_order(quot: AugQuot, classes: list[AugClass]) -> int:
     return quot.order // cofactor if cofactor else 1
 
 
-def embed_class(x: AugClass, n: int) -> AugClass:
+def embed_class(x: ClassTensor, n: int) -> ClassTensor:
     """Image of a class under the inclusion of levels m | n (same degree)."""
-    return _row(x).embed(n).parts[0]
+    return x.embed(n)
 
 
-def mult_classes(a: AugClass, b: AugClass) -> AugClass:
+def mult_classes(a: ClassTensor, b: ClassTensor) -> ClassTensor:
     """Product I^r x I^s -> I^{r+s} on classes at a common level."""
-    return _row(a).mult_class(b).parts[0]
+    return a.mult_class(b)
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +873,13 @@ class ClassTensor:
 
     `rows` is an int64 matrix with one row per generator of A (M_j = 0 marks
     a free one) and one column per class coordinate, entry (j, i) reduced mod
-    gcd(M_j, d_i) by `AugQuot.fold`.  Every induced map acts on all rows at
-    once, as rows @ P with the matrices kept on the quotients.  Subclasses
-    name the generators of A; the attributes listed in `_extra` pass through
-    the maps unchanged.
+    gcd(M_j, d_i) by `AugQuot.fold`.  It is read-only: the quotients keep
+    classes they hand out (`group_class`, `d_det`, `perm_pi`, `splitting`).
+    Every induced map acts on all rows at once, as rows @ P with the matrices
+    kept on the quotients.  A class of I^r/I^{r+1} is the one-row case
+    A = Z, moduli (0,); a class in Z/m (x) I^r/I^{r+1} has moduli (m,).
+    Subclasses name the generators of A; the attributes listed in `_extra`
+    pass through the maps unchanged.
     """
 
     __slots__ = ("quot", "moduli", "rows")
@@ -972,6 +891,7 @@ class ClassTensor:
         if rows is None:
             rows = np.zeros((len(self.moduli), len(quot.invariants)), dtype=np.int64)
         self.rows = quot.fold(self.moduli, rows)
+        self.rows.setflags(write=False)
 
     def _with(self, quot: AugQuot, rows) -> ClassTensor:
         """The same kind of element, over the same A, at quot with these rows."""
@@ -990,9 +910,10 @@ class ClassTensor:
         return self.quot.degree
 
     @property
-    def parts(self) -> list[AugClass]:
-        """The rows as classes, one per generator of A."""
-        return [AugClass(self.quot, tuple(row)) for row in self.rows.tolist()]
+    def parts(self) -> list[ClassTensor]:
+        """The rows as classes of I^r/I^{r+1} (moduli (0,)), one per
+        generator of A."""
+        return [ClassTensor(self.quot, (0,), row[None]) for row in self.rows]
 
     def __add__(self, other: ClassTensor) -> ClassTensor:
         if other.quot is not self.quot or other.moduli != self.moduli:
@@ -1000,13 +921,27 @@ class ClassTensor:
         return self._with(self.quot, self.rows + other.rows)
 
     def __sub__(self, other: ClassTensor) -> ClassTensor:
-        return self + other.scale(-1)
+        return self + (-other)
 
-    def scale(self, k: int) -> ClassTensor:
+    def __neg__(self) -> ClassTensor:
+        return self._with(self.quot, -self.rows)
+
+    def __mul__(self, k: int) -> ClassTensor:
         return self._with(self.quot, self.rows * k)
+
+    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self.rows.any()
+
+    def order(self) -> int:
+        """The order of the element: the lcm over the entries of
+        g / gcd(entry, g), g = gcd(M_j, d_i); 0 when a free entry is
+        nonzero."""
+        div, free = self.quot._folds[self.moduli]  # kept when the rows were folded
+        if free is not None and self.rows[free].any():
+            return 0
+        return lcm(1, *(div // np.gcd(self.rows, div)).ravel().tolist())
 
     def __eq__(self, other):
         if not isinstance(other, ClassTensor):
@@ -1032,10 +967,11 @@ class ClassTensor:
         rows = self.rows if self.degree == 0 else self.rows @ self.quot.embed_matrix(n)
         return self._with(aug_quot(n, self.degree), rows)
 
-    def mult_class(self, v: AugClass) -> ClassTensor:
-        if v.parent.level != self.level:
+    def mult_class(self, v: ClassTensor) -> ClassTensor:
+        """Each row times the class v."""
+        if v.level != self.level:
             raise ValueError("levels differ; embed first")
-        target = aug_quot(self.level, self.degree + v.parent.degree)
+        target = aug_quot(self.level, self.degree + v.degree)
         return self._with(target, self.rows @ target.mult_matrix(self.quot, v))
 
     def reduce(self, values, M: int) -> ClassTensor:
@@ -1131,7 +1067,7 @@ def _frob_lift(n: int, target_level: int, q: int) -> RingElt:
     return RingElt.gen_minus_one(n, gamma(n).project(q, target_level))
 
 
-def frob_class(n: int, target_level: int, q: int) -> AugClass:
+def frob_class(n: int, target_level: int, q: int) -> ClassTensor:
     """The class of _frob_lift(n, target_level, q) in I_n/I_n^2."""
     return aug_quot(n, 1).group_class(gamma(n).project(q, target_level))
 
@@ -1164,7 +1100,7 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
     return quot._dets[d]
 
 
-def det_class(n: int, rows: list[list[RingElt]]) -> AugClass:
+def det_class(n: int, rows: list[list[RingElt]]) -> ClassTensor:
     """The class in I_n^t/I_n^{t+1} of the determinant of a t x t matrix of
     elements of I_n, by the signed sum over permutations; for t = 0 the
     empty product, the class 1 of I^0/I^1 = Z."""
@@ -1177,7 +1113,7 @@ def det_class(n: int, rows: list[list[RingElt]]) -> AugClass:
     return aug_quot(n, len(rows)).class_of(det)
 
 
-def perm_pi(p: PermData) -> AugClass:
+def perm_pi(p: PermData) -> ClassTensor:
     """The product class Pi(sigma) = prod over q | d_sigma of pi_q(Fr_{sigma(q)} - 1).
 
     Kept on its quotient I_n^t/I_n^{t+1}, by the moved pairs of sigma, as

@@ -90,7 +90,7 @@ class SyntheticLocalModel(LocalModel):
 
     def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
         sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens[ell])
-        return fin.scale(self.fs_unit[ell]).embed(at_level).mult_class(sigma)
+        return (self.fs_unit[ell] * fin).embed(at_level).mult_class(sigma)
 
 
 def _rand_unit(rng: random.Random, m: int) -> int:
@@ -150,14 +150,17 @@ def cyclic_model(split: tuple[int, ...], inert: tuple[int, ...] = (),
 
 
 class SynElt(ClassTensor):
-    """An element of A (x) I_n^r/I_n^{r+1}: one row per cyclic factor of A."""
+    """An element of A (x) I_n^r/I_n^{r+1}: one row per cyclic factor of A.
+
+    parts, one per cyclic factor, are its classes (one-row `ClassTensor`s,
+    whose rows it takes), or a matrix of coordinate rows; None gives 0.
+    """
 
     __slots__ = ()
 
     def __init__(self, model: SyntheticLocalModel, quot, parts=None):
-        """parts: the classes of the cyclic factors, or their coordinate rows."""
-        super().__init__(quot, model.moduli,
-                         None if parts is None else [getattr(c, "coords", c) for c in parts])
+        super().__init__(quot, model.moduli, None if parts is None else
+                         [c.rows[0] if isinstance(c, ClassTensor) else c for c in parts])
 
 
 def zero_collection(model: SyntheticLocalModel) -> dict[int, SynElt]:
@@ -179,7 +182,7 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
         quot = aug_quot(n, model.r_of(n))
         gen = quot.splitting(model.plus(n))["new_gen"]
         g_ord = gen.order() or 17  # degree-0 classes are free; any range works
-        gen = np.array(gen.coords, dtype=np.int64)
+        gen = gen.rows[0]
         rows = np.zeros((len(model.moduli), len(gen)), dtype=np.int64)
         for p in model.split:
             i = index[p]
@@ -281,7 +284,7 @@ def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
     failures = []
     m = n // ell
     prev = coll[m]
-    if x.pi(m) != prev.embed(n).mult_class(-1 * gr.frob_class(n, m, ell)):
+    if x.pi(m) != prev.embed(n).mult_class(-gr.frob_class(n, m, ell)):
         failures.append(("ii", n, ell))
     if tr.proj_new(plus) != model.fs(locs.fin_new(m, ell), ell, n):
         failures.append(("iii", n, ell))
@@ -294,7 +297,7 @@ def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
         acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
         for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
             yp = locs.fin_new(n // d_sigma, ell).embed(n)
-            acc = acc - yp.mult_class(pi_cls).scale(sign)
+            acc = acc - sign * yp.mult_class(pi_cls)
         if fin.proj_new(plus) != acc:
             failures.append(("iv'", n, ell))
     return failures
@@ -358,7 +361,7 @@ def lemma58_extend(seed: dict[int, SynElt], model: SyntheticLocalModel,
             continue
         acc = SynElt(model, aug_quot(n, model.r_of(n)))
         for d_sigma, sign, pi_cls in gr.cycles_through(n, model.plus(n), ell):
-            acc = acc - out[n // d_sigma].embed(n).mult_class(pi_cls).scale(sign)
+            acc = acc - sign * out[n // d_sigma].embed(n).mult_class(pi_cls)
         out[n] = acc
     return out
 

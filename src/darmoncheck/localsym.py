@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupring import AugClass, RingElt, aug_quot, gamma
+from .groupring import ClassTensor, RingElt, aug_quot, gamma
 from .quadfield import PrimePlace, QuadField, QuadNum, ord_at, unit_residue
 
 
@@ -38,7 +38,7 @@ def del_lift(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> RingElt:
     return lift
 
 
-def del_symbol(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> AugClass:
+def del_symbol(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> ClassTensor:
     """The class of (Artin symbol of x at the place) - 1 in I_n/I_n^2.
 
     When the residue prime of the place does not divide n the extension is
@@ -76,13 +76,14 @@ def fin_tr_split(F: QuadField, x: QuadNum, ell: int) -> LocalDecomp:
 
 @dataclass(frozen=True)
 class FSClass:
-    """(ell, ell^{-1})-coefficient tensored with a class in I_ell/I_ell^2."""
+    """(ell, ell^{-1})-coefficient tensored with a class in I_ell/I_ell^2,
+    the one-row `ClassTensor` aug_class."""
 
     ell: int
     transverse_exponent: int
-    aug_class: AugClass  # in I_ell/I_ell^2, well-defined mod ell-1
+    aug_class: ClassTensor  # in I_ell/I_ell^2, well-defined mod ell-1
 
-    def normalized(self) -> AugClass:
+    def normalized(self) -> ClassTensor:
         """The class with the transverse coefficient folded in."""
         return self.transverse_exponent * self.aug_class
 

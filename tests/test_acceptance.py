@@ -11,7 +11,7 @@ from darmoncheck import cyclo, groupring as gr, kolysys as ks, nt
 from darmoncheck import quadfield as qf
 from darmoncheck.darmon import (prop94_residual, verify_base_case, verify_darmon,
                                 verify_preks_axiom)
-from darmoncheck.groupring import (AugClass, aug_quot, d_det, derangements,
+from darmoncheck.groupring import (ClassTensor, aug_quot, d_det, derangements,
                                    embed_class, gamma, in_new_component,
                                    monomial_class, perm_pi, perm_sign, pi_d,
                                    proj_new, subgroup_order, PermData)
@@ -84,8 +84,8 @@ def test_criterion_3_augmentation_structure():
         assert subgroup_order(quot, [M] + old_rows) == quot.order, n
         # membership criterion on 50 random classes
         for _ in range(50):
-            x = AugClass(quot, tuple(rng.randrange(d) if d > 1 else 0
-                                     for d in quot.invariants))
+            x = ClassTensor(quot, (0,), [[rng.randrange(d) if d > 1 else 0
+                                          for d in quot.invariants]])
             crit = all(pi_d(x, n // p).is_zero() for p in plus)
             via_proj = proj_new(x, plus) == x
             assert crit == via_proj, n
@@ -143,7 +143,7 @@ def test_criterion_4_determinant_machinery():
                             q_low = aug_quot(n // ell, t - 1)
                             rhs_lift = fr * q_low.lift(low).embed(n)
                         else:
-                            rhs_lift = fr * low.coords[0]
+                            rhs_lift = fr * int(low.rows[0, 0])
                         assert lhs == aug_quot(n, t).class_of(rhs_lift)
                     else:
                         # (ii)
@@ -206,7 +206,7 @@ def test_criterion_6_determinant_recursion():
             quot = aug_quot(n, model.r_of(n))
             plus = tuple(p for p in model.split if n % p == 0)
             sp = quot.splitting(plus)
-            gen = sp["new_gen"] if n > 1 else AugClass(quot, (1,))
+            gen = sp["new_gen"] if n > 1 else ClassTensor(quot, (0,), [[1]])
             g_ord = gen.order() or 17
             parts = [rng.randrange(g_ord) * gen for _ in model.moduli]
             seed_vals[n] = ks.SynElt(model, quot, parts)

@@ -195,6 +195,13 @@ def test_theta_and_beta_commands():
         (x["q"] - 1) >> nt.valuation(x["q"] - 1, 2) for x in out["reductions"]]
 
 
+def test_beta_where_two_splits():
+    # Gamma_2 is trivial, so sigma_2 - 1 = 0 and the derivative class at a
+    # level where 2 splits is zero
+    code, out = run(["beta", "--disc", "17", "--level", "26", "--primes", "2"])
+    assert code == EXIT_PASS and out["class"] == [0, 0]
+
+
 def test_axioms_synthetic():
     code, out = run(["axioms", "--synthetic", "--trials", "3", "--seed", "0"])
     assert code == EXIT_PASS

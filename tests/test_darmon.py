@@ -7,15 +7,15 @@ import pytest
 
 from darmoncheck import cyclo, groupring as gr, nt
 from darmoncheck import quadfield as qf
-from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_value,
-                                bordered_regulator, derived_class,
+from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_class_at, beta_value,
+                                bordered_regulator,
                                 find_aux_primes, make_reduction_hom,
                                 prop94_residual, regulator,
                                 regulator_from_basis, tensor_reduce,
                                 theta_class, theta_values, verify_base_case,
                                 verify_darmon, verify_preks_axiom,
                                 _hom_at_level, _required_congruence)
-from darmoncheck.groupring import AugClass, RingElt, aug_quot, gamma
+from darmoncheck.groupring import ClassTensor, RingElt, aug_quot, gamma
 from darmoncheck.kolysys import check_ks, check_preks, inverse_transform, transform
 from darmoncheck.localsym import phi_fs
 from darmoncheck.quadfield import QuadNum, fundamental_unit, h_n, make_field, unit_basis
@@ -304,6 +304,17 @@ def test_verify_darmon_wrong_sign_canary():
     assert rep.verdict == "fail"
 
 
+def test_degree_zero_skips_primes_that_check_nothing():
+    # in degree 0 the theta side lands in the odd part of Z/(q - 1), so a
+    # Fermat prime q checks nothing; at (2, 1), nf = 8, that is q = 17
+    F = make_field(2)
+    right = verify_darmon(F, 1)
+    assert [p.q for p in right.primes] == [41, 73, 89, 97, 113]
+    assert [p.verdict for p in right.primes] == ["pass"] * 5
+    wrong = verify_darmon(F, 1, wrong_sign=True)
+    assert [p.verdict for p in wrong.primes] == ["fail"] * 5
+
+
 def test_verify_report_schema():
     rep = verify_darmon(F5, 11, num_primes=2)
     d = rep.as_dict()
@@ -345,10 +356,10 @@ def test_beta_depends_only_on_plus_part():
     q = find_aux_primes(F5, 33, 1)[0]
     h = make_reduction_hom(F5, 33, q)
     h11 = _hom_at_level(F5, 11, h)
-    v_from_33, cls33 = derived_class(F5, 33)
-    v_from_11, cls11 = derived_class(F5, 11)
-    assert v_from_33(h11) == v_from_11(h11)
-    assert cls33.parent.level == 33 and cls11.parent.level == 11
+    th33, th11 = (cyclo.theta_prime(F5, F5.n_plus(n)) for n in (33, 11))
+    cls33, cls11 = beta_class_at(F5, 33), beta_class_at(F5, 11)
+    assert beta_value(th33, h11) == beta_value(th11, h11)
+    assert cls33.quot.level == 33 and cls11.quot.level == 11
 
 
 def test_regreg1lem_exact():
@@ -401,7 +412,7 @@ def test_indstep_ii_identity():
     plus_nl = tuple(F5.split_primes(nl))
     plus_n = tuple(F5.split_primes(n))
     hn = h_n(F5, n)
-    lhs = bordered_regulator(F5, n, nl).mult_class(v_cls_l).proj_new(plus_nl).scale(hn)
+    lhs = hn * bordered_regulator(F5, n, nl).mult_class(v_cls_l).proj_new(plus_nl)
     pi_l_v = aug_quot(nl, 1).class_of(v.embed(nl).pi(ell))
     term1 = regulator(F5, n).proj_new(plus_n).embed(nl).mult_class(pi_l_v)
     total = term1
@@ -411,7 +422,7 @@ def test_indstep_ii_identity():
         fr_cls = aug_quot(nl, 1).class_of(gr._frob_lift(nl, ell, q2))
         v_cls_n = aug_quot(n, 1).class_of(v)
         inner = bordered_regulator(F5, m, n).mult_class(v_cls_n).proj_new(plus_n)
-        total = total - inner.embed(nl).mult_class(fr_cls).scale(hq)
+        total = total - hq * inner.embed(nl).mult_class(fr_cls)
     assert lhs == total
 
 
@@ -434,7 +445,7 @@ def test_reduction_hom_modulus(d, n):
     for q in find_aux_primes(F, n, 2):
         M = make_reduction_hom(F, n, q).modulus
         assert (q - 1) % M == 0 and M % 2 == 1
-        assert M % _odd(quot.class_exponent) == 0
+        assert M % _odd(lcm(1, *[d for d in quot.invariants if d > 1])) == 0
         if r == 0:
             assert M == _odd(q - 1)
         else:
@@ -463,7 +474,7 @@ def test_precision_is_the_least_modulus(d, n, monkeypatch):
     assert h.modulus == _odd(quot.precision) > 1
     for p in nt.prime_factors(h.modulus):
         weak = ReductionHom(F, n, h.q, h.g, h.zeta, h.sqrt_disc, h.modulus // p)
-        assert weak.modulus % _odd(quot.class_exponent) == 0
+        assert weak.modulus % _odd(lcm(1, *[d for d in quot.invariants if d > 1])) == 0
         with pytest.raises(gr.PrecisionError):
             _check_hom_compat(quot, weak)
         with pytest.raises(gr.PrecisionError):
@@ -479,7 +490,7 @@ def test_restricted_hom_matches_full(d, n, full_homs):
     F = make_field(d)
     r = F.r_of(n)
     assert r in (1, 2)
-    reg = regulator(F, n).scale(h_n(F, n) * 2 ** F.s_of(n))
+    reg = h_n(F, n) * 2 ** F.s_of(n) * regulator(F, n)
     n_plus = F.n_plus(n)
     th, th_plus = cyclo.theta_prime(F, n), cyclo.theta_prime(F, n_plus)
     for full in full_homs(F, n, 2):
@@ -507,7 +518,7 @@ def test_required_congruence_monotone():
 def test_tensor_elt_normalisation():
     quot = aug_quot(11, 1)
     x = QuadNum(5, 2, 1)
-    c = AugClass(quot, tuple(1 if d > 1 else 0 for d in quot.invariants))
+    c = ClassTensor(quot, (0,), [[1 if d > 1 else 0 for d in quot.invariants]])
     t1 = TensorElt(quot, [(x, c)])
     t2 = TensorElt(quot, [(QuadNum(5, 1) / x, -1 * c)])
     assert t1 == t2  # x^{-1} (x) -v is normalised to x (x) v
@@ -533,7 +544,7 @@ def _concrete(d, universe):
     F = make_field(d)
     model = ConcreteModel(F, tuple(p for p in universe if F.omega(p) == 1),
                           tuple(p for p in universe if F.omega(p) == -1))
-    return model, {m: regulator(F, m).scale(h_n(F, m)) for m in model.levels()}
+    return model, {m: h_n(F, m) * regulator(F, m) for m in model.levels()}
 
 
 @pytest.mark.parametrize("d, universe", [
@@ -554,7 +565,7 @@ def test_regulator_preks_canary():
     # negating h_11 R_11 breaks every axiom that compares level 11 with
     # another level
     model, pre = _concrete(5, (11, 19, 3))
-    pre[11] = pre[11].scale(-1)
+    pre[11] = -pre[11]
     for primed in (False, True):
         rep = check_preks(pre, model, use_primed_iv=primed)
         assert rep["failures"] == [("iii", 11, 11), ("v", 33, 3), ("ii", 209, 19)]
@@ -587,7 +598,7 @@ def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
     F = make_field(d)
     m = n // ell
     model = ConcreteModel(F, tuple(F.split_primes(n)), ())
-    reg_m = regulator(F, m).scale(h_n(F, m)).proj_new(model.plus(m))
+    reg_m = (h_n(F, m) * regulator(F, m)).proj_new(model.plus(m))
     got = model.fs(model.loc(reg_m, ell)[0], ell, n)
     want = aug_quot(n, F.r_of(n)).zero()
     for x, c in reg_m.embed(n).terms.values():

@@ -8,8 +8,9 @@ from math import comb, gcd, prod
 import numpy as np
 import pytest
 
-from darmoncheck import groupring as gr, nt
-from darmoncheck.groupring import (AugClass, PermData, RingElt, aug_quot, d_det,
+from darmoncheck import cyclo, groupring as gr, nt
+from darmoncheck.darmon import find_aux_primes, make_reduction_hom, theta_class, theta_values
+from darmoncheck.groupring import (ClassTensor, PermData, RingElt, aug_quot, d_det,
                                    derangements, embed_class, frobenius, gamma,
                                    in_new_component, monomial_class, mult_classes,
                                    perm_pi, perm_sign, permutations_of, pi_d,
@@ -17,6 +18,7 @@ from darmoncheck.groupring import (AugClass, PermData, RingElt, aug_quot, d_det,
 from darmoncheck.groupring import _frob_lift
 from darmoncheck import intmat
 from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
+from darmoncheck.quadfield import make_field
 
 
 def test_gamma_basic():
@@ -95,6 +97,19 @@ def test_ring_axioms_sample():
     assert (a + b).aug() == a.aug() + b.aug()
 
 
+def test_cached_classes_are_read_only():
+    # the quotients keep the classes they hand out, so writing to one would
+    # change what every later caller reads
+    n = 209
+    cached = [aug_quot(n, 1).group_class(gamma(n).gens[11]), gr.frob_class(n, 11, 19),
+              d_det(n, n)[1], perm_pi(PermData(n, ((11, 19), (19, 11)))),
+              aug_quot(n, 2).splitting((11, 19))["new_gen"]]
+    for c in cached:
+        assert c.rows.size, c
+        with pytest.raises(ValueError):
+            c.rows[0, 0] = 0
+
+
 def test_aug_quot_examples():
     assert aug_quot(11, 1).order == 10
     q0 = aug_quot(1, 0)
@@ -141,7 +156,7 @@ def test_proj_new_properties():
     q = aug_quot(11, 1)
     rng = random.Random(2)
     for _ in range(10):
-        x = AugClass(q, tuple(rng.randrange(d) if d > 1 else 0 for d in q.invariants))
+        x = ClassTensor(q, (0,), [[rng.randrange(d) if d > 1 else 0 for d in q.invariants]])
         assert proj_new(x, (11,)) == x
     # idempotence and old-component kill at 209
     q2 = aug_quot(209, 2)
@@ -149,7 +164,7 @@ def test_proj_new_properties():
     old = monomial_class(q2, [(11, G.gens[11] % 11), (11, G.gens[11] % 11)])
     assert proj_new(old, (11, 19)).is_zero()
     for _ in range(20):
-        x = AugClass(q2, tuple(rng.randrange(d) if d > 1 else 0 for d in q2.invariants))
+        x = ClassTensor(q2, (0,), [[rng.randrange(d) if d > 1 else 0 for d in q2.invariants]])
         p = proj_new(x, (11, 19))
         assert proj_new(p, (11, 19)) == p
         assert in_new_component(p)
@@ -166,8 +181,8 @@ def test_membership_criterion_random():
         M = sp["new_gen"]
         g = sp["g"]
         for _ in range(30):
-            x = AugClass(q, tuple(rng.randrange(d) if d > 1 else 0
-                                  for d in q.invariants))
+            x = ClassTensor(q, (0,), [[rng.randrange(d) if d > 1 else 0
+                                       for d in q.invariants]])
             crit = all(pi_d(x, n // p).is_zero() for p in plus)
             in_span = any((a * M) == x for a in range(max(g, 1)))
             assert crit == in_span
@@ -193,8 +208,8 @@ def test_projection_lemma():
     v_low = monomial_class(aug_quot(7, 1), [(7, gamma(7).gens[7] % 7)])
     v = embed_class(v_low, n)
     for _ in range(10):
-        w = AugClass(qd, tuple(rng.randrange(dd) if dd > 1 else 0
-                               for dd in qd.invariants))
+        w = ClassTensor(qd, (0,), [[rng.randrange(dd) if dd > 1 else 0
+                                    for dd in qd.invariants]])
         lhs = proj_new(mult_classes(v, w), G.primes)
         pw = pi_d(w, d)
         # proj at level d of pi_d(w), embedded and multiplied by v
@@ -205,7 +220,7 @@ def test_projection_lemma():
 
 def test_d_det_conventions():
     _, one = d_det(209, 1)
-    assert one.coords == (1,)
+    assert one.rows.tolist() == [[1]]
     _, dl = d_det(11, 11)
     assert dl.is_zero()  # 1x1 with vanishing diagonal
     m, d2 = d_det(209, 209)
@@ -229,7 +244,7 @@ def test_detp_derangement_expansion():
 
 def test_perm_pi_examples():
     p = PermData(209, ((11, 11), (19, 19)))
-    assert perm_pi(p).coords == (1,)  # empty product in degree 0
+    assert perm_pi(p).rows.tolist() == [[1]]  # empty product in degree 0
     assert p.sign == 1 and p.d_sigma == 1
     q = PermData(209, ((11, 19), (19, 11)))
     assert q.sign == -1 and q.d_sigma == 209
@@ -248,7 +263,7 @@ def _det_lemma_instance(n, d, ell):
         _, low = d_det(n // ell, d // ell)
         fr = _frob_lift(n, n // d, ell)
         rhs_lift = fr * aug_quot(n // ell, t - 1).lift(low).embed(n) \
-            if t - 1 >= 1 else fr * low.coords[0]
+            if t - 1 >= 1 else fr * int(low.rows[0, 0])
         rhs = aug_quot(n, t).class_of(rhs_lift)
         assert lhs == rhs
     else:
@@ -359,7 +374,7 @@ def test_lift_then_class_with_three_components():
         q = aug_quot(n, r)
         assert len({nt.prime_factors(d)[0] for d in q.invariants}) == 3, (n, r)
         for _ in range(20):
-            c = AugClass(q, tuple(rng.randrange(d) for d in q.invariants))
+            c = ClassTensor(q, (0,), [[rng.randrange(d) for d in q.invariants]])
             assert q.class_of(q.lift(c)) == c, (n, r)
 
 
@@ -386,10 +401,10 @@ def test_induced_maps_match_their_definitions():
 
     def basis(q):
         k = len(q.invariants)
-        return [AugClass(q, tuple(int(i == j) for j in range(k))) for i in range(k)]
+        return [ClassTensor(q, (0,), [[int(i == j) for j in range(k)]]) for i in range(k)]
 
     def rand(q):
-        return AugClass(q, tuple(rng.randrange(d) for d in q.invariants))
+        return ClassTensor(q, (0,), [[rng.randrange(d) for d in q.invariants]])
 
     for n in (35, 105, 195, 209, 210, 330, 483, 1155):
         w = len(nt.prime_factors(n))
@@ -398,7 +413,8 @@ def test_induced_maps_match_their_definitions():
             for d in nt.divisors(n):
                 P = q.pi_matrix(d)
                 for i, e in enumerate(basis(q)):
-                    assert tuple(P[i]) == q.class_of(q.lift(e).pi(d)).coords, (n, r, d)
+                    assert P[i].tolist() == q.class_of(q.lift(e).pi(d)).rows[0].tolist(), \
+                        (n, r, d)
             for m in nt.divisors(n):
                 low = aug_quot(m, r)
                 for e in basis(low):
@@ -599,12 +615,40 @@ def test_class_of_sum_modulus_must_fix_the_class():
     v = (RingElt.gen_minus_one(105, G.gens[5]) + s7) * s7  # both components nonzero
     exact = q.class_of(v)
     for m in (144, 144 * 5, 144 * 16 * 27, 80, 9 * 7):
-        want = gr.ClassTensor(q, (m,), [exact.coords]).parts[0]
+        want = gr.ClassTensor(q, (m,), exact.rows)
         assert q.class_of_sum({g: c % m for g, c in v.coeffs.items()}, m) == want, m
-        assert (want == exact) == (m % 144 == 0)
+        assert (want.parts[0] == exact) == (m % 144 == 0)
     for m in (12, 48, 72, 3 * 5):
         with pytest.raises(gr.PrecisionError):
             q.class_of_sum(v.coeffs, m)
+
+    def by_loop(q, coeffs, m=None):
+        # the class by one loop over the coefficients per component
+        y = []
+        for comp in q._components:
+            x = np.zeros(len(comp.elems), dtype=np.int64)
+            for g, c in coeffs.items():
+                if comp.proj[g] >= 0:
+                    x[comp.proj[g]] += c
+            y += ([0] * len(comp.invariants) if m and m % comp.p
+                  else comp.smith_coords(x, m).tolist())
+        return gr.ClassTensor(q, (m or 0,), [y])
+
+    # a dense theta vector known mod M at r = 0..3, and a sparse element
+    rng = random.Random(11)
+    for d, n in ((5, 1), (5, 11), (5, 209), (73, 114)):
+        F = make_field(d)
+        q = aug_quot(n, F.r_of(n))
+        h = make_reduction_hom(F, n, find_aux_primes(F, n, 1)[0])
+        vals = theta_values(cyclo.theta_prime(F, n), h)
+        M = h.modulus
+        want = by_loop(q, vals, M) if q.degree else gr.ClassTensor(q, (M,), [[sum(vals.values())]])
+        assert theta_class(cyclo.theta_prime(F, n), h) == want, (d, n)
+        v = RingElt.unit(n) * rng.randrange(1, 9)
+        for _ in range(q.degree):
+            v = v * RingElt.gen_minus_one(n, rng.choice(q.gamma.elements))
+        want = by_loop(q, v.coeffs) if q.degree else gr.ClassTensor(q, (0,), [[v.aug()]])
+        assert q.class_of(v) == want, (d, n)
 
 
 def test_matmul_bound_edge_gives_the_same_classes(cold, monkeypatch):
@@ -621,7 +665,7 @@ def test_matmul_bound_edge_gives_the_same_classes(cold, monkeypatch):
             v = RingElt.unit(255)
             for _ in range(3):
                 v = v * RingElt.gen_minus_one(255, rng.choice(G.elements[1:]))
-            classes.append(q.class_of(v).coords)
+            classes.append(q.class_of(v).rows.tolist())
         comp = q._components[0]
         return (q.invariants, comp.V.tolist(), comp.lifts.tolist(), classes,
                 q.pi_matrix(15).tolist(), q.pi_matrix(17).tolist())

@@ -1,12 +1,12 @@
 """Synthetic Kolyvagin / pre-Kolyvagin systems and the transform."""
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from darmoncheck import groupring as gr, nt
-from darmoncheck.groupring import AugClass, AugQuot, aug_quot
+from darmoncheck.groupring import AugQuot, ClassTensor, aug_quot
 from darmoncheck.kolysys import (SynElt, block_model, check_ks, check_preks,
                                  cyclic_model, inverse_transform,
                                  lemma58_extend, lemma58_sum_check, random_ks,
@@ -44,11 +44,11 @@ def test_transform_output_lands_in_new_part():
 
 
 def test_transform_linearity():
-    pre2 = {n: x.scale(3) for n, x in PRE.items()}
+    pre2 = {n: 3 * x for n, x in PRE.items()}
     t1 = transform(PRE, MODEL)
     t2 = transform(pre2, MODEL)
     for n in t1:
-        assert t2[n] == t1[n].scale(3)
+        assert t2[n] == 3 * t1[n]
 
 
 def test_transform_injectivity_recursion():
@@ -175,13 +175,13 @@ def test_add_across_quotients_raises():
 
 def _folded(c, M):
     """The image of a class in Z/M (x) I^r/I^{r+1}: coordinates mod gcd(M, d_i)."""
-    return tuple(x % gcd(M, d) if gcd(M, d) else x
-                 for x, d in zip(c.coords, c.parent.invariants))
+    return [x % gcd(M, d) if gcd(M, d) else x
+            for x, d in zip(c.rows[0].tolist(), c.quot.invariants)]
 
 
 def _random_class(rng, quot):
-    return AugClass(quot, tuple(rng.randrange(d) if d else rng.randrange(-50, 50)
-                                for d in quot.invariants))
+    return ClassTensor(quot, (0,), [[rng.randrange(d) if d else rng.randrange(-50, 50)
+                                     for d in quot.invariants]])
 
 
 @pytest.mark.parametrize("model", [
@@ -197,12 +197,23 @@ def test_tensor_maps_match_the_per_class_path(model):
     for n in levels:
         quot = aug_quot(n, model.r_of(n))
         parts = [_random_class(rng, quot) for _ in model.moduli]
+        # one-row class arithmetic is coordinate arithmetic mod the
+        # invariants (degree 0: Z, not reduced)
+        a, b = parts[0], parts[-1]
+        ca, cb = a.rows[0].tolist(), b.rows[0].tolist()
+        for got, want in ((a + b, [s + t for s, t in zip(ca, cb)]),
+                          (a - b, [s - t for s, t in zip(ca, cb)]), (-a, [-s for s in ca]),
+                          *((k * a, [k * s for s in ca]) for k in (-7, 0, 3))):
+            assert got.rows[0].tolist() == [s % d if d else s
+                                            for s, d in zip(want, quot.invariants)], n
+        assert a.order() == lcm(1, *[0 if not d and s else d // gcd(s, d) if d else 1
+                                     for s, d in zip(ca, quot.invariants)]), n
         x = SynElt(model, quot, parts)
-        assert [c.coords for c in x.parts] == [_folded(c, M)
-                                               for c, M in zip(parts, model.moduli)]
+        assert [c.rows[0].tolist() for c in x.parts] == [_folded(c, M)
+                                                         for c, M in zip(parts, model.moduli)]
 
         def same(y, per_class):
-            assert [c.coords for c in y.parts] == [
+            assert [c.rows[0].tolist() for c in y.parts] == [
                 _folded(per_class(c), M) for c, M in zip(x.parts, model.moduli)], n
 
         for d in nt.divisors(n):
@@ -215,7 +226,7 @@ def test_tensor_maps_match_the_per_class_path(model):
         if n > 1:
             v = _random_class(rng, aug_quot(n, 1))
             same(x.mult_class(v), lambda c: gr.mult_classes(c, v))
-        k = AugClass(aug_quot(n, 0), (rng.randrange(-9, 10),))
+        k = ClassTensor(aug_quot(n, 0), (0,), [[rng.randrange(-9, 10)]])
         same(x.mult_class(k), lambda c: gr.mult_classes(c, k))
         for ell in model.split:
             fin, tr = model.loc(x, ell)
@@ -223,7 +234,7 @@ def test_tensor_maps_match_the_per_class_path(model):
                 want = quot.zero()
                 for cols, c in zip(model.cols[ell], x.parts):
                     want = want + cols[t] * c
-                assert got.parts[0].coords == _folded(want, ell - 1), (n, ell)
+                assert got.parts[0].rows[0].tolist() == _folded(want, ell - 1), (n, ell)
 
 
 def test_warm_primed_check_preks_reduces_nothing(monkeypatch):

@@ -62,6 +62,21 @@ def test_traced_names_resolve():
     assert not missing, missing
 
 
+def test_benchmark_operations_pass_their_checks(workloads):
+    # one operation of each kind the benchmark runs, through its own runner
+    # and checks, so that a change to the library's surface that breaks
+    # perfbench/ fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    Op = workloads.Op
+    ops = [Op("verify", (2, 21)), Op("preks", (13, 3, 3)), Op("det", (15,)),
+           Op("det", (210,)), Op("trial", ((5, 13), (), 1, 6, 2, 3))]
+    for op in ops:
+        assert checks.check(op, workloads.run_op(op)) == [], op
+
+
 def test_every_cache_is_cleared_by_the_benchmark(workloads):
     # the benchmark times each operation cold by clearing MODULE_CACHES; a
     # cache it does not know would carry work from one operation to the next
