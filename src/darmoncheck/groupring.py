@@ -58,15 +58,17 @@ where the relation matrix B_{r+1} C / m_r has a pivot other than 1
 (`_Lattices.degree`).
 
 The induced maps on classes are integer matrices, built the first time they
-are used and kept on the quotient they start from (the products on the one
-they land in), so they die with it.  A group homomorphism maps G_p into the
-Sylow p-subgroup of its target, so the matrices of pi_d and of the
+are used and kept read-only on the quotient they start from (the products on
+the one they land in), so they die with it.  A group homomorphism maps G_p
+into the Sylow p-subgroup of its target, so the matrices of pi_d and of the
 inclusions of levels are block-diagonal over p; each block maps the kept
 lifts of one component through the homomorphism, which moves mixed-radix
 digits (`_Sylow.image_index`), and reduces them in one product.  Products
 of classes vanish across primes, and within G_p they are bilinear, so
 multiplying by a class v is the matrix `AugQuot.mult_matrix(qa, v)`,
-contracted from one table of structure constants per component.
+contracted once from one table of structure constants per component and
+kept on the product's quotient by the degrees of qa and v and v's row (all
+three share one level).
 
 Both sides of Darmon's formula and the synthetic Kolyvagin systems take
 values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
@@ -538,11 +540,14 @@ class AugQuot:
         self.degree = r
         self.ambient_rank = G.phi
         self.exponent_m = G.exponent
-        # induced maps, built on first use: pi_d by d, the inclusion into
-        # level N by N, the product tables by the degrees of the factors
+        # induced maps, built on first use and read-only: pi_d by d, the
+        # inclusion into level N by N, the product tables by the degrees of
+        # the factors, multiplication by a class v by (degree of the left
+        # factor, degree of v, bytes of v's row)
         self._pi_matrices: dict[int, np.ndarray] = {}
         self._embed_matrices: dict[int, np.ndarray] = {}
         self._mult_tables: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._mult_matrices: dict[tuple[int, int, bytes], np.ndarray] = {}
         self._split_cache: dict[tuple, dict] = {}
         self._dets: dict[int, tuple] = {}
         self._perm_pis: dict[tuple, ClassTensor] = {}  # Pi(sigma) by moved pairs
@@ -676,7 +681,7 @@ class AugQuot:
         if d not in self._pi_matrices:
             if self.level % d:
                 raise ValueError(f"{d} does not divide {self.level}")
-            self._pi_matrices[d] = self._hom_matrix(d, self)
+            self._pi_matrices[d] = _frozen(self._hom_matrix(d, self))
         return self._pi_matrices[d]
 
     def embed_matrix(self, n: int) -> np.ndarray:
@@ -684,7 +689,8 @@ class AugQuot:
         if n not in self._embed_matrices:
             if n % self.level:
                 raise ValueError(f"{self.level} does not divide {n}")
-            self._embed_matrices[n] = self._hom_matrix(self.level, aug_quot(n, self.degree))
+            self._embed_matrices[n] = _frozen(self._hom_matrix(self.level,
+                                                               aug_quot(n, self.degree)))
         return self._embed_matrices[n]
 
     def mult_table(self, qa: AugQuot, qb: AugQuot) -> list[np.ndarray]:
@@ -709,19 +715,29 @@ class AugQuot:
                     if Y is None:
                         raise ArithmeticError("product does not lie in the expected ideal power")
                     T[:] = (Y % np.array(ct.invariants)).reshape(T.shape)
-                blocks.append(T)
+                blocks.append(_frozen(T))
             self._mult_tables[key] = blocks
         return self._mult_tables[key]
 
     def mult_matrix(self, qa: AugQuot, v: ClassTensor) -> np.ndarray:
         """Matrix of c -> c * v from qa into this quotient (the product's).
 
-        Contracts the class v with the structure constants of `mult_table`;
-        a degree-0 factor multiplies as an integer.
+        qa and v share this quotient's level, and v is a class (one row,
+        moduli (0,)), as `ClassTensor.mult_class` checks.  The matrix is
+        kept here, read-only, by the degrees of qa and v and the bytes of
+        v's row; the first use contracts v with the structure constants of
+        `mult_table`, and a degree-0 factor multiplies as an integer.
         """
-        qb, b = v.quot, v.rows[0]
+        key = (qa.degree, v.degree, v.rows.tobytes())
+        M = self._mult_matrices.get(key)
+        if M is None:
+            M = self._mult_matrices[key] = _frozen(self._contract(qa, v.quot, v.rows[0]))
+        return M
+
+    def _contract(self, qa: AugQuot, qb: AugQuot, b: np.ndarray) -> np.ndarray:
+        """The matrix of c -> c * b, b the coordinates of a class of qb."""
         if qa.degree == 0:
-            return v.rows[:1]
+            return b[None]
         if qb.degree == 0:
             return int(b[0]) * np.eye(len(qa.invariants), dtype=np.int64)
         M = np.zeros((len(qa.invariants), len(self.invariants)), dtype=np.int64)
@@ -735,15 +751,20 @@ class AugQuot:
         """Rows of A (x) I^r/I^{r+1}, A = sum of Z/M_j, reduced entrywise.
 
         Entry (j, i) is reduced mod gcd(M_j, d_i); 0 means not reduced (a
-        free generator in degree 0).
+        free generator in degree 0).  rows is anything that numpy reads as
+        integers in one row per M_j; `_fold` takes the int64 matrices of that
+        shape which the induced maps give, as they are.
         """
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(moduli), len(self.invariants))
+        return self._fold(moduli, rows)
+
+    def _fold(self, moduli: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
         if moduli not in self._folds:
             g = np.gcd.outer(np.array(moduli, dtype=np.int64),
                              np.array(self.invariants, dtype=np.int64))
             free = g == 0
             self._folds[moduli] = np.where(free, 1, g), (free if free.any() else None)
         div, free = self._folds[moduli]
-        rows = np.asarray(rows, dtype=np.int64).reshape(div.shape)
         out = rows % div
         if free is not None:
             out[free] = rows[free]
@@ -773,12 +794,18 @@ class AugQuot:
             P = np.eye(kq, dtype=np.int64)
             for p in plus:
                 P = P @ (np.eye(kq, dtype=np.int64) - self.pi_matrix(self.level // p))
-            data["proj"] = P
+            data["proj"] = _frozen(P)
         self._split_cache[plus] = data
         return data
 
     def __repr__(self):
         return f"AugQuot(n={self.level}, r={self.degree}, invariants={self.invariants})"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: the quotients keep what they hand out."""
+    a.setflags(write=False)
+    return a
 
 
 def smith_chain(divisors) -> list[int]:
@@ -890,15 +917,16 @@ class ClassTensor:
         self.moduli = tuple(moduli)
         if rows is None:
             rows = np.zeros((len(self.moduli), len(quot.invariants)), dtype=np.int64)
-        self.rows = quot.fold(self.moduli, rows)
-        self.rows.setflags(write=False)
+        self.rows = _frozen(quot.fold(self.moduli, rows))
 
-    def _with(self, quot: AugQuot, rows) -> ClassTensor:
-        """The same kind of element, over the same A, at quot with these rows."""
+    def _with(self, quot: AugQuot, rows: np.ndarray) -> ClassTensor:
+        """The same kind of element, over the same A, at quot with these rows,
+        an int64 matrix of the right shape (not yet reduced)."""
         out = object.__new__(type(self))
         for name in self._extra:
             setattr(out, name, getattr(self, name))
-        ClassTensor.__init__(out, quot, self.moduli, rows)
+        out.quot, out.moduli = quot, self.moduli
+        out.rows = _frozen(quot._fold(self.moduli, rows))
         return out
 
     @property
@@ -946,8 +974,9 @@ class ClassTensor:
     def __eq__(self, other):
         if not isinstance(other, ClassTensor):
             return NotImplemented
+        # same quotient and moduli: int64 rows of the same shape
         return (other.quot is self.quot and other.moduli == self.moduli
-                and np.array_equal(other.rows, self.rows))
+                and other.rows.tobytes() == self.rows.tobytes())
 
     def pi(self, d: int) -> ClassTensor:
         if self.level % d:
@@ -968,9 +997,11 @@ class ClassTensor:
         return self._with(aug_quot(n, self.degree), rows)
 
     def mult_class(self, v: ClassTensor) -> ClassTensor:
-        """Each row times the class v."""
+        """Each row times the class v (one row, moduli (0,))."""
         if v.level != self.level:
             raise ValueError("levels differ; embed first")
+        if v.moduli != (0,):
+            raise ValueError(f"the multiplier must be a class, moduli (0,), not {v.moduli}")
         target = aug_quot(self.level, self.degree + v.degree)
         return self._with(target, self.rows @ target.mult_matrix(self.quot, v))
 

@@ -16,7 +16,7 @@ determinants D_{n,d} and is checked against the axiom lists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -74,6 +74,8 @@ class SyntheticLocalModel(LocalModel):
     cols[l]: a 2-column integer matrix of multipliers A -> Z/(l-1) x Z/(l-1)
              giving the finite and transverse components at l.
     fs_unit[l]: the unit mod l-1 implementing the finite-singular map.
+
+    `loc` keeps the matrix of cols[l], transposed, per l.
     """
 
     moduli: tuple[int, ...]
@@ -82,9 +84,13 @@ class SyntheticLocalModel(LocalModel):
     cols: dict[int, list[tuple[int, int]]]
     fs_unit: dict[int, int]
     seed: int | None = None
+    _loc_matrices: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                                 repr=False, compare=False)
 
     def loc(self, x: ClassTensor, ell: int) -> tuple[ClassTensor, ClassTensor]:
-        fin, tr = np.array(self.cols[ell], dtype=np.int64).T @ x.rows
+        if ell not in self._loc_matrices:
+            self._loc_matrices[ell] = np.array(self.cols[ell], dtype=np.int64).T
+        fin, tr = self._loc_matrices[ell] @ x.rows
         return (ClassTensor(x.quot, (ell - 1,), fin),
                 ClassTensor(x.quot, (ell - 1,), tr))
 
@@ -209,14 +215,16 @@ def random_ks(model: SyntheticLocalModel, seed: int = 0) -> dict[int, SynElt]:
 
 
 class _Locs(dict):
-    """model.loc(coll[k], ell) by (k, ell), each computed when first read.
+    """model.loc(coll[k], ell) by (k, ell), each computed when first read,
+    and `fin_new(k, ell)`, kept the same way.
 
     It lives for one check: the axioms at every (n, ell) above k read the
-    same localisation of coll[k].
+    same localisation of coll[k], and its projection onto the new component.
     """
 
     def __init__(self, coll: dict[int, ClassTensor], model: LocalModel):
         self.coll, self.model = coll, model
+        self._fin_new: dict[tuple[int, int], ClassTensor] = {}
 
     def __missing__(self, key: tuple[int, int]) -> tuple[ClassTensor, ClassTensor]:
         k, ell = key
@@ -225,7 +233,9 @@ class _Locs(dict):
 
     def fin_new(self, k: int, ell: int) -> ClassTensor:
         """The new-component projection of the finite part of coll[k] at ell."""
-        return self[k, ell][0].proj_new(self.model.plus(k))
+        if (k, ell) not in self._fin_new:
+            self._fin_new[k, ell] = self[k, ell][0].proj_new(self.model.plus(k))
+        return self._fin_new[k, ell]
 
 
 def check_ks(coll: dict[int, ClassTensor], model: LocalModel) -> dict:

@@ -108,6 +108,26 @@ def test_cached_classes_are_read_only():
         assert c.rows.size, c
         with pytest.raises(ValueError):
             c.rows[0, 0] = 0
+    # and so do the matrices of the induced maps
+    q1, q2 = aug_quot(105, 1), aug_quot(105, 2)
+    v = q1.group_class(gamma(105).gens[7])
+    kept = [q2.pi_matrix(35), aug_quot(35, 2).embed_matrix(105), *q2.mult_table(q1, q1),
+            q2.splitting((5, 7))["proj"], q2.mult_matrix(q1, v),
+            aug_quot(105, 0).pi_matrix(35), q1.mult_matrix(aug_quot(105, 0), v)]
+    for M in kept:
+        assert M.size, M
+        with pytest.raises(ValueError):
+            M.flat[0] = 1
+
+
+def test_mult_class_refuses_a_multiplier_that_is_not_a_class():
+    q = aug_quot(35, 1)
+    a, b = (q.group_class(gamma(35).gens[p]) for p in (5, 7))
+    assert a.mult_class(b).rows.tolist() == [[0, 1, 0, 0]]
+    for v in (ClassTensor(q, (0, 0), [a.rows[0], b.rows[0]]),  # two rows: [a; b]
+              ClassTensor(q, (3,), b.rows)):  # b in Z/3 (x) I/I^2
+        with pytest.raises(ValueError):
+            a.mult_class(v)
 
 
 def test_aug_quot_examples():

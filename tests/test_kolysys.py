@@ -269,3 +269,55 @@ def test_check_preks_reduces_each_group_class_once(monkeypatch):
     check_preks(PRE, MODEL)
     pairs = {(n, ell) for n in MODEL.levels() for ell in MODEL.split if n % ell == 0}
     assert len(calls) <= len(pairs), calls
+
+
+def test_check_preks_contracts_each_multiplier_once(monkeypatch):
+    # multiplication by a class is kept on the product's quotient, so one
+    # check_preks contracts each (product quotient, multiplier) at most once,
+    # and a second check on the same collection contracts none
+    calls, uses = [], []
+    contract, mult_matrix = AugQuot._contract, AugQuot.mult_matrix
+
+    def counting(self, qa, qb, b):
+        calls.append((self.level, self.degree, qa.degree, b.tobytes()))
+        return contract(self, qa, qb, b)
+
+    def using(self, qa, v):
+        uses.append(1)
+        return mult_matrix(self, qa, v)
+
+    monkeypatch.setattr(AugQuot, "_contract", counting)
+    monkeypatch.setattr(AugQuot, "mult_matrix", using)
+    assert check_preks(PRE, MODEL)["ok"]
+    assert len(calls) == len(set(calls)), calls
+    assert len(uses) > len(calls)
+    calls.clear()
+    assert check_preks(PRE, MODEL)["ok"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", [
+    block_model((5, 13), (3,), seed=1, extra_factor=12),
+    block_model((3, 5, 7), (), seed=4),
+    cyclic_model((5, 13), (3,), seed=3, two_generators=True),
+])
+def test_kept_mult_matrices_match_fresh_contractions(model):
+    # all products first, then each kept matrix against a fresh contraction:
+    # a key that confused two multipliers would hand a later one the matrix
+    # of an earlier one (zero classes of equal width included)
+    rng = random.Random(repr(model.moduli))
+    seen = []
+    for n in model.levels():
+        # one degree past the number of primes, where at n = 21 the degree-2
+        # and degree-3 classes have the same width
+        top = len(nt.prime_factors(n)) + 1
+        for r in range(top + 1):
+            for s in range(top + 1 - r):
+                qa, target = aug_quot(n, r), aug_quot(n, r + s)
+                for v in (_random_class(rng, aug_quot(n, s)), aug_quot(n, s).zero()):
+                    kept = target.mult_matrix(qa, v)
+                    assert target.mult_matrix(qa, ClassTensor(v.quot, (0,), v.rows)) is kept
+                    seen.append((target, qa, v, kept))
+    for target, qa, v, kept in seen:
+        fresh = target._contract(qa, v.quot, v.rows[0])
+        assert kept.tolist() == fresh.tolist(), (target, qa, v.rows)
