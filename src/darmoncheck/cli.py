@@ -56,29 +56,6 @@ def _check_level(F: qf.QuadField, n: int) -> None:
         raise UsageError(f"level {n} shares a factor with the conductor {F.conductor}")
 
 
-# where --ell must lie for each supported axiom, as the checks in darmon
-# require it: (ell divides the level, its splitting type or None for any)
-_AXIOM_ELL = {
-    ("regulator", "i"): (False, None), ("theta", "i"): (False, None),
-    ("regulator", "ii"): (True, 1), ("theta", "ii"): (True, 1),
-    ("regulator", "iii"): (True, 1), ("regulator", "iv"): (True, 1),
-    ("regulator", "v"): (False, -1), ("theta", "v"): (True, -1),
-}
-
-
-def _check_ell(F: qf.QuadField, system: str, axiom: str, n: int, ell: int) -> None:
-    if not nt.is_prime(ell):
-        raise UsageError(f"--ell {ell} is not a prime")
-    if (system, axiom) not in _AXIOM_ELL:
-        return  # reported as unsupported
-    divides, omega = _AXIOM_ELL[system, axiom]
-    if (n % ell == 0) != divides or omega not in (None, F.omega(ell)):
-        kind = {None: "a", 1: "a split", -1: "an inert"}[omega]
-        where = "dividing" if divides else "not dividing"
-        raise UsageError(f"{system} axiom ({axiom}) needs {kind} prime {where} "
-                         f"the level, not --ell {ell}")
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -92,7 +69,10 @@ def cmd_verify(args) -> int:
     if args.axiom or args.system:
         if not (args.axiom and args.system and args.ell):
             raise UsageError("--axiom requires --system and --ell")
-        _check_ell(F, args.system, args.axiom, args.level, args.ell)
+        try:
+            darmon.check_ell(F, args.system, args.axiom, args.level, args.ell)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         rep = darmon.verify_preks_axiom(F, args.system, args.axiom,
                                         args.level, args.ell,
                                         num_primes=args.primes, bound=args.bound)

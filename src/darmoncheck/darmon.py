@@ -5,8 +5,12 @@ oriented unit basis, with coefficients in augmentation quotients.  It is a
 `TensorElt`, the `groupring.ClassTensor` with one free row per unit, and
 every reduction of it through a homomorphism on the units (h, ord_at, the
 finite part at ell) is one product of a row of values with its rows
-(`TensorElt.evaluate`).  Its pre-Kolyvagin axioms run through the checker of
-`kolysys`, with `ConcreteModel` as the local model.  The theta side is
+(`TensorElt.evaluate`).  `del_lift` builds its local symbols, and
+`ConcreteModel` reads its local data at a split ell for the checker of
+`kolysys`, which runs all five pre-Kolyvagin axioms.  The two share one
+convention: sigma_ell is the least primitive root mod ell, and the symbol at
+ell of a unit u is u^{-1} - 1 = -fin (sigma_ell - 1) mod I^2, fin the log of
+u to the base sigma_ell.  The theta side is
 reduced through homomorphisms into Z/M attached to auxiliary primes q, with
 M | q-1.  The paper proves the congruence for every odd prime p, so M is odd
 (`_theta_modulus`): in degree r >= 1 the odd part of `AugQuot.precision`,
@@ -35,10 +39,9 @@ from math import gcd, lcm
 import numpy as np
 
 from . import cyclo, groupring as gr, kolysys, nt, quadfield as qf
-from .groupring import ClassTensor, aug_quot, gamma
-from .localsym import del_lift
+from .groupring import ClassTensor, RingElt, aug_quot, gamma
 from .nt import BadAuxiliaryPrime, ResourceLimitError
-from .quadfield import QuadField, QuadNum
+from .quadfield import PrimePlace, QuadField, QuadNum, ord_at, unit_residue
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +279,29 @@ def _check_hom_compat(quot, h: ReductionHom):
 # the regulator side (exact)
 
 
+def del_lift(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> RingElt:
+    """A group-ring lift of (Artin symbol of x at the place) - 1, in I_n.
+
+    Components at odd primes q of n: the ord-power of Frobenius at ell when
+    q != ell, and the inverse unit residue at q == ell (Gamma_2 is trivial).
+    """
+    G = gamma(n)
+    k = ord_at(x, place)
+    ell = place.ell
+    lift = RingElt(n)
+    for q in G.primes:
+        if q == 2:
+            continue
+        if q == ell:
+            u = unit_residue(x, place)
+            lift = lift + RingElt.gen_minus_one(n, G.embed_from(ell, pow(u, -1, ell)))
+        else:
+            base = ell % q
+            fr = pow(base, k, q) if k >= 0 else pow(pow(base, -1, q), -k, q)
+            lift = lift + RingElt.gen_minus_one(n, G.embed_from(q, fr))
+    return lift
+
+
 def regulator(F: QuadField, n: int) -> TensorElt:
     """R_n as a formal sum of units tensor degree-r classes (exact)."""
     return bordered_regulator(F, n, n)
@@ -285,7 +311,7 @@ def bordered_regulator(F: QuadField, n: int, n2: int) -> TensorElt:
     """R_{n,n2}: unit basis of level n, symbols evaluated at level n2, n | n2."""
     if n2 % n:
         raise ValueError("the bordered level must be a multiple of the base level")
-    pd, ul = qf.unit_basis(F, n)
+    ul = qf.unit_basis(F, n)
     return regulator_from_basis(F, ul.basis, ul.places, n2)
 
 
@@ -296,6 +322,40 @@ def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
     return TensorElt(aug_quot(n2, len(places)), [
         (eps, (-1) ** j * gr.det_class(n2, [row[:j] + row[j + 1:] for row in lifts]))
         for j, eps in enumerate(basis)])
+
+
+def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
+    """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
+    place = F.place_above(ell)
+    us = [unit_residue(x, place) for x in xs]
+    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1).tolist()
+
+
+@dataclass
+class ConcreteModel(kolysys.LocalModel):
+    """The local data of h_n R_n: A is free on the units of the regulator.
+
+    At a split ell the finite part of a unit is the discrete log of its unit
+    residue at the place above ell (`_fpart_dlogs`), in Z/(ell-1); the
+    transverse part is its valuation there, in Z.
+    """
+
+    F: QuadField
+    split: tuple[int, ...]
+    inert: tuple[int, ...]
+
+    def loc(self, x: TensorElt, ell: int) -> tuple[ClassTensor, ClassTensor]:
+        place = self.F.place_above(ell)
+        return (x.evaluate(lambda xs: _fpart_dlogs(self.F, xs, ell), ell - 1),
+                x.evaluate(lambda xs: [ord_at(y, place) for y in xs], 0))
+
+    def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
+        """fin lifted to Z, times -(sigma_ell - 1): sigma_ell, the least
+        primitive root mod ell, is the base of the logs, and the lift is well
+        defined as (ell-1)(sigma_ell - 1) lies in I^2.  Gamma has no
+        2-component, and at ell = 2 the finite parts vanish: sigma_2 = 1."""
+        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens.get(ell, 1))
+        return ClassTensor(fin.quot, (0,), fin.rows).embed(at_level).mult_class(-sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -495,38 +555,29 @@ def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
 # pre-Kolyvagin axioms for the two concrete systems
 
 
-def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
-    """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
-    place = F.place_above(ell)
-    us = [qf.unit_residue(x, place) for x in xs]
-    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1).tolist()
+# where ell must lie for each checked axiom: (ell divides the level, its
+# splitting type or None for any)
+_AXIOM_ELL = {
+    ("regulator", "i"): (False, None), ("theta", "i"): (False, None),
+    ("regulator", "ii"): (True, 1), ("theta", "ii"): (True, 1),
+    ("regulator", "iii"): (True, 1), ("regulator", "iv"): (True, 1),
+    ("regulator", "v"): (False, -1), ("theta", "v"): (True, -1),
+}
 
 
-@dataclass
-class ConcreteModel(kolysys.LocalModel):
-    """The local data of h_n R_n: A is free on the units of the regulator.
-
-    At a split ell the finite part of a unit is the discrete log of its unit
-    residue at the place above ell (`_fpart_dlogs`), in Z/(ell-1); the
-    transverse part is its valuation there, in Z.
-    """
-
-    F: QuadField
-    split: tuple[int, ...]
-    inert: tuple[int, ...]
-
-    def loc(self, x: TensorElt, ell: int) -> tuple[ClassTensor, ClassTensor]:
-        place = self.F.place_above(ell)
-        return (x.evaluate(lambda xs: _fpart_dlogs(self.F, xs, ell), ell - 1),
-                x.evaluate(lambda xs: [qf.ord_at(y, place) for y in xs], 0))
-
-    def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
-        """fin lifted to Z, times -(sigma_ell - 1): sigma_ell, the least
-        primitive root mod ell, is the base of the logs, and the lift is well
-        defined as (ell-1)(sigma_ell - 1) lies in I^2.  Gamma has no
-        2-component, and at ell = 2 the finite parts vanish: sigma_2 = 1."""
-        sigma = aug_quot(at_level, 1).group_class(gamma(at_level).gens.get(ell, 1))
-        return ClassTensor(fin.quot, (0,), fin.rows).embed(at_level).mult_class(-sigma)
+def check_ell(F: QuadField, system: str, axiom: str, n: int, ell: int) -> None:
+    """Raise ValueError unless ell is a prime placed as `_AXIOM_ELL` asks for
+    (system, axiom) at level n; a pair it does not list is unsupported."""
+    if not nt.is_prime(ell):
+        raise ValueError(f"ell = {ell} is not a prime")
+    if (system, axiom) not in _AXIOM_ELL:
+        return
+    divides, omega = _AXIOM_ELL[system, axiom]
+    if (n % ell == 0) != divides or omega not in (None, F.omega(ell)):
+        kind = {None: "a", 1: "a split", -1: "an inert"}[omega]
+        where = "dividing" if divides else "not dividing"
+        raise ValueError(f"{system} axiom ({axiom}) needs {kind} prime {where} "
+                         f"the level {n}, not ell = {ell}")
 
 
 class _RegulatorLevels(dict):
@@ -540,27 +591,13 @@ class _RegulatorLevels(dict):
         return x
 
 
-def regulator_axiom_i(F: QuadField, n: int, ell: int) -> bool:
-    """Every term of R_n is a unit at ell (ell not dividing n)."""
-    if n % ell == 0:
-        raise ValueError("axiom (i) concerns ell not dividing n")
-    _, ul = qf.unit_basis(F, n)
-    if F.omega(ell) != 1:
-        return True  # no transverse component exists at non-split primes
-    place = F.place_above(ell)
-    return all(qf.ord_at(e, place) == 0 and qf.ord_at(e, place.conj()) == 0
-               for e in ul.basis)
-
-
-def regulator_preks_axiom(F: QuadField, axiom: str, n: int, ell: int) -> bool:
-    """Axiom (ii), (iii), (iv)' or (v) for h_n R_n, by `kolysys.preks_failures`
-    at (n, ell) for a split ell | n, or at (n ell, ell) for an inert ell."""
-    inert = axiom == "v"
-    if (n % ell == 0) == inert or F.omega(ell) != (-1 if inert else 1):
-        kind = "an inert prime not dividing" if inert else "a split prime dividing"
-        raise ValueError(f"axiom ({axiom}) needs {kind} the level")
-    top = n * ell if inert else n
-    primes = nt.prime_factors(top)
+def _regulator_axiom(F: QuadField, axiom: str, n: int, ell: int) -> bool:
+    """One axiom for h_n R_n, by `kolysys.preks_failures` with `ConcreteModel`:
+    at (n ell, ell) for (v), else at (n, ell).  The model splits the primes
+    of the level and ell by their splitting type, so (i) at a non-split ell
+    passes: there is no transverse part."""
+    top = n * ell if axiom == "v" else n
+    primes = nt.prime_factors(lcm(top, ell))
     model = ConcreteModel(F, tuple(p for p in primes if F.omega(p) == 1),
                           tuple(p for p in primes if F.omega(p) != 1))
     failures = kolysys.preks_failures(_RegulatorLevels(F), model, top, ell,
@@ -576,8 +613,7 @@ def _reduction_homs(F: QuadField, n: int, num_primes: int,
             for q in find_aux_primes(F, n, num_primes, bound)]
 
 
-def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
-                   bound: int = 10 ** 9):
+def _theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int, bound: int):
     """Exact norm relation, plus the projection identity under homs."""
     exact = cyclo.norm_relation_check(F, n, ell)
     m = n // ell
@@ -593,11 +629,8 @@ def theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int = 3,
     return ok, "exact+reductions"
 
 
-def theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int = 3,
-                  bound: int = 10 ** 9):
+def _theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int, bound: int):
     """proj(2^{-s(n)} theta~'_n) = proj(2^{-s(n/ell)} theta~'_{n/ell}) under homs."""
-    if n % ell or F.omega(ell) != -1:
-        raise ValueError("axiom (v) needs an inert prime dividing the level")
     m = n // ell
     plus = tuple(F.split_primes(n))
     theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
@@ -609,10 +642,8 @@ def theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int = 3,
     return True, "reductions"
 
 
-def theta_axiom_i(F: QuadField, n: int, ell: int) -> bool:
+def _theta_axiom_i(F: QuadField, n: int, ell: int) -> bool:
     """alpha-payloads are units above ell (ell not dividing n)."""
-    if n % ell == 0:
-        raise ValueError("axiom (i) concerns ell not dividing n")
     return ell not in _alpha_support(F, n)
 
 
@@ -635,26 +666,25 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
 
     system: "regulator" (h_n R_n) or "theta" (2^{-s} theta~'_n).
     axiom: "i", "ii", "iii", "iv" (the primed form), or "v".
+    ell must lie where `check_ell` asks (ValueError otherwise).
     The regulator checks are exact.  num_primes and bound serve the theta
     axioms (ii) and (v) only, which compare under reduction homomorphisms
     at num_primes auxiliary primes below bound.
     """
+    check_ell(F, system, axiom, n, ell)
     method = "exact"
     supported = True
     if system == "regulator":
-        if axiom == "i":
-            ok = regulator_axiom_i(F, n, ell)
-        elif axiom in ("ii", "iii", "iv", "v"):
-            ok = regulator_preks_axiom(F, axiom, n, ell)
-        else:
+        if (system, axiom) not in _AXIOM_ELL:
             raise ValueError(f"unknown axiom {axiom!r}")
+        ok = _regulator_axiom(F, axiom, n, ell)
     elif system == "theta":
         if axiom == "i":
-            ok = theta_axiom_i(F, n, ell)
+            ok = _theta_axiom_i(F, n, ell)
         elif axiom == "ii":
-            ok, method = theta_axiom_ii(F, n, ell, num_primes, bound)
+            ok, method = _theta_axiom_ii(F, n, ell, num_primes, bound)
         elif axiom == "v":
-            ok, method = theta_axiom_v(F, n, ell, num_primes, bound)
+            ok, method = _theta_axiom_v(F, n, ell, num_primes, bound)
         else:
             # the finite/transverse local data of the derivative classes is
             # inherited from the underlying Euler system construction and has

@@ -1103,7 +1103,7 @@ def frob_class(n: int, target_level: int, q: int) -> ClassTensor:
     return aug_quot(n, 1).group_class(gamma(n).project(q, target_level))
 
 
-def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
+def d_det(n: int, d: int):
     """The Frobenius matrix M_{n,d} and its determinant class D_{n,d}.
 
     Row/column i corresponds to the i-th prime of d in increasing order;
@@ -1112,14 +1112,9 @@ def d_det(n: int, d: int, plus: tuple[int, ...] | None = None):
     of rows, class of the determinant in I_n^t/I_n^{t+1}); the result is
     kept on that quotient, as `AugQuot.splitting` keeps its data.
     """
-    if plus is None:
-        plus = gamma(n).primes
-    if n % d or prod(nt.prime_factors(d)) != d:
-        raise ValueError(f"{d} must be a squarefree divisor of the level")
-    for p in nt.prime_factors(d):
-        if p not in plus:
-            raise ValueError(f"{p} is not one of the designated primes")
     ls = nt.prime_factors(d)
+    if n % d or prod(ls) != d:
+        raise ValueError(f"{d} must be a squarefree divisor of the level")
     t = len(ls)
     quot = aug_quot(n, t)
     if d in quot._dets:

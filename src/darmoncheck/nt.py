@@ -255,11 +255,6 @@ def discrete_logs(hs, g: int, p: int, order: int) -> np.ndarray:
     raise ValueError("discrete log not found (h not in <g>?)")
 
 
-def discrete_log(h: int, g: int, p: int, order: int) -> int:
-    """Solve g^x = h mod p for 0 <= x < order (a batch of one)."""
-    return int(discrete_logs([h], g, p, order)[0])
-
-
 def int_dtype(p: int):
     """The dtype of arrays of residues mod p: int64 while p*p fits in it,
     Python integers (object) above that."""

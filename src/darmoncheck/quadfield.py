@@ -771,25 +771,18 @@ def ideal_contained_support(F: QuadField, g: QuadNum, primes: list[int]) -> bool
 
 
 @dataclass
-class PlaceData:
-    """The standard ordered places of level n: archimedean + split primes."""
-
-    level: int
-    places: list[PrimePlace]  # ordered by increasing residue prime
-
-
-@dataclass
 class UnitLattice:
     """An oriented basis of (1-tau)E_n, nested along the split primes."""
 
-    level: int
     basis: list[QuadNum]         # eps_0, ..., eps_r
     ords: list[list[int]]        # ords[i][j] = ord_{lambda_i}(eps_j), i >= 1
-    places: list[PrimePlace]
+    places: list[PrimePlace]     # above the split primes, increasing
 
 
-def unit_basis(F: QuadField, n: int) -> tuple[PlaceData, UnitLattice]:
-    """Standard places and an oriented nested basis of (1-tau)E_n."""
+def unit_basis(F: QuadField, n: int) -> UnitLattice:
+    """An oriented nested basis of (1-tau)E_n and its places.
+
+    It depends on n only through n_+, and is kept on F by n_+."""
     if n > 1 and gcd(n, F.conductor) != 1:
         raise ValueError("level must be coprime to the conductor")
     key = ("ub", F.n_plus(n))
@@ -812,10 +805,10 @@ def unit_basis(F: QuadField, n: int) -> tuple[PlaceData, UnitLattice]:
     ords = []
     for i, place in enumerate(places):
         ords.append([ord_at(e, place) for e in basis])
-    lattice = UnitLattice(n, basis, ords, places)
+    lattice = UnitLattice(basis, ords, places)
     _orient(F, lattice)
-    F._basis_cache[key] = (PlaceData(n, places), lattice)
-    return F._basis_cache[key]
+    F._basis_cache[key] = lattice
+    return lattice
 
 
 def _orient(F: QuadField, lat: UnitLattice) -> None:

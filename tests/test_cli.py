@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from darmoncheck import darmon, groupring as gr, nt
+from darmoncheck import darmon, groupring as gr, nt, quadfield as qf
 from darmoncheck.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
                              EXIT_RESOURCE, EXIT_USAGE, EXIT_VACUOUS, main)
 
@@ -110,6 +110,18 @@ def test_exit_codes_name_the_fault(monkeypatch, capsys):
     code, _ = run(["verify", "--disc", "5", "--level", "11"])
     assert code == EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
+
+
+def test_misplaced_ell_is_one_rule(capsys):
+    # the library raises before any check runs, and the CLI reports the same
+    # message as a usage error
+    for axiom, ell in (("ii", 3), ("i", 11), ("i", 4)):
+        with pytest.raises(ValueError) as exc:
+            darmon.verify_preks_axiom(qf.make_field(5), "regulator", axiom, 11, ell)
+        code, _ = run(["verify", "--disc", "5", "--level", "11", "--axiom", axiom,
+                       "--system", "regulator", "--ell", str(ell)])
+        assert code == EXIT_USAGE
+        assert f"usage error: {exc.value}" in capsys.readouterr().err
 
 
 def test_all_bad_primes_exit_inconclusive(monkeypatch):

@@ -1,15 +1,21 @@
-"""Local symbols, the finite/transverse split, and the finite-singular map."""
+"""Local symbols, the finite/transverse split, and the finite-singular map.
+
+The symbol of x at a place, in I_n/I_n^2, is the class of `darmon.del_lift`.
+At level ell it is the finite-singular image phi^fs of a unit x at the
+place: (ell, ell^{-1}) tensor (symbol - 1).  Through the conjugate place the
+transverse generator is (1, ell) = (ell, ell^{-1})^{-1}, so that form is
+minus the class of the symbol at the conjugate place.
+"""
 
 import random
 
 import pytest
 
 from darmoncheck import groupring as gr
-from darmoncheck.groupring import RingElt, aug_quot, gamma, pi_d
-from darmoncheck.localsym import (FSClass, LocalDecomp, del_symbol,
-                                  fin_tr_split, phi_fs)
-from darmoncheck.quadfield import (fundamental_unit, lambda_generator,
-                                   make_field, ord_at)
+from darmoncheck.darmon import ConcreteModel, del_lift, regulator
+from darmoncheck.groupring import RingElt, aug_quot, pi_d
+from darmoncheck.quadfield import (QuadNum, fundamental_unit, lambda_generator,
+                                   make_field, ord_at, unit_residue)
 
 F = make_field(5)
 PL = F.place_above(11)
@@ -19,55 +25,57 @@ _, G11 = lambda_generator(F, PL)
 E1 = G11.conj() / G11
 
 
+def sym(x, n, place=PL):
+    """The class of (Artin symbol of x at the place) - 1 in I_n/I_n^2."""
+    return aug_quot(n, 1).class_of(del_lift(F, x, place, n))
+
+
 def test_del_additivity():
     rng = random.Random(0)
     for _ in range(15):
         a, b = rng.randrange(1, 5), rng.randrange(1, 5)
         x = (E0 ** a) * (E1 ** b)
-        assert del_symbol(F, x, PL, 11) == (a * del_symbol(F, E0, PL, 11)
-                                            + b * del_symbol(F, E1, PL, 11))
+        assert sym(x, 11) == a * sym(E0, 11) + b * sym(E1, 11)
 
 
 def test_del_unramified_law():
     # at a level prime to ell the symbol is ord * (Frobenius - 1)
     k = ord_at(E1, PL)
     assert k == -1
-    c3 = del_symbol(F, E1, PL, 3)
+    c3 = sym(E1, 3)
     fr_inv = pow(11 % 3, -1, 3)
     assert c3 == aug_quot(3, 1).class_of(RingElt.gen_minus_one(3, fr_inv))
 
 
 def test_del_component_decomposition():
-    c33 = del_symbol(F, E1, PL, 33)
-    assert pi_d(c33, 3) == gr.embed_class(del_symbol(F, E1, PL, 3), 33)
-    assert pi_d(c33, 11) == gr.embed_class(del_symbol(F, E1, PL, 11), 33)
+    c33 = sym(E1, 33)
+    assert pi_d(c33, 3) == gr.embed_class(sym(E1, 3), 33)
+    assert pi_d(c33, 11) == gr.embed_class(sym(E1, 11), 33)
 
 
 def test_del_unit_case():
     # for a unit at the place, the symbol is tame: zero away from ell
-    c = del_symbol(F, E0, PL, 33)
+    c = sym(E0, 33)
     assert pi_d(c, 3).is_zero()
-    assert pi_d(c, 11) == gr.embed_class(del_symbol(F, E0, PL, 11), 33)
+    assert pi_d(c, 11) == gr.embed_class(sym(E0, 11), 33)
 
 
 def test_del_rejects_zero():
-    from darmoncheck.quadfield import QuadNum
     with pytest.raises(ValueError):
-        del_symbol(F, QuadNum(5, 0), PL, 11)
+        sym(QuadNum(5, 0), 11)
 
 
 def test_fin_tr_split_examples():
-    ld = fin_tr_split(F, E0, 11)
-    assert (ld.ord_lambda, ld.ord_lambda_tau) == (0, 0)
-    ld2 = fin_tr_split(F, G11 / G11.conj(), 11)
-    assert (ld2.ord_lambda, ld2.ord_lambda_tau) == (1, -1)
+    # the transverse exponents at lambda and lambda^tau
+    assert (ord_at(E0, PL), ord_at(E0, PL.conj())) == (0, 0)
+    x = G11 / G11.conj()
+    assert (ord_at(x, PL), ord_at(x, PL.conj())) == (1, -1)
     with pytest.raises(ValueError):
-        fin_tr_split(F, E0, 3)  # inert
+        ConcreteModel(F, (11,), (3,)).loc(regulator(F, 11), 3)  # 3 is inert
 
 
 def test_fin_tr_unit_residues_inverse_for_minus_part():
     # for x = u/u^tau the residues at the two places are mutually inverse
-    from darmoncheck.quadfield import unit_residue
     for x in (E0, E1 * E0, E1):
         if ord_at(x, PL) or ord_at(x, PL.conj()):
             continue
@@ -77,22 +85,18 @@ def test_fin_tr_unit_residues_inverse_for_minus_part():
 
 
 def test_phi_fs_conventions():
+    # phi^fs of a minus-part unit is the same through either place
     for x in (E0, E0 * E0, E0 ** 3):
-        f1 = phi_fs(F, x, 11)
-        f2 = phi_fs(F, x, 11, use_conjugate=True)
-        assert f1.normalized() == f2.normalized()
+        assert sym(x, 11) == -sym(x, 11, PL.conj())
     # x = 1 mod lambda gives the zero class
-    assert phi_fs(F, E0 ** 10, 11).normalized().is_zero()
-    with pytest.raises(ValueError):
-        phi_fs(F, G11, 11)  # not a unit at 11
+    assert sym(E0 ** 10, 11).is_zero()
 
 
 def test_phi_fs_generator():
     # a residue of multiplicative order 10 maps to a generator
-    from darmoncheck.quadfield import unit_residue
     u = unit_residue(E0, PL)
     assert nt_order(u, 11) == 10
-    assert phi_fs(F, E0, 11).normalized().order() == 10
+    assert sym(E0, 11).order() == 10
 
 
 def nt_order(u, p):
@@ -104,5 +108,4 @@ def nt_order(u, p):
 
 
 def test_phi_fs_kills_ell_minus_one():
-    cls = phi_fs(F, E0, 11).normalized()
-    assert (10 * cls).is_zero()
+    assert (10 * sym(E0, 11)).is_zero()

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import darmoncheck
@@ -94,3 +95,87 @@ def test_every_cache_is_cleared_by_the_benchmark(workloads):
             missing += [f"{path.name}:{name}" for name in names
                         if id(getattr(module, name, None)) not in cleared]
     assert found and not missing, missing
+
+
+# reference implementations that only tests read, each with the test that
+# reads it; every other library name has a caller in src/ or perfbench/
+TEST_ONLY = {
+    "cyclo_to_quad": "test_cyclo.py::test_quad_cyclo_roundtrip",
+    "ThetaElt.coefficient": "test_cyclo.py::test_theta_coefficient_reduction_consistency",
+    "prop94_residual": "test_darmon.py::test_prop94_levels",
+    "frobenius": "test_groupring.py::test_frobenius",
+    "subgroup_order": "test_acceptance.py::test_criterion_3_augmentation_structure",
+    "AugQuot.lift": "test_groupring.py::test_lift_then_class_with_three_components",
+    "cyclic_model": "test_kolysys.py::test_cyclic_model_checkers_run",
+    "zero_collection": "test_kolysys.py::test_zero_collection_passes",
+    "lemma58_extend": "test_kolysys.py::test_lemma58_extension",
+    "lemma58_sum_check": "test_kolysys.py::test_lemma58_extension",
+    "multiplicative_order": "test_nt.py::test_primitive_root_orders",
+    "lambda_generator": "test_quadfield.py::test_lambda_generator_examples",
+    "ideal_of": "test_quadfield.py::test_lambda_generator_examples",
+    "prime_ideal": "test_quadfield.py::test_lambda_generator_examples",
+    "QuadIdeal.contains_num": "test_quadfield.py::test_ord_at_against_ideal_powers",
+    "QuadIdeal.pow": "test_quadfield.py::test_ord_at_against_ideal_powers",
+}
+
+
+def _references(paths):
+    """(identifier, path, line, kind) for every name the files use: kind
+    "name" for a bare name or an import, "attr" for an attribute or a
+    dotted name in a string (as perfbench/tracing.py names what it wraps)."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.append((node.id, path, node.lineno, "name"))
+            elif isinstance(node, ast.alias):
+                out.append((node.name.split(".")[-1], path, node.lineno, "name"))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, path, node.lineno, "attr"))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[\w.]+", node.value)):
+                out += [(w, path, node.lineno, "attr") for w in node.value.split(".")]
+    return out
+
+
+def _definitions(paths):
+    """(label, name, path, node, kinds) for every module-level def or class
+    and every public method; a method is called through an attribute."""
+    out = []
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((node.name, node.name, path, node, {"name", "attr"}))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{m.name}", m.name, path, m, {"attr"})
+                        for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("_")]
+    return out
+
+
+def _without_callers(library, callers):
+    refs = _references(callers)
+    unused = []
+    for label, name, path, node, kinds in _definitions(library):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if not any(r == name and kind in kinds
+                   and not (p == path and first <= line <= node.end_lineno)
+                   for r, p, line, kind in refs):
+            unused.append(label)
+    return unused
+
+
+def test_library_names_have_callers():
+    # a library name that only tests read is a second, unchecked
+    # implementation; a reference implementation is listed with its test
+    library = sorted(Path(darmoncheck.__file__).parent.glob("*.py"))
+    callers = library + sorted((ROOT / "perfbench").glob("*.py"))
+    unused = _without_callers(library, callers)
+    assert sorted(set(unused) - set(TEST_ONLY)) == [], "no caller outside tests"
+    assert sorted(set(TEST_ONLY) - set(unused)) == [], "listed, but has a caller"
+    for label, where in TEST_ONLY.items():
+        file, test = where.split("::")
+        text = (ROOT / "tests" / file).read_text()
+        body = [ast.get_source_segment(text, node) for node in ast.parse(text).body
+                if isinstance(node, ast.FunctionDef) and node.name == test]
+        assert body and label.split(".")[-1] in body[0], where
