@@ -91,11 +91,13 @@ def cmd_regulator(args) -> int:
     _check_level(F, args.level)
     reg = darmon.regulator(F, args.level)
     terms = []
-    for payload, cls in reg.terms.values():
-        terms.append({
-            "unit": {"a": str(payload.a), "b": str(payload.b)},
-            "class": cls.rows[0].tolist(),
-        })
+    for unit, cls in zip(reg.basis, reg.parts):
+        if cls.is_zero():
+            continue
+        if unit.abs_cmp_one() < 0:  # printed as 1/unit, with the class negated
+            unit, cls = 1 / unit, -cls
+        terms.append({"unit": {"a": str(unit.a), "b": str(unit.b)},
+                      "class": cls.rows[0].tolist()})
     _emit({
         "field": F.d,
         "level": args.level,

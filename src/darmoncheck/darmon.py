@@ -2,15 +2,17 @@
 
 The regulator side is exact: determinants of local symbols applied to an
 oriented unit basis, with coefficients in augmentation quotients.  It is a
-`TensorElt`, the `groupring.ClassTensor` with one free row per unit, and
-every reduction of it through a homomorphism on the units (h, ord_at, the
-finite part at ell) is one product of a row of values with its rows
-(`TensorElt.evaluate`).  `del_lift` builds its local symbols, and
-`ConcreteModel` reads its local data at a split ell for the checker of
-`kolysys`, which runs all five pre-Kolyvagin axioms.  The two share one
+`TensorElt`, the `groupring.ClassTensor` with one free row per element of a
+basis of (1-tau)E_N, and every reduction of it through a homomorphism on the
+units (h, ord_at, the finite part at ell) is one product of a row of values
+with its rows (`TensorElt.evaluate`).  `del_lift` builds its local symbols,
+and `ConcreteModel` reads its local data at a split ell.  The two share one
 convention: sigma_ell is the least primitive root mod ell, and the symbol at
 ell of a unit u is u^{-1} - 1 = -fin (sigma_ell - 1) mod I^2, fin the log of
-u to the base sigma_ell.  The theta side is
+u to the base sigma_ell.  Both systems run through the pre-Kolyvagin checker
+of `kolysys`, each over its top level's coefficients: `_RegulatorLevels`
+writes every level over the unit basis of the top level, and `_ThetaLevels`
+reduces every level at one auxiliary prime of it.  The theta side is
 reduced through homomorphisms into Z/M attached to auxiliary primes q, with
 M | q-1.  The paper proves the congruence for every odd prime p, so M is odd
 (`_theta_modulus`): in degree r >= 1 the odd part of `AugQuot.precision`,
@@ -45,75 +47,53 @@ from .quadfield import PrimePlace, QuadField, QuadNum, ord_at, unit_residue
 
 
 # ---------------------------------------------------------------------------
-# formal sums (global number) x (augmentation class)
-
-
-def _payload_key(x):
-    if isinstance(x, QuadNum):
-        return ("q", x.d, x.a, x.b)
-    raise TypeError(f"unsupported payload {x!r}")
+# (units) x (augmentation class)
 
 
 class TensorElt(ClassTensor):
-    """A formal sum of (global number) tensor (augmentation class).
+    """An element of (1-tau)E_N (x) I_n^r/I_n^{r+1}, over one unit basis.
 
-    An element of A (x) I_n^r/I_n^{r+1} with A free on the payloads: one
-    free row of class coordinates per payload, so the induced maps are those
-    of `ClassTensor`.  terms are (payload, class) pairs, each class a
-    one-row `ClassTensor` at quot whose row is added to its payload's.
-    Payloads are QuadNum values, merged by key, and inverses are normalised
-    onto the class side: x^{-1} (x) v = x (x) -v, so every payload but -1
-    has |x| > 1.
+    basis is a basis of (1-tau)E_N, N a multiple of n (a
+    `quadfield.UnitLattice`'s), and row j holds the classes of basis[j]: one
+    free row per unit, so the induced maps are those of `ClassTensor`.  Two
+    elements over different bases are neither compared nor added
+    (ValueError); `rebase` writes one over another basis.
     """
 
-    __slots__ = ("payloads",)
-    _extra = ("payloads",)
+    __slots__ = ("basis",)
+    _extra = ("basis",)
 
-    def __init__(self, quot, terms=None):
-        payloads, rows, index = [], [], {}
-        for x, c in terms or []:
-            if c.quot is not quot:
-                raise ValueError("class belongs to a different quotient")
-            if isinstance(x, QuadNum):
-                if x == 1:
-                    continue
-                if x.abs_cmp_one() < 0:
-                    x, c = QuadNum(x.d, 1) / x, -c
-            key = _payload_key(x)
-            if key in index:
-                rows[index[key]] = rows[index[key]] + c.rows[0]
-            else:
-                index[key] = len(payloads)
-                payloads.append(x)
-                rows.append(c.rows[0])
-        self.payloads = payloads
-        super().__init__(quot, (0,) * len(payloads), rows)
+    def __init__(self, quot, basis, rows=None):
+        self.basis = tuple(basis)
+        super().__init__(quot, (0,) * len(self.basis), rows)
 
-    def _pairs(self) -> list:
-        return list(zip(self.payloads, self.parts))
+    def _same_basis(self, other):
+        if isinstance(other, TensorElt) and other.basis != self.basis:
+            raise ValueError("tensor elements over different unit bases")
+        return other
 
     def __add__(self, other: "TensorElt") -> "TensorElt":
-        if other.quot is not self.quot:
-            raise ValueError("tensor elements live in different quotients")
-        return TensorElt(self.quot, self._pairs() + other._pairs())
+        return super().__add__(self._same_basis(other))
 
-    @property
-    def terms(self) -> dict:
-        """payload key -> (payload, class), for the nonzero classes."""
-        return {_payload_key(x): (x, c) for x, c in self._pairs() if not c.is_zero()}
+    def __eq__(self, other):
+        return super().__eq__(self._same_basis(other))
+
+    def rebase(self, lattice: qf.UnitLattice) -> "TensorElt":
+        """The same element over lattice.basis: the rows C^T rows, row j of
+        C the coordinates of basis[j] (`UnitLattice.coords`)."""
+        basis = tuple(lattice.basis)
+        if basis == self.basis:
+            return self
+        C = np.array([lattice.coords(u) for u in self.basis], dtype=np.int64)
+        return TensorElt(self.quot, basis, C.T @ self.rows)
 
     def evaluate(self, values, M: int) -> ClassTensor:
         """The image in Z/M (x) I^r/I^{r+1} (M = 0: Z) under a homomorphism
-        on payloads; values maps a list of payloads to their images.  Only
-        the payloads with nonzero rows are evaluated, in one call."""
+        on the units; values maps a list of units to their images.  Only
+        the units with nonzero rows are evaluated, in one call."""
         live = self.rows.any(axis=1)
-        out = iter(values([x for x, z in zip(self.payloads, live) if z]))
+        out = iter(values([x for x, z in zip(self.basis, live) if z]))
         return self.reduce([next(out) if z else 0 for z in live], M)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElt) or other.quot is not self.quot:
-            return NotImplemented
-        return self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +298,10 @@ def bordered_regulator(F: QuadField, n: int, n2: int) -> TensorElt:
 def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
     """The minors expansion for an explicit (oriented) basis and places."""
     lifts = [[del_lift(F, e, pl, n2) for e in basis] for pl in places]
-    # the minor of the symbol matrix without the column of unit j
-    return TensorElt(aug_quot(n2, len(places)), [
-        (eps, (-1) ** j * gr.det_class(n2, [row[:j] + row[j + 1:] for row in lifts]))
-        for j, eps in enumerate(basis)])
+    # row j: the signed minor of the symbol matrix without the column of unit j
+    return TensorElt(aug_quot(n2, len(places)), basis, [
+        (-1) ** j * gr.det_class(n2, [row[:j] + row[j + 1:] for row in lifts]).rows[0]
+        for j in range(len(basis))])
 
 
 def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
@@ -581,65 +561,31 @@ def check_ell(F: QuadField, system: str, axiom: str, n: int, ell: int) -> None:
 
 
 class _RegulatorLevels(dict):
-    """h_m R_m by level m, each built when it is first read."""
+    """h_m R_m by level m | N, each built when it is first read and written
+    over the unit basis of level N, so that every level has one basis."""
 
-    def __init__(self, F: QuadField):
-        self.F = F
+    def __init__(self, F: QuadField, N: int):
+        self.F, self.lattice = F, qf.unit_basis(F, N)
 
     def __missing__(self, m: int) -> TensorElt:
-        self[m] = x = qf.h_n(self.F, m) * regulator(self.F, m)
+        self[m] = x = (qf.h_n(self.F, m) * regulator(self.F, m)).rebase(self.lattice)
         return x
 
 
-def _regulator_axiom(F: QuadField, axiom: str, n: int, ell: int) -> bool:
-    """One axiom for h_n R_n, by `kolysys.preks_failures` with `ConcreteModel`:
-    at (n ell, ell) for (v), else at (n, ell).  The model splits the primes
-    of the level and ell by their splitting type, so (i) at a non-split ell
-    passes: there is no transverse part."""
-    top = n * ell if axiom == "v" else n
-    primes = nt.prime_factors(lcm(top, ell))
-    model = ConcreteModel(F, tuple(p for p in primes if F.omega(p) == 1),
-                          tuple(p for p in primes if F.omega(p) != 1))
-    failures = kolysys.preks_failures(_RegulatorLevels(F), model, top, ell,
-                                      use_primed_iv=True)
-    label = "iv'" if axiom == "iv" else axiom
-    return all(f[0] != label for f in failures)
+class _ThetaLevels(dict):
+    """2^{-s(m)} theta~'_m by level m, reduced at the prime of h (a hom at a
+    multiple of m) through `_hom_at_level`, each built when it is first
+    read.  thetas holds one `cyclo.ThetaElt` per level for every prime of a
+    check, so that each exponent table is built once."""
 
+    def __init__(self, F: QuadField, h: ReductionHom, thetas: dict):
+        self.F, self.h, self.thetas = F, h, thetas
 
-def _reduction_homs(F: QuadField, n: int, num_primes: int,
-                    bound: int) -> list[ReductionHom]:
-    """Reduction homomorphisms at the first num_primes auxiliary primes."""
-    return [make_reduction_hom(F, n, q)
-            for q in find_aux_primes(F, n, num_primes, bound)]
-
-
-def _theta_axiom_ii(F: QuadField, n: int, ell: int, num_primes: int, bound: int):
-    """Exact norm relation, plus the projection identity under homs."""
-    exact = cyclo.norm_relation_check(F, n, ell)
-    m = n // ell
-    homs = _reduction_homs(F, n, num_primes, bound)
-    fr_cls = -gr.frob_class(n, m, ell)
-    theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
-    ok = exact
-    for h in homs:
-        lhs = theta_class(theta_n, h).pi(m)
-        rhs = theta_class(theta_m, _hom_at_level(F, m, h)).embed(n).mult_class(fr_cls)
-        if lhs != rhs:
-            ok = False
-    return ok, "exact+reductions"
-
-
-def _theta_axiom_v(F: QuadField, n: int, ell: int, num_primes: int, bound: int):
-    """proj(2^{-s(n)} theta~'_n) = proj(2^{-s(n/ell)} theta~'_{n/ell}) under homs."""
-    m = n // ell
-    plus = tuple(F.split_primes(n))
-    theta_n, theta_m = cyclo.theta_prime(F, n), cyclo.theta_prime(F, m)
-    for h in _reduction_homs(F, n, num_primes, bound):
-        lhs = theta_class(theta_n, h).proj_new(plus)
-        rhs = 2 * theta_class(theta_m, _hom_at_level(F, m, h)).proj_new(plus).embed(n)
-        if lhs != rhs:
-            return False, "reductions"
-    return True, "reductions"
+    def __missing__(self, m: int) -> ClassTensor:
+        th = self.thetas.setdefault(m, cyclo.theta_prime(self.F, m))
+        h = _hom_at_level(self.F, m, self.h)
+        self[m] = x = pow(2, -th.s, h.modulus) * theta_class(th, h)
+        return x
 
 
 def _theta_axiom_i(F: QuadField, n: int, ell: int) -> bool:
@@ -666,32 +612,39 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
 
     system: "regulator" (h_n R_n) or "theta" (2^{-s} theta~'_n).
     axiom: "i", "ii", "iii", "iv" (the primed form), or "v".
-    ell must lie where `check_ell` asks (ValueError otherwise).
-    The regulator checks are exact.  num_primes and bound serve the theta
-    axioms (ii) and (v) only, which compare under reduction homomorphisms
-    at num_primes auxiliary primes below bound.
+    ell must lie where `check_ell` asks (ValueError otherwise); a pair that
+    `_AXIOM_ELL` does not list is unsupported.  All but theta (i) run
+    through `kolysys.preks_holds` at (n ell, ell) for regulator (v), else at
+    (n, ell), with the primes of that level sorted by splitting type; (i)
+    at a non-split ell, which `kolysys.preks_axioms` does not list, passes.
+    The regulator checks are exact (`ConcreteModel`).  Theta (ii), after the
+    exact norm relation, and theta (v) compare under reduction homs at
+    num_primes auxiliary primes below bound, which only they read.
     """
     check_ell(F, system, axiom, n, ell)
-    method = "exact"
-    supported = True
-    if system == "regulator":
-        if (system, axiom) not in _AXIOM_ELL:
-            raise ValueError(f"unknown axiom {axiom!r}")
-        ok = _regulator_axiom(F, axiom, n, ell)
-    elif system == "theta":
-        if axiom == "i":
-            ok = _theta_axiom_i(F, n, ell)
-        elif axiom == "ii":
-            ok, method = _theta_axiom_ii(F, n, ell, num_primes, bound)
-        elif axiom == "v":
-            ok, method = _theta_axiom_v(F, n, ell, num_primes, bound)
-        else:
-            # the finite/transverse local data of the derivative classes is
-            # inherited from the underlying Euler system construction and has
-            # no independent computable surface here
-            ok, method, supported = False, "unsupported", False
+    if system not in ("regulator", "theta") or axiom not in ("i", "ii", "iii", "iv", "v"):
+        raise ValueError(f"unknown system or axiom: {system!r}, {axiom!r}")
+    ok, method = True, "exact"
+    if (system, axiom) not in _AXIOM_ELL:
+        method = "unsupported"
+    elif system == "theta" and axiom == "i":
+        ok = _theta_axiom_i(F, n, ell)
     else:
-        raise ValueError(f"unknown system {system!r}")
-    verdict = "pass" if ok else ("unsupported" if not supported else "fail")
+        top = n * ell if (system, axiom) == ("regulator", "v") else n
+        primes = nt.prime_factors(lcm(top, ell))
+        split = tuple(p for p in primes if F.omega(p) == 1)
+        inert = tuple(p for p in primes if F.omega(p) != 1)
+        if system == "regulator":
+            model, colls = ConcreteModel(F, split, inert), [_RegulatorLevels(F, top)]
+        else:
+            ok = axiom != "ii" or cyclo.norm_relation_check(F, n, ell)
+            method = "exact+reductions" if axiom == "ii" else "reductions"
+            model, thetas = kolysys.LocalModel(split, inert), {}
+            colls = [_ThetaLevels(F, make_reduction_hom(F, n, q), thetas)
+                     for q in find_aux_primes(F, n, num_primes, bound)]
+        label = "iv'" if axiom == "iv" else axiom
+        ok = ok and (label not in kolysys.preks_axioms(model, top, ell, True) or all(
+            kolysys.preks_holds(coll, model, label, top, ell) for coll in colls))
+    verdict = "unsupported" if method == "unsupported" else "pass" if ok else "fail"
     return {"system": system, "axiom": axiom, "level": n, "ell": ell,
             "method": method, "verdict": verdict}

@@ -787,7 +787,7 @@ class AugQuot:
                 raise ValueError(f"{p} does not divide {self.level}")
         # the generator of Gamma_p is 1 at p = 2, where Gamma_2 is trivial
         gens = [(p, self.gamma.gens.get(p, 1)) for p in plus]
-        data = {"plus": plus, "proj": None, "new_gen": monomial_class(self, gens),
+        data = {"proj": None, "new_gen": monomial_class(self, gens),
                 "g": gcd(*[p - 1 for p in plus]) if plus else 0}
         if self.degree:
             kq = len(self.invariants)
@@ -852,11 +852,6 @@ def monomial_class(quot: AugQuot, gammas: list[tuple[int, int]]) -> ClassTensor:
 def pi_d(x: ClassTensor, d: int) -> ClassTensor:
     """Image of a class under the induced map pi_d."""
     return x.pi(d)
-
-
-def proj_new(x: ClassTensor, plus: tuple[int, ...] | None = None) -> ClassTensor:
-    """Projection onto the new component of the designated splitting."""
-    return x.proj_new(x.quot.gamma.primes if plus is None else plus)
 
 
 def in_new_component(x: ClassTensor, plus: tuple[int, ...] | None = None) -> bool:
@@ -1108,9 +1103,9 @@ def d_det(n: int, d: int):
 
     Row/column i corresponds to the i-th prime of d in increasing order;
     the diagonal entry is pi_{n/d}(Fr_l - 1) and the (i, j) entry is
-    pi_{l_j}(Fr_{l_i} - 1).  Returns (matrix of degree-1 classes as a tuple
-    of rows, class of the determinant in I_n^t/I_n^{t+1}); the result is
-    kept on that quotient, as `AugQuot.splitting` keeps its data.
+    pi_{l_j}(Fr_{l_i} - 1).  Returns (the matrix, as rows of lifts in I_n,
+    class of the determinant in I_n^t/I_n^{t+1}); the result is kept on
+    that quotient, as `AugQuot.splitting` keeps its data.
     """
     ls = nt.prime_factors(d)
     if n % d or prod(ls) != d:
@@ -1120,9 +1115,8 @@ def d_det(n: int, d: int):
     if d in quot._dets:
         return quot._dets[d]
     targets = [[n // d if i == j else lj for j, lj in enumerate(ls)] for i in range(t)]
-    lifts = [[_frob_lift(n, m, li) for m in row] for li, row in zip(ls, targets)]
-    matrix = tuple(tuple(frob_class(n, m, li) for m in row) for li, row in zip(ls, targets))
-    quot._dets[d] = matrix, det_class(n, lifts)
+    lifts = tuple(tuple(_frob_lift(n, m, li) for m in row) for li, row in zip(ls, targets))
+    quot._dets[d] = lifts, det_class(n, lifts)
     return quot._dets[d]
 
 

@@ -3,14 +3,18 @@
 Collections indexed by squarefree products of a small prime universe take
 values in A (x) I_n^{r(n)}/I_n^{r(n)+1}, A = sum of Z/M_j.  An element is a
 `groupring.ClassTensor`, one row of class coordinates per cyclic factor of
-A, so every induced map is one matrix product.  The checkers read local data
-through a `LocalModel`: `loc(x, ell)` gives the (finite, transverse) pair at
-a split ell, and `fs` the finite-singular image of a finite part, in the
-module of the transverse parts.  `SyntheticLocalModel` serves the synthetic
-`SynElt`s: both parts are fixed multiples of the rows in Z/(ell-1), and fs
-is a unit twist of (sigma_ell - 1).  `darmon.ConcreteModel` serves h_n R_n.
-The transform into honest Kolyvagin systems multiplies by the Frobenius
-determinants D_{n,d} and is checked against the axiom lists.
+A, so every induced map is one matrix product.  `preks_axioms` says which
+pre-Kolyvagin axioms apply at (n, ell), and `preks_holds` checks one.  (ii)
+and (v) compare levels through the induced maps alone; (i), (iii) and (iv)
+read local data through a `LocalModel`: `loc(x, ell)` gives the (finite,
+transverse) pair at a split ell, and `fs` the finite-singular image of a
+finite part, in the module of the transverse parts.  `SyntheticLocalModel`
+serves the synthetic `SynElt`s: both parts are fixed multiples of the rows
+in Z/(ell-1), and fs is a unit twist of (sigma_ell - 1).
+`darmon.ConcreteModel` serves h_n R_n; the theta side has no local data
+and uses `LocalModel` itself.  The transform into honest Kolyvagin systems
+multiplies by the Frobenius determinants D_{n,d} and is checked against the
+axiom lists.
 """
 
 from __future__ import annotations
@@ -26,14 +30,12 @@ from .groupring import ClassTensor, aug_quot, gamma
 
 
 class LocalModel:
-    """The universe of a collection and its local data at the split primes.
+    """The universe of a collection (split: its split primes; inert: the
+    rest) and its local data at the split primes, which subclasses give by
+    `loc` and `fs`."""
 
-    Subclasses set `split` (the split primes of the universe) and `inert`
-    (the rest), and implement `loc` and `fs`.
-    """
-
-    split: tuple[int, ...]
-    inert: tuple[int, ...]
+    def __init__(self, split: tuple[int, ...], inert: tuple[int, ...]):
+        self.split, self.inert = tuple(split), tuple(inert)
 
     @property
     def universe(self) -> tuple[int, ...]:
@@ -265,52 +267,56 @@ def check_preks(coll: dict[int, ClassTensor], model: LocalModel,
                 use_primed_iv: bool = False) -> dict:
     """Verdicts for the pre-Kolyvagin-system axioms ((iv) or its primed form)."""
     locs = _Locs(coll, model)
-    failures = [f for n in coll for ell in model.split + model.inert
-                for f in preks_failures(coll, model, n, ell, use_primed_iv, locs)]
+    failures = [(axiom, n, ell) for n in coll for ell in model.split + model.inert
+                for axiom in preks_axioms(model, n, ell, use_primed_iv)
+                if not preks_holds(coll, model, axiom, n, ell, locs)]
     return {"ok": not failures, "failures": failures}
 
 
-def preks_failures(coll: dict[int, ClassTensor], model: LocalModel, n: int,
-                   ell: int, use_primed_iv: bool = False,
-                   locs: _Locs | None = None) -> list[tuple]:
-    """The pre-Kolyvagin-system axioms that fail at (n, ell), as (axiom, n, ell).
+def preks_axioms(model: LocalModel, n: int, ell: int,
+                 use_primed_iv: bool = False) -> list[str]:
+    """The pre-Kolyvagin-system axioms that apply at (n, ell).
 
     At a split ell: (i) if ell does not divide n, else (ii), (iii) and (iv)
-    (or (iv)').  At an inert ell dividing n: (v).  coll is read only at the
-    levels these axioms compare.  locs, when given, holds the localisations
-    of coll that an earlier call of the same check made.
+    (or (iv)', labelled "iv'").  At an inert ell dividing n: (v).
     """
+    if ell in model.inert:
+        return [] if n % ell else ["v"]
+    if n % ell:
+        return ["i"]
+    return ["ii", "iii", "iv'" if use_primed_iv else "iv"]
+
+
+def preks_holds(coll: dict[int, ClassTensor], model: LocalModel, axiom: str,
+                n: int, ell: int, locs: _Locs | None = None) -> bool:
+    """Whether one axiom of `preks_axioms(model, n, ell)` holds for coll.
+
+    coll is read only at the levels the axiom compares, and model's local
+    data only for (i), (iii) and (iv).  locs, when given, holds the
+    localisations of coll that an earlier call of the same check made.
+    """
+    m = n // ell
+    if axiom == "ii":
+        return coll[n].pi(m) == coll[m].embed(n).mult_class(-gr.frob_class(n, m, ell))
     if locs is None:
         locs = _Locs(coll, model)
-    x = coll[n]
+    if axiom == "i":
+        return locs[n, ell][1].is_zero()
     plus = model.plus(n)
-    if ell in model.inert:
-        if n % ell or x.proj_new(plus) == coll[n // ell].proj_new(plus).embed(n):
-            return []
-        return [("v", n, ell)]
+    if axiom == "v":
+        return coll[n].proj_new(plus) == coll[m].proj_new(plus).embed(n)
+    if axiom not in ("iii", "iv", "iv'"):
+        raise ValueError(f"unknown axiom {axiom!r}")
     fin, tr = locs[n, ell]
-    if n % ell:
-        return [] if tr.is_zero() else [("i", n, ell)]
-    failures = []
-    m = n // ell
-    prev = coll[m]
-    if x.pi(m) != prev.embed(n).mult_class(-gr.frob_class(n, m, ell)):
-        failures.append(("ii", n, ell))
-    if tr.proj_new(plus) != model.fs(locs.fin_new(m, ell), ell, n):
-        failures.append(("iii", n, ell))
-    if not use_primed_iv:
-        total = _det_sum(n, model.split_part(n),
-                         lambda k: locs.fin_new(k, ell).embed(n))
-        if not total.is_zero():
-            failures.append(("iv", n, ell))
-    else:
-        acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
-        for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
-            yp = locs.fin_new(n // d_sigma, ell).embed(n)
-            acc = acc - sign * yp.mult_class(pi_cls)
-        if fin.proj_new(plus) != acc:
-            failures.append(("iv'", n, ell))
-    return failures
+    if axiom == "iii":
+        return tr.proj_new(plus) == model.fs(locs.fin_new(m, ell), ell, n)
+    if axiom == "iv":
+        return _det_sum(n, model.split_part(n),
+                        lambda k: locs.fin_new(k, ell).embed(n)).is_zero()
+    acc = ClassTensor(aug_quot(n, model.r_of(n)), (ell - 1,))
+    for d_sigma, sign, pi_cls in gr.cycles_through(n, plus, ell):
+        acc = acc - sign * locs.fin_new(n // d_sigma, ell).embed(n).mult_class(pi_cls)
+    return fin.proj_new(plus) == acc
 
 
 def _det_sum(n: int, n_plus: int, value) -> ClassTensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 
 from . import nt
 from .nt import ResourceLimitError
@@ -777,6 +777,33 @@ class UnitLattice:
     basis: list[QuadNum]         # eps_0, ..., eps_r
     ords: list[list[int]]        # ords[i][j] = ord_{lambda_i}(eps_j), i >= 1
     places: list[PrimePlace]     # above the split primes, increasing
+
+    def coords(self, u: QuadNum) -> list[int]:
+        """The integers c_j with u = prod eps_j^(c_j).
+
+        eps_j (j >= 1) is supported on the first j places, so `ords` is
+        triangular and the c_j come off from the last place down; what is
+        left over is a power of eps_0, read off from |u| and checked
+        exactly.  Raises ValueError when u is not in the span.
+        """
+        c, v = [0] * len(self.basis), u
+        for i in reversed(range(len(self.places))):
+            c[i + 1], rem = divmod(ord_at(v, self.places[i]), self.ords[i][i + 1])
+            if rem:
+                break
+            v = v / self.basis[i + 1] ** c[i + 1]
+        else:
+            c[0] = round(_log_abs(v) / _log_abs(self.basis[0]))
+            if v == self.basis[0] ** c[0]:
+                return c
+        raise ValueError(f"{u!r} is not in the span of the unit basis")
+
+
+def _log_abs(u: QuadNum) -> float:
+    """log |u| for a unit u = a + b sqrt(d): one of |u| and |u^tau| = 1/|u|
+    is |a| + |b| sqrt(d), which has no cancellation."""
+    h = abs(u.a) + abs(u.b) * Fraction(u.d ** 0.5)
+    return u.abs_cmp_one() * (log(h.numerator) - log(h.denominator))
 
 
 def unit_basis(F: QuadField, n: int) -> UnitLattice:

@@ -14,7 +14,7 @@ from darmoncheck.darmon import (prop94_residual, verify_base_case, verify_darmon
 from darmoncheck.groupring import (ClassTensor, aug_quot, d_det, derangements,
                                    embed_class, gamma, in_new_component,
                                    monomial_class, perm_pi, perm_sign, pi_d,
-                                   proj_new, subgroup_order, PermData)
+                                   subgroup_order, PermData)
 from darmoncheck.nt import ResourceLimitError
 from darmoncheck.quadfield import make_field
 
@@ -87,7 +87,7 @@ def test_criterion_3_augmentation_structure():
             x = ClassTensor(quot, (0,), [[rng.randrange(d) if d > 1 else 0
                                           for d in quot.invariants]])
             crit = all(pi_d(x, n // p).is_zero() for p in plus)
-            via_proj = proj_new(x, plus) == x
+            via_proj = x.proj_new(plus) == x
             assert crit == via_proj, n
             checked += 1
         levels += 1

@@ -214,6 +214,12 @@ def test_beta_where_two_splits():
     assert code == EXIT_PASS and out["class"] == [0, 0]
 
 
+def test_regulator_axiom_ii_in_a_field_of_class_number_two():
+    code, out = run(["verify", "--disc", "10", "--level", "39", "--axiom", "ii",
+                     "--system", "regulator", "--ell", "3"])
+    assert code == EXIT_PASS and out["verdict"] == "pass"
+
+
 def test_axioms_synthetic():
     code, out = run(["axioms", "--synthetic", "--trials", "3", "--seed", "0"])
     assert code == EXIT_PASS

@@ -14,9 +14,10 @@ from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_class_at, beta_va
                                 regulator_from_basis, tensor_reduce,
                                 theta_class, theta_values, verify_base_case,
                                 verify_darmon, verify_preks_axiom,
-                                _hom_at_level, _required_congruence)
+                                _ThetaLevels, _hom_at_level, _required_congruence)
 from darmoncheck.groupring import ClassTensor, RingElt, aug_quot, gamma
-from darmoncheck.kolysys import check_ks, check_preks, inverse_transform, transform
+from darmoncheck.kolysys import (LocalModel, check_ks, check_preks, inverse_transform,
+                                 preks_holds, transform)
 from darmoncheck.quadfield import QuadNum, fundamental_unit, h_n, make_field, unit_basis
 
 F5 = make_field(5)
@@ -91,18 +92,18 @@ def test_two_generators_same_verdicts_odd():
 
 def test_regulator_shapes():
     r1 = regulator(F5, 1)
-    assert r1.degree == 0 and len(r1.terms) == 1
+    assert r1.degree == 0 and sum(not c.is_zero() for c in r1.parts) == 1
     r11 = regulator(F5, 11)
-    assert r11.degree == 1 and len(r11.terms) == 2
+    assert r11.degree == 1 and sum(not c.is_zero() for c in r11.parts) == 2
 
 
 def test_regulator_2x2_expansion():
     # r = 1: R = e0 (x) del(e1) - e1 (x) del(e0)
     ul = unit_basis(F5, 11)
     quot = aug_quot(11, 1)
-    manual = TensorElt(quot, [
-        (ul.basis[0], quot.class_of(del_lift(F5, ul.basis[1], ul.places[0], 11))),
-        (ul.basis[1], -1 * quot.class_of(del_lift(F5, ul.basis[0], ul.places[0], 11)))])
+    manual = TensorElt(quot, ul.basis, [
+        quot.class_of(del_lift(F5, ul.basis[1], ul.places[0], 11)).rows[0],
+        (-1 * quot.class_of(del_lift(F5, ul.basis[0], ul.places[0], 11))).rows[0]])
     assert manual == regulator(F5, 11)
 
 
@@ -117,14 +118,14 @@ def test_regulator_basis_independence():
         perm[0] = QuadNum(5, 1) / perm[0]
     base = regulator(F5, 209)
     other = regulator_from_basis(F5, perm, places, 209)
-    assert base == other
+    assert base == other.rebase(ul)
     # inverting one element (and compensating) also matches
     flipped = [ul.basis[0], QuadNum(5, 1) / ul.basis[1], ul.basis[2]]
     s2 = qf.regulator_sign(F5, flipped, ul.places)
     assert s2 < 0
     flipped[2] = QuadNum(5, 1) / flipped[2]
     assert qf.regulator_sign(F5, flipped, ul.places) > 0
-    assert regulator_from_basis(F5, flipped, ul.places, 209) == base
+    assert regulator_from_basis(F5, flipped, ul.places, 209).rebase(ul) == base
 
 
 def test_bordered_equals_regulator():
@@ -419,6 +420,7 @@ def test_indstep_ii_identity():
         fr_cls = aug_quot(nl, 1).class_of(gr._frob_lift(nl, ell, q2))
         v_cls_n = aug_quot(n, 1).class_of(v)
         inner = bordered_regulator(F5, m, n).mult_class(v_cls_n).proj_new(plus_n)
+        inner = inner.rebase(unit_basis(F5, n))
         total = total - hq * inner.embed(nl).mult_class(fr_cls)
     assert lhs == total
 
@@ -514,13 +516,29 @@ def test_required_congruence_monotone():
 
 def test_tensor_elt_normalisation():
     quot = aug_quot(11, 1)
-    x = QuadNum(5, 2, 1)
+    ul = unit_basis(F5, 11)
+    x, y = ul.basis
     c = ClassTensor(quot, (0,), [[1 if d > 1 else 0 for d in quot.invariants]])
-    t1 = TensorElt(quot, [(x, c)])
-    t2 = TensorElt(quot, [(QuadNum(5, 1) / x, -1 * c)])
-    assert t1 == t2  # x^{-1} (x) -v is normalised to x (x) v
-    t3 = TensorElt(quot, [(x, c), (x, -1 * c)])
-    assert t3.is_zero()
+    zero = quot.zero().rows[0]
+    t1 = TensorElt(quot, ul.basis, [c.rows[0], zero])
+    t2 = TensorElt(quot, [QuadNum(5, 1) / x, y], [(-1 * c).rows[0], zero])
+    assert t1 == t2.rebase(ul)  # x^{-1} (x) -v is rewritten as x (x) v
+    t3 = TensorElt(quot, [x, x], [c.rows[0], (-1 * c).rows[0]])
+    assert t3.rebase(ul).is_zero()
+
+
+def test_tensor_elts_over_different_bases_do_not_mix():
+    # at h = 2 the basis of level 13 is not a prefix of the basis of 39:
+    # elements over the two are not compared or added until one is rebased
+    F = make_field(10)
+    low = regulator(F, 13)
+    top = unit_basis(F, 39)
+    high = low.rebase(top)
+    assert high.basis == tuple(top.basis) != low.basis
+    for mix in (lambda: low == high, lambda: low + high, lambda: high - low):
+        with pytest.raises(ValueError):
+            mix()
+    assert high == (2 * low - low).rebase(top) and not high.is_zero()
 
 
 def test_vacuous_detection():
@@ -537,15 +555,18 @@ def test_vacuous_detection():
 
 
 def _concrete(d, universe):
-    """The model of h_m R_m over a prime universe, and the collection."""
+    """The model of h_m R_m over a prime universe, and the collection, each
+    level over the unit basis of the universe's top level."""
     F = make_field(d)
     model = ConcreteModel(F, tuple(p for p in universe if F.omega(p) == 1),
                           tuple(p for p in universe if F.omega(p) == -1))
-    return model, {m: h_n(F, m) * regulator(F, m) for m in model.levels()}
+    top = unit_basis(F, max(model.levels()))
+    return model, {m: (h_n(F, m) * regulator(F, m)).rebase(top) for m in model.levels()}
 
 
 @pytest.mark.parametrize("d, universe", [
-    (5, (11, 19, 3)), (13, (3, 17, 23, 2)), (17, (2, 13, 3))])
+    (5, (11, 19, 3)), (13, (3, 17, 23, 2)), (17, (2, 13, 3)),
+    (10, (3, 13, 7)), (34, (3, 5)), (26, (5, 11))])
 def test_regulator_transform_is_a_kolyvagin_system(d, universe):
     # h_n R_n is a pre-Kolyvagin system, and its transform by the Frobenius
     # determinants D_{n,d} is a Kolyvagin system that transforms back
@@ -566,6 +587,31 @@ def test_regulator_preks_canary():
     for primed in (False, True):
         rep = check_preks(pre, model, use_primed_iv=primed)
         assert rep["failures"] == [("iii", 11, 11), ("v", 33, 3), ("ii", 209, 19)]
+
+
+@pytest.mark.parametrize("d, n, ell", [
+    (10, 39, 3), (10, 201, 3), (34, 15, 3), (26, 55, 5), (15, 119, 7),
+    (30, 91, 7), (39, 35, 5), (42, 143, 11)])
+def test_regulator_axiom_ii_at_class_number_two(d, n, ell):
+    # h = 2: the unit basis of n/ell is not a prefix of the basis of n unless
+    # ell is the largest split prime of n, so the two levels are compared
+    # over the basis of n
+    assert verify_preks_axiom(make_field(d), "regulator", "ii", n, ell)["verdict"] == "pass"
+
+
+def test_theta_preks_canary():
+    # the theta side through the one checker: negating theta_11 breaks (ii)
+    # at (209, 19) and (v) at (33, 3) at every prime where its class is not 0
+    for axiom, n, ell, model in (("ii", 209, 19, LocalModel((11, 19), ())),
+                                 ("v", 33, 3, LocalModel((11,), (3,)))):
+        caught = []
+        for q in find_aux_primes(F5, n, 3):
+            levels = _ThetaLevels(F5, make_reduction_hom(F5, n, q), {})
+            assert preks_holds(levels, model, axiom, n, ell)
+            levels[11] = -levels[11]
+            caught.append(not preks_holds(levels, model, axiom, n, ell))
+            assert caught[-1] == (not levels[11].is_zero()), (axiom, q)
+        assert any(caught), axiom
 
 
 def test_check_preks_localises_each_level_once(monkeypatch):
@@ -600,7 +646,7 @@ def test_concrete_fs_is_phi_fs(d, n, ell, vanishes):
     got = model.fs(model.loc(reg_m, ell)[0], ell, n)
     want = aug_quot(n, F.r_of(n)).zero()
     place = F.place_above(ell)
-    for x, c in reg_m.embed(n).terms.values():
+    for x, c in zip(reg_m.basis, reg_m.embed(n).parts):
         fs_x = aug_quot(ell, 1).class_of(del_lift(F, x, place, ell))
         want = want + gr.mult_classes(c, gr.embed_class(fs_x, n))
     assert got.parts == [want]

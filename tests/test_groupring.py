@@ -14,7 +14,7 @@ from darmoncheck.groupring import (ClassTensor, PermData, RingElt, aug_quot, d_d
                                    derangements, embed_class, frobenius, gamma,
                                    in_new_component, monomial_class, mult_classes,
                                    perm_pi, perm_sign, permutations_of, pi_d,
-                                   proj_new, single_orbit_nonfixed, smith_chain)
+                                   single_orbit_nonfixed, smith_chain)
 from darmoncheck.groupring import _frob_lift
 from darmoncheck import intmat
 from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
@@ -177,16 +177,16 @@ def test_proj_new_properties():
     rng = random.Random(2)
     for _ in range(10):
         x = ClassTensor(q, (0,), [[rng.randrange(d) if d > 1 else 0 for d in q.invariants]])
-        assert proj_new(x, (11,)) == x
+        assert x.proj_new((11,)) == x
     # idempotence and old-component kill at 209
     q2 = aug_quot(209, 2)
     G = gamma(209)
     old = monomial_class(q2, [(11, G.gens[11] % 11), (11, G.gens[11] % 11)])
-    assert proj_new(old, (11, 19)).is_zero()
+    assert old.proj_new((11, 19)).is_zero()
     for _ in range(20):
         x = ClassTensor(q2, (0,), [[rng.randrange(d) if d > 1 else 0 for d in q2.invariants]])
-        p = proj_new(x, (11, 19))
-        assert proj_new(p, (11, 19)) == p
+        p = x.proj_new((11, 19))
+        assert p.proj_new((11, 19)) == p
         assert in_new_component(p)
 
 
@@ -230,11 +230,11 @@ def test_projection_lemma():
     for _ in range(10):
         w = ClassTensor(qd, (0,), [[rng.randrange(dd) if dd > 1 else 0
                                     for dd in qd.invariants]])
-        lhs = proj_new(mult_classes(v, w), G.primes)
+        lhs = mult_classes(v, w).proj_new(G.primes)
         pw = pi_d(w, d)
         # proj at level d of pi_d(w), embedded and multiplied by v
-        pd_w = proj_new(pw, tuple(nt.prime_factors(d)))
-        rhs = proj_new(mult_classes(v, pd_w), G.primes)
+        pd_w = pw.proj_new(tuple(nt.prime_factors(d)))
+        rhs = mult_classes(v, pd_w).proj_new(G.primes)
         assert lhs == rhs
 
 

@@ -222,7 +222,7 @@ def test_tensor_maps_match_the_per_class_path(model):
             if big % n == 0:
                 same(x.embed(big), lambda c: gr.embed_class(c, big))
         plus = model.plus(n)
-        same(x.proj_new(plus), lambda c: gr.proj_new(c, plus))
+        same(x.proj_new(plus), lambda c: c.proj_new(plus))
         if n > 1:
             v = _random_class(rng, aug_quot(n, 1))
             same(x.mult_class(v), lambda c: gr.mult_classes(c, v))

@@ -212,6 +212,30 @@ def test_unit_basis_inert_part_invisible():
     assert u11.basis == u33.basis  # (1-tau)E_n depends only on n_+
 
 
+@pytest.mark.parametrize("d, n", [(5, 209), (10, 39), (17, 26)])
+def test_unit_lattice_coords_round_trip(d, n):
+    # products of powers of the basis come back as their exponents: h = 1,
+    # h = 2, and a split 2 at d = 17
+    F = make_field(d)
+    ul = unit_basis(F, n)
+    rng = random.Random(d)
+    for _ in range(10):
+        c = [rng.randrange(-3, 4) for _ in ul.basis]
+        u = QuadNum(d, 1)
+        for e, k in zip(ul.basis, c):
+            u = u * e ** k
+        assert ul.coords(u) == c, (d, n, c)
+
+
+def test_unit_lattice_coords_outside_the_span():
+    # 2 + sqrt(5) is a unit, but eps_0 = -((1 + sqrt(5))/2)^2 spans only
+    # the even powers; -1 and the 11-unit 11 are outside too
+    ul = unit_basis(make_field(5), 11)
+    for u in (QuadNum(5, 2, 1), QuadNum(5, -1), QuadNum(5, 11)):
+        with pytest.raises(ValueError):
+            ul.coords(u)
+
+
 def test_cnr_valuation_law():
     # ord_{lambda_r}(eps_r) = -h_{n/l}/h_n for the nested oriented basis
     for d, n in ((5, 11), (5, 209), (10, 3)):

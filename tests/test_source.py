@@ -121,33 +121,45 @@ TEST_ONLY = {
 
 def _references(paths):
     """(identifier, path, line, kind) for every name the files use: kind
-    "name" for a bare name or an import, "attr" for an attribute or a
-    dotted name in a string (as perfbench/tracing.py names what it wraps)."""
+    "name" for a bare name or an import, "module" for an attribute of a
+    `darmoncheck` module alias (in a dotted name in a string too, as
+    perfbench/tracing.py names what it wraps), "attr" for any other
+    attribute or word of a dotted name in a string."""
+    modules = {p.stem for p in Path(darmoncheck.__file__).parent.glob("*.py")}
     out = []
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or node.module == "darmoncheck")
+                   for alias in node.names if alias.name in modules}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.append((node.id, path, node.lineno, "name"))
             elif isinstance(node, ast.alias):
                 out.append((node.name.split(".")[-1], path, node.lineno, "name"))
             elif isinstance(node, ast.Attribute):
-                out.append((node.attr, path, node.lineno, "attr"))
+                on_module = isinstance(node.value, ast.Name) and node.value.id in aliases
+                out.append((node.attr, path, node.lineno, "module" if on_module else "attr"))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and re.fullmatch(r"[\w.]+", node.value)):
-                out += [(w, path, node.lineno, "attr") for w in node.value.split(".")]
+                words = node.value.split(".")
+                out += [(w, path, node.lineno, "module" if i and words[i - 1] in modules
+                         else "attr") for i, w in enumerate(words)]
     return out
 
 
 def _definitions(paths):
     """(label, name, path, node, kinds) for every module-level def or class
-    and every public method; a method is called through an attribute."""
+    and every public method.  A module-level name is called through a bare
+    name, an import or its module; a method through any attribute."""
     out = []
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out.append((node.name, node.name, path, node, {"name", "attr"}))
+                out.append((node.name, node.name, path, node, {"name", "module"}))
             if isinstance(node, ast.ClassDef):
-                out += [(f"{node.name}.{m.name}", m.name, path, m, {"attr"})
+                out += [(f"{node.name}.{m.name}", m.name, path, m, {"attr", "module"})
                         for m in node.body if isinstance(m, ast.FunctionDef)
                         and not m.name.startswith("_")]
     return out
