@@ -115,12 +115,10 @@ def cmd_theta(args) -> int:
     a = cyclo.alpha(F, args.level)
     fingerprint = hashlib.sha256(repr((a.m, a.num, a.den)).encode()).hexdigest()[:16]
     th = cyclo.theta_prime(F, args.level)
-    images = []
-    for q in darmon.find_aux_primes(F, args.level, args.primes,
-                                    bound=args.bound):
-        h = darmon.make_reduction_hom(F, args.level, q)
-        cls = darmon.theta_class(th, h)
-        images.append({"q": q, "modulus": h.modulus, "class": cls.rows[0].tolist()})
+    hs = [darmon.make_reduction_hom(F, args.level, q)
+          for q in darmon.find_aux_primes(F, args.level, args.primes, bound=args.bound)]
+    images = [{"q": h.q, "modulus": h.modulus, "class": row}
+              for h, row in zip(hs, darmon.theta_class(th, hs).rows.tolist())]
     _emit({
         "field": F.d,
         "level": args.level,
@@ -139,13 +137,10 @@ def cmd_beta(args) -> int:
     n_plus = F.n_plus(args.level)
     cls = darmon.beta_class_at(F, args.level)
     th = cyclo.theta_prime(F, n_plus)
-    values = []
-    for q in darmon.find_aux_primes(F, args.level, args.primes,
-                                    bound=args.bound):
-        h = darmon.make_reduction_hom(F, args.level, q)
-        hh = darmon._hom_at_level(F, n_plus, h)
-        values.append({"q": q, "modulus": hh.modulus,
-                       "value": darmon.beta_value(th, hh)})
+    hs = [darmon.make_reduction_hom(F, args.level, q)
+          for q in darmon.find_aux_primes(F, args.level, args.primes, bound=args.bound)]
+    values = [{"q": h.q, "modulus": h.modulus, "value": v}
+              for h, v in zip(hs, darmon.beta_value(th, hs))]
     _emit({
         "field": F.d,
         "level": args.level,

@@ -3,8 +3,8 @@
 The regulator side is exact: determinants of local symbols applied to an
 oriented unit basis, with coefficients in augmentation quotients.  It is a
 `TensorElt`, the `groupring.ClassTensor` with one free row per element of a
-basis of (1-tau)E_N, and every reduction of it through a homomorphism on the
-units (h, ord_at, the finite part at ell) is one product of a row of values
+basis of (1-tau)E_N, and every reduction of it through homomorphisms on the
+units (h, ord_at, the finite part at ell) is one product of rows of values
 with its rows (`TensorElt.evaluate`).  `del_lift` builds its local symbols,
 and `ConcreteModel` reads its local data at a split ell.  The two share one
 convention: sigma_ell is the least primitive root mod ell, and the symbol at
@@ -12,31 +12,29 @@ ell of a unit u is u^{-1} - 1 = -fin (sigma_ell - 1) mod I^2, fin the log of
 u to the base sigma_ell.  Both systems run through the pre-Kolyvagin checker
 of `kolysys`, each over its top level's coefficients: `_RegulatorLevels`
 writes every level over the unit basis of the top level, and `_ThetaLevels`
-reduces every level at one auxiliary prime of it.  The theta side is
-reduced through homomorphisms into Z/M attached to auxiliary primes q, with
-M | q-1.  The paper proves the congruence for every odd prime p, so M is odd
-(`_theta_modulus`): in degree r >= 1 the odd part of `AugQuot.precision`,
-the product over the Sylow components of e_p^r, and in degree 0, where
-I^0/I^1 = Z, the odd part of q-1.  Both sides land in the one-row
-`ClassTensor` Z/M (x) I^r/I^{r+1}, the odd part of Z/(q-1) (x) I^r/I^{r+1};
-every single class here, such as the derivative class, is a one-row
-`ClassTensor` too.  The auxiliary primes are the q = 1 mod lcm(nf, M)
-(`_required_congruence`), one sequence for every odd p; in degree 0 a q
-with M = 1 checks nothing and is skipped.  Each reduction projects the
-residues a level needs (zeta^a - 1, the units' values) into the subgroup of
-order M of (Z/q)^* and solves their discrete logs there in one batched
-baby-step giant-step.  A check builds the exponent table of the twists
-gamma(alpha_n) once, on its `cyclo.ThetaElt`; each auxiliary prime then
-makes one array pass over it, from the powers of zeta to the discrete logs
-and the signed row sums.  The class of the reduced theta element is one matrix product of
-its vector, known mod M, per odd Sylow component: `AugQuot.class_of_sum`
-gives it as the one-row tensor with moduli (M,).
+reduces every level at all the auxiliary primes of the check.  The theta
+side is reduced through homomorphisms into Z/M attached to auxiliary primes
+q, M | q-1.  The paper proves the congruence for every odd prime p, so M is
+odd (`_theta_modulus`): in degree r >= 1 the odd part of
+`AugQuot.precision`, the product over the Sylow components of e_p^r, and in
+degree 0, where I^0/I^1 = Z, the odd part of q-1.  The auxiliary primes are
+the q = 1 mod lcm(nf, M) (`_required_congruence`), one sequence for every
+odd p; in degree 0 a q with M = 1 checks nothing and is skipped.  A
+reduction is a stack of `ReductionHom` rows, one per prime, and a check
+makes one array pass over all of them (`_reduce`): the theta twists'
+residues zeta^j - 1 (their exponent table is built once, on the
+`cyclo.ThetaElt`) and the regulator's units go to one row-wise batch of
+discrete logs in the subgroups of order M.  Only j <= nf/2 is logged; the
+other half follows from zeta^-j - 1 = -zeta^-j (zeta^j - 1).  Both sides,
+and the residual, are `ClassTensor`s with a row per prime and moduli
+(M_q1, ..., M_qP); `AugQuot.class_of_sum` reads the theta side's rows, each
+known mod M, one matrix product per odd Sylow component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -87,13 +85,19 @@ class TensorElt(ClassTensor):
         C = np.array([lattice.coords(u) for u in self.basis], dtype=np.int64)
         return TensorElt(self.quot, basis, C.T @ self.rows)
 
-    def evaluate(self, values, M: int) -> ClassTensor:
-        """The image in Z/M (x) I^r/I^{r+1} (M = 0: Z) under a homomorphism
-        on the units; values maps a list of units to their images.  Only
-        the units with nonzero rows are evaluated, in one call."""
-        live = self.rows.any(axis=1)
-        out = iter(values([x for x, z in zip(self.basis, live) if z]))
-        return self.reduce([next(out) if z else 0 for z in live], M)
+    @property
+    def units(self) -> list:
+        """The basis elements with a nonzero row: the units a reduction reads."""
+        return [x for x, z in zip(self.basis, self.rows.any(axis=1)) if z]
+
+    def evaluate(self, values, moduli) -> ClassTensor:
+        """The image in the sum of the Z/moduli[k] (x) I^r/I^{r+1} (0: Z)
+        under homomorphisms on the units, one per row k of values, which
+        holds the images of `units`: values @ rows, in exact integers."""
+        live = self.rows[self.rows.any(axis=1)]
+        rows = (np.asarray(values, dtype=object) @ live.astype(object)).tolist()
+        return ClassTensor(self.quot, moduli, [[x % M if M else x for x in row]
+                                               for row, M in zip(rows, moduli)])
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,10 @@ class ReductionHom:
 
     Maps the multiplicative group generated by roots of unity of order nf,
     sqrt(d), and q-unit rationals into Z/M, for a divisor M of q-1.  The
-    discrete logs are those to the base g, reduced mod M.
+    discrete logs are those to the base g, reduced mod M.  A hom at level n
+    reduces every level m | n, through the powers of zeta.  It is one row of
+    a reduction: a check reduces at all of its primes at once, a row per
+    prime (`_reduce`), and the methods here are its one-row case.
     """
 
     F: QuadField
@@ -125,60 +132,89 @@ class ReductionHom:
         return int(self.dlogs([x])[0])
 
     def dlogs(self, xs) -> np.ndarray:
-        """Discrete logs mod M of the residues xs (a sequence or a
-        one-dimensional array), in one batch.
-
-        x^((q-1)/M) lies in the subgroup of order M, generated by
-        g^((q-1)/M), and its log there is the log of x mod M.  It is 0 mod q
-        only when x is, which no log can be.
-        """
-        q = self.q
-        k = (q - 1) // self.modulus
-        xs = nt.pow_vec(xs, k, q)
-        if not xs.all():
-            raise BadAuxiliaryPrime(f"zero value mod {q}")
-        try:
-            return nt.discrete_logs(xs, pow(self.g, k, q), q, self.modulus)
-        except ValueError:
-            raise RuntimeError("discrete log failed") from None
+        """Discrete logs mod M of the residues xs (a sequence), in one batch."""
+        return _dlogs((self,), [xs])[0]
 
     def zeta_power(self, k: int) -> int:
         return pow(self.zeta, k % (self.level * self.F.conductor), self.q)
 
-    def eval_quad(self, x: QuadNum) -> int:
-        sd = self.sqrt_disc if self.F.disc == self.F.d \
-            else self.sqrt_disc * pow(2, -1, self.q) % self.q
-        num = (x.a.numerator * x.b.denominator
-               + x.b.numerator * x.a.denominator * sd)
-        den = x.a.denominator * x.b.denominator
-        if den % self.q == 0 or num % self.q == 0:
-            raise BadAuxiliaryPrime(f"degenerate value at q={self.q}")
-        return num * pow(den, -1, self.q) % self.q
-
     def values(self, payloads) -> list[int]:
         """h of every payload (a QuadNum), with one batched discrete log."""
-        return self.dlogs([self.eval_quad(x) for x in payloads]).tolist()
+        return _reduce((self,), units=payloads)[1][0].tolist()
 
     def alpha_value(self, m: int, c: int) -> int:
         """h of the c-twist of the level-m cyclotomic unit."""
-        return int(self.alpha_values(m, cyclo.twist_exponents(self.F, m, [c]))[0])
+        return int(_reduce((self,), (m, cyclo.twist_exponents(self.F, m, [c])))[0][0, 0])
 
-    def alpha_values(self, m: int, table: tuple[np.ndarray, int]) -> np.ndarray:
-        """h of the twists of the level-m cyclotomic unit whose exponents are
-        the rows of table (`cyclo.twist_exponents`, built once per check).
 
-        One array pass per prime: the residues zeta_mf^(a c) - 1 of all the
-        twists are read off one table of the powers of zeta_mf and go to one
-        batched discrete log; each twist's value is the signed sum of its row.
-        """
-        at, k_plus = table
-        F = self.F
-        mf = m * F.conductor
-        z = self.zeta_power(self.level * F.conductor // mf)  # image of zeta_mf
-        zpow = nt._powers(z, mf, self.q, nt.int_dtype(self.q))
-        logs = self.dlogs((zpow[at] - 1).ravel()).reshape(at.shape)
-        out = logs[:, :k_plus].sum(axis=1) - logs[:, k_plus:].sum(axis=1)
-        return out % self.modulus
+def _rows(h) -> tuple[ReductionHom, ...]:
+    """A reduction as its rows: one `ReductionHom`, or a sequence at one level."""
+    return (h,) if isinstance(h, ReductionHom) else tuple(h)
+
+
+def _dlogs(hs, xs) -> np.ndarray:
+    """Discrete logs mod M of the residues xs, row i at hs[i], in one batch:
+    x^((q-1)/M) lies in the subgroup of order M, generated by g^((q-1)/M),
+    and its log there is the log of x mod M.  A zero x has none."""
+    qs, Ms = [h.q for h in hs], [h.modulus for h in hs]
+    ks = [(q - 1) // M for q, M in zip(qs, Ms)]
+    xs = nt.pow_vec(xs, ks, qs)
+    for q, ok in zip(qs, xs.all(axis=1)):
+        if not ok:
+            raise BadAuxiliaryPrime(f"zero value mod {q}", q)
+    try:
+        return nt.discrete_logs(xs, [pow(h.g, k, h.q) for h, k in zip(hs, ks)], qs, Ms)
+    except ValueError:
+        raise RuntimeError("discrete log failed") from None
+
+
+def _unit_residues(h: ReductionHom, payloads) -> list[int]:
+    """The residues mod q of payloads (QuadNums), 0 for a non-q-unit."""
+    q, F = h.q, h.F
+    sd = h.sqrt_disc if F.disc == F.d else h.sqrt_disc * pow(2, -1, q) % q
+    pairs = [(x.a.numerator * x.b.denominator + x.b.numerator * x.a.denominator * sd,
+              x.a.denominator * x.b.denominator) for x in payloads]
+    return [num * pow(den, -1, q) % q if den % q else 0 for num, den in pairs]
+
+
+def _reduce(hs, twists=None, units=()) -> tuple[np.ndarray | None, np.ndarray]:
+    """h of twists of a cyclotomic unit and of units of F at every row of hs,
+    from one batch of discrete logs: (twist values or None, unit values),
+    arrays with a row per hom.
+
+    twists is (m, table): the twists of alpha_m whose exponents are the rows
+    of table (`cyclo.twist_exponents`).  Their residues are zeta_mf^j - 1, j
+    prime to mf, and only j <= mf/2 is logged: zeta^-j - 1 = -zeta^-j
+    (zeta^j - 1) gives L(mf - j) = L(j) + L(-1) - j L(zeta).  A twist's value
+    is the signed sum of its row.  A row is rejected (BadAuxiliaryPrime) for
+    a zero twist residue, then for a unit that is not a q-unit.
+    """
+    qs = [h.q for h in hs]
+    dtype = nt.int_dtype(max(qs))
+    us = np.array([_unit_residues(h, units) for h in hs], dtype=dtype)
+    blocks = [np.where(us == 0, 1, us)]  # a non-q-unit is rejected after the logs
+    if twists:
+        m, (at, k_plus) = twists
+        if any(h.level % m for h in hs):
+            raise ValueError(f"level {m} does not divide the level of the homs")
+        mf = m * hs[0].F.conductor
+        js = np.flatnonzero(np.bincount(np.minimum(at, mf - at).ravel()))
+        z = [h.zeta_power(h.level * h.F.conductor // mf) for h in hs]  # zeta_mf
+        blocks += [nt._powers(z, mf // 2 + 1, qs)[:, js] - 1,
+                   np.array([[q - 1, x] for q, x in zip(qs, z)], dtype=dtype)]
+    logs = _dlogs(hs, np.hstack(blocks))
+    for q, ok in zip(qs, us.all(axis=1)):
+        if not ok:
+            raise BadAuxiliaryPrime(f"degenerate value at q={q}", q)
+    if not twists:
+        return None, logs
+    k = us.shape[1]
+    M = np.array([h.modulus for h in hs], dtype=logs.dtype)[:, None]
+    L = np.zeros((len(hs), mf), dtype=logs.dtype)
+    lj, minus_one, zeta = logs[:, k:-2], logs[:, -2:-1], logs[:, -1:]
+    L[:, js], L[:, mf - js] = lj, (lj + minus_one - js * zeta) % M
+    tw = L[:, at]
+    return (tw[..., :k_plus].sum(axis=2) - tw[..., k_plus:].sum(axis=2)) % M, logs[:, :k]
 
 
 def _theta_modulus(quot: gr.AugQuot, q: int | None = None) -> int:
@@ -234,25 +270,30 @@ def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
     g = nt.primitive_root(q)
     zeta = pow(g, (q - 1) // mf, q)
     f = F.conductor
-    zpow = nt._powers(pow(zeta, mf // f, q), f, q, nt.int_dtype(q))
+    zpow = nt._powers([pow(zeta, mf // f, q)], f, [q])[0]
     sd = int((zpow * F.chi).sum()) % q
     if pow(sd, 2, q) != F.disc % q:
         raise BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
     return ReductionHom(F, n, q, g, zeta, sd, _theta_modulus(aug_quot(n, F.r_of(n)), q))
 
 
-def tensor_reduce(x: TensorElt, h: ReductionHom) -> ClassTensor:
-    """Sum of h(payload) * class: the one-row `ClassTensor` in
-    Z/M (x) I^r/I^{r+1}, M = h.modulus."""
-    _check_hom_compat(x.quot, h)
-    return x.evaluate(h.values, h.modulus)
+def tensor_reduce(x: TensorElt, h, values=None) -> ClassTensor:
+    """Sum of h(payload) * class at every row of h: the `ClassTensor` with a
+    row per hom in Z/M (x) I^r/I^{r+1}, M = h.modulus.  values, if given,
+    are the logs of `x.units`, taken in a caller's larger batch."""
+    hs = _rows(h)
+    _check_hom_compat(x.quot, hs)
+    values = _reduce(hs, units=x.units)[1] if values is None else values
+    return x.evaluate(values, [h.modulus for h in hs])
 
 
-def _check_hom_compat(quot, h: ReductionHom):
-    """The one rule on the target Z/M: M is a multiple of `_theta_modulus`."""
-    if h.modulus % _theta_modulus(quot):
-        raise gr.PrecisionError(f"M = {h.modulus} is not a multiple of the odd part "
-                                f"of the precision of {quot!r}")
+def _check_hom_compat(quot, h):
+    """The one rule on the target Z/M of each row: M is a multiple of
+    `_theta_modulus`."""
+    for h in _rows(h):
+        if h.modulus % _theta_modulus(quot):
+            raise gr.PrecisionError(f"M = {h.modulus} is not a multiple of the odd part "
+                                    f"of the precision of {quot!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +349,7 @@ def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
     """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
     place = F.place_above(ell)
     us = [unit_residue(x, place) for x in xs]
-    return nt.discrete_logs(us, nt.primitive_root(ell), ell, ell - 1).tolist()
+    return nt.discrete_logs([us], [nt.primitive_root(ell)], [ell], [ell - 1])[0].tolist()
 
 
 @dataclass
@@ -325,9 +366,9 @@ class ConcreteModel(kolysys.LocalModel):
     inert: tuple[int, ...]
 
     def loc(self, x: TensorElt, ell: int) -> tuple[ClassTensor, ClassTensor]:
-        place = self.F.place_above(ell)
-        return (x.evaluate(lambda xs: _fpart_dlogs(self.F, xs, ell), ell - 1),
-                x.evaluate(lambda xs: [ord_at(y, place) for y in xs], 0))
+        place, us = self.F.place_above(ell), x.units
+        return (x.evaluate([_fpart_dlogs(self.F, us, ell)], (ell - 1,)),
+                x.evaluate([[ord_at(y, place) for y in us]], (0,)))
 
     def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
         """fin lifted to Z, times -(sigma_ell - 1): sigma_ell, the least
@@ -342,65 +383,59 @@ class ConcreteModel(kolysys.LocalModel):
 # the theta side (reduced through homomorphisms)
 
 
-def theta_values(th: cyclo.ThetaElt, h: ReductionHom) -> dict[int, int]:
-    """h(gamma(alpha_n)) for every gamma in Gamma_n, n = th.level.
+def theta_values(th: cyclo.ThetaElt, h) -> np.ndarray:
+    """h(gamma(alpha_n)) for every gamma in Gamma_n, n = th.level, in the
+    order of `gamma(n).elements`: an array with a row per hom of h, from one
+    array pass over `th.twist_table`, built once per check (`_reduce`)."""
+    return _reduce(_rows(h), (th.level, th.twist_table))[0]
 
-    The twists' exponent table is `th.twist_table`, built once per check;
-    each prime makes one array pass over it (`ReductionHom.alpha_values`).
+
+def theta_class(th: cyclo.ThetaElt, h, values=None) -> ClassTensor:
+    """The reduced theta element th in Z/M (x) I^r/I^{r+1} at every row of h:
+    the `ClassTensor` with a row per hom and moduli (M_1, ..., M_P), as
+    `AugQuot.class_of_sum` gives it.
+
+    A check makes th once (`cyclo.theta_prime`) and reduces it at all of its
+    auxiliary primes in one array pass (`theta_values`; values, if given,
+    come from a caller's larger batch).  The theta vector is known mod M,
+    and `AugQuot.class_of_sum` reads from that the components of its class
+    at the primes p | M, as `_theta_modulus` makes them fixed; the others
+    are zero in Z/M (x) I^r/I^{r+1}.  An M that is not a multiple of
+    `_theta_modulus` raises PrecisionError before any theta value is
+    computed.
     """
-    return dict(zip(gamma(th.level).elements,
-                    h.alpha_values(th.level, th.twist_table).tolist()))
-
-
-def theta_class(th: cyclo.ThetaElt, h: ReductionHom) -> ClassTensor:
-    """The reduced theta element th in Z/M (x) I^r/I^{r+1}, M = h.modulus:
-    the one-row `ClassTensor` with moduli (M,), as `AugQuot.class_of_sum`
-    gives it.
-
-    A check makes th once (`cyclo.theta_prime`) and reduces it at each of
-    its auxiliary primes: the exponent table of the twists is kept on th,
-    and each prime costs one array pass (`theta_values`).  The theta vector
-    is known mod M, and `AugQuot.class_of_sum` reads from that the
-    components of its class at the primes p | M, as `_theta_modulus` makes
-    them fixed; the others are zero in Z/M (x) I^r/I^{r+1}.  An M that is
-    not a multiple of `_theta_modulus` raises PrecisionError before any
-    theta value is computed.
-    """
-    r = th.r
-    quot = aug_quot(th.level, r)
-    _check_hom_compat(quot, h)
-    vals = theta_values(th, h)
-    M = h.modulus
-    aug = sum(vals.values()) % M
-    if r == 0:
-        return ClassTensor(quot, (M,), [[aug]])
-    if aug:
+    hs = _rows(h)
+    quot = aug_quot(th.level, th.r)
+    _check_hom_compat(quot, hs)
+    vals = theta_values(th, hs) if values is None else values
+    moduli = tuple(h.modulus for h in hs)
+    aug = vals.sum(axis=1) % np.array(moduli, dtype=vals.dtype)
+    if th.r == 0:
+        return ClassTensor(quot, moduli, aug[:, None])
+    if aug.any():
         raise ArithmeticError("theta vector has nonzero augmentation; "
                               "norm compatibility violated")
-    cls = quot.class_of_sum(vals, M)
+    cls = quot.class_of_sum(gamma(th.level).elements, vals, moduli)
     if cls is None:
         raise ArithmeticError("reduced theta element is not in the expected "
                               "ideal power (implementation or theory failure)")
     return cls
 
 
-def beta_value(th: cyclo.ThetaElt, h: ReductionHom) -> int:
-    """h applied to the Kolyvagin derivative D_{n+} alpha_{n+}, n+ = th.level."""
-    n_plus = th.level
-    G = gamma(n_plus)
-    M = h.modulus
-    weights = [1] * len(G.elements)
-    for p in G.primes:
-        if p == 2:
-            weights = [0 if g % 2 == 0 else w for g, w in zip(G.elements, weights)]
-            continue
-        logs = nt.discrete_logs([g % p for g in G.elements], nt.primitive_root(p),
-                                p, p - 1).tolist()
-        weights = [w * i % M for w, i in zip(weights, logs)]
+def beta_value(th: cyclo.ThetaElt, h) -> list[int]:
+    """h applied to the Kolyvagin derivative D_{n+} alpha_{n+}, n+ = th.level,
+    a value per row of h."""
+    hs, G = _rows(h), gamma(th.level)
+    odd, weights = [p for p in G.primes if p != 2], [1] * len(G.elements)
+    if odd:  # Gamma_n has no 2-component
+        logs = nt.discrete_logs([[g % p for g in G.elements] for p in odd],
+                                [nt.primitive_root(p) for p in odd], odd, [p - 1 for p in odd])
+        weights = [prod(col) for col in logs.T.tolist()]
     live = [i for i, w in enumerate(weights) if w]
     at, k_plus = th.twist_table
-    vals = h.alpha_values(n_plus, (at[live], k_plus)).tolist()
-    return sum(weights[i] * v for i, v in zip(live, vals)) % M
+    vals = _reduce(hs, (th.level, (at[live], k_plus)))[0].tolist()
+    return [sum(weights[i] * v for i, v in zip(live, row)) % h.modulus
+            for h, row in zip(hs, vals)]
 
 
 def beta_class_at(F: QuadField, n: int) -> ClassTensor:
@@ -465,18 +500,27 @@ def verify_darmon(F: QuadField, n: int, num_primes: int = 5,
     hn = qf.h_n(F, n)
     reg = hn * (2 ** s) * (-1 if wrong_sign else 1) * regulator(F, n)
     theta = cyclo.theta_prime(F, n)
-    results = []
     vacuous = r >= 1 and _theta_modulus(aug_quot(n, r)) == 1
+    hs, bad = [], {}
     for q in qs:
         try:
-            h = make_reduction_hom(F, n, q)
-            residual = theta_class(theta, h) + tensor_reduce(reg, h)
+            hs.append(make_reduction_hom(F, n, q))
         except BadAuxiliaryPrime as exc:
-            results.append(PrimeResult(q, (), "bad-prime", str(exc)))
-            continue
-        ok = residual.is_zero()
-        results.append(PrimeResult(q, tuple(residual.rows[0].tolist()),
-                                   "pass" if ok else "fail"))
+            bad[q] = str(exc)
+    while hs:  # both sides at every prime in one batch; a rejected prime leaves it
+        try:
+            twists, units = _reduce(hs, (n, theta.twist_table), reg.units)
+            break
+        except BadAuxiliaryPrime as exc:
+            if exc.q not in {h.q for h in hs}:
+                raise
+            bad[exc.q] = str(exc)
+            hs = [h for h in hs if h.q != exc.q]
+    residual = theta_class(theta, hs, twists) + tensor_reduce(reg, hs, units) if hs else None
+    rows = dict(zip((h.q for h in hs), residual.rows.tolist() if hs else []))
+    results = [PrimeResult(q, (), "bad-prime", bad[q]) if q in bad else
+               PrimeResult(q, tuple(rows[q]), "fail" if any(rows[q]) else "pass")
+               for q in qs]
     verdicts = [p.verdict for p in results if p.verdict != "bad-prime"]
     if vacuous:
         overall = "vacuous"
@@ -507,28 +551,22 @@ def verify_base_case(F: QuadField) -> tuple[bool, int]:
 
 def prop94_residual(F: QuadField, n: int, h: ReductionHom) -> ClassTensor:
     """Residual of: sum over d | n_+ of theta~'_{n/d} prod pi_{n/d}(Fr_l - 1)
-    minus 2^s beta_{n_+}, evaluated under one reduction hom, in
+    minus 2^s beta_{n_+}, evaluated at every row of h, in
     Z/M (x) I^r/I^{r+1} (M = h.modulus)."""
+    hs = _rows(h)
     quot = aug_quot(n, F.r_of(n))
-    total = ClassTensor(quot, (h.modulus,))
+    moduli = [h.modulus for h in hs]
+    total = ClassTensor(quot, moduli)
     for dd in nt.divisors(F.n_plus(n)):
         m = n // dd
-        cls = theta_class(cyclo.theta_prime(F, m), _hom_at_level(F, m, h)).embed(n)
+        cls = theta_class(cyclo.theta_prime(F, m), hs).embed(n)
         for p in nt.prime_factors(dd):
             cls = cls.mult_class(gr.frob_class(n, n // dd, p))
         total = total + cls
     n_plus = F.n_plus(n)
-    bval = beta_value(cyclo.theta_prime(F, n_plus), _hom_at_level(F, n_plus, h))
-    rhs = ClassTensor(quot, (h.modulus,), beta_class_at(F, n).rows)
-    return total - 2 ** F.s_of(n) * bval * rhs
-
-
-def _hom_at_level(F: QuadField, m: int, h: ReductionHom) -> ReductionHom:
-    """The same prime and compatible root-of-unity images at a divisor level."""
-    if (h.q - 1) % (m * F.conductor):
-        raise ValueError("hom not compatible with the level")
-    zeta_m = pow(h.zeta, (h.level * F.conductor) // (m * F.conductor), h.q)
-    return ReductionHom(F, m, h.q, h.g, zeta_m, h.sqrt_disc, h.modulus)
+    bval = beta_value(cyclo.theta_prime(F, n_plus), hs)
+    rhs = ClassTensor(quot, moduli, np.outer(bval, beta_class_at(F, n).rows[0]))
+    return total - 2 ** F.s_of(n) * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +611,15 @@ class _RegulatorLevels(dict):
 
 
 class _ThetaLevels(dict):
-    """2^{-s(m)} theta~'_m by level m, reduced at the prime of h (a hom at a
-    multiple of m) through `_hom_at_level`, each built when it is first
-    read.  thetas holds one `cyclo.ThetaElt` per level for every prime of a
-    check, so that each exponent table is built once."""
+    """2^{-s(m)} theta~'_m by level m, reduced at every row of h (homs at a
+    multiple of m), a row per prime, each level built when it is first read."""
 
-    def __init__(self, F: QuadField, h: ReductionHom, thetas: dict):
-        self.F, self.h, self.thetas = F, h, thetas
+    def __init__(self, F: QuadField, h):
+        self.F, self.hs = F, _rows(h)
 
     def __missing__(self, m: int) -> ClassTensor:
-        th = self.thetas.setdefault(m, cyclo.theta_prime(self.F, m))
-        h = _hom_at_level(self.F, m, self.h)
-        self[m] = x = pow(2, -th.s, h.modulus) * theta_class(th, h)
+        th = cyclo.theta_prime(self.F, m)
+        self[m] = x = theta_class(th, self.hs) * [pow(2, -th.s, h.modulus) for h in self.hs]
         return x
 
 
@@ -618,8 +653,8 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
     (n, ell), with the primes of that level sorted by splitting type; (i)
     at a non-split ell, which `kolysys.preks_axioms` does not list, passes.
     The regulator checks are exact (`ConcreteModel`).  Theta (ii), after the
-    exact norm relation, and theta (v) compare under reduction homs at
-    num_primes auxiliary primes below bound, which only they read.
+    exact norm relation, and theta (v) compare reductions at num_primes
+    auxiliary primes below bound, which only they read, a row per prime.
     """
     check_ell(F, system, axiom, n, ell)
     if system not in ("regulator", "theta") or axiom not in ("i", "ii", "iii", "iv", "v"):
@@ -635,16 +670,16 @@ def verify_preks_axiom(F: QuadField, system: str, axiom: str, n: int, ell: int,
         split = tuple(p for p in primes if F.omega(p) == 1)
         inert = tuple(p for p in primes if F.omega(p) != 1)
         if system == "regulator":
-            model, colls = ConcreteModel(F, split, inert), [_RegulatorLevels(F, top)]
+            model, coll = ConcreteModel(F, split, inert), _RegulatorLevels(F, top)
         else:
             ok = axiom != "ii" or cyclo.norm_relation_check(F, n, ell)
             method = "exact+reductions" if axiom == "ii" else "reductions"
-            model, thetas = kolysys.LocalModel(split, inert), {}
-            colls = [_ThetaLevels(F, make_reduction_hom(F, n, q), thetas)
-                     for q in find_aux_primes(F, n, num_primes, bound)]
+            model = kolysys.LocalModel(split, inert)
+            coll = _ThetaLevels(F, [make_reduction_hom(F, n, q)
+                                    for q in find_aux_primes(F, n, num_primes, bound)])
         label = "iv'" if axiom == "iv" else axiom
-        ok = ok and (label not in kolysys.preks_axioms(model, top, ell, True) or all(
-            kolysys.preks_holds(coll, model, label, top, ell) for coll in colls))
+        ok = ok and (label not in kolysys.preks_axioms(model, top, ell, True)
+                     or kolysys.preks_holds(coll, model, label, top, ell))
     verdict = "unsupported" if method == "unsupported" else "pass" if ok else "fail"
     return {"system": system, "axiom": axiom, "level": n, "ell": ell,
             "method": method, "verdict": verdict}

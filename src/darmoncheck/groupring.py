@@ -577,32 +577,34 @@ class AugQuot:
 
     # -- element <-> class ------------------------------------------------
 
-    def class_of_sum(self, coeffs: dict[int, int],
-                     m: int | None = None) -> ClassTensor | None:
-        """The class of sum over g of coeffs[g] * (g - 1), for degree >= 1.
+    def class_of_sum(self, keys, coeffs, moduli=None) -> ClassTensor | None:
+        """Row k: the class of sum over the keys g of coeffs[k][i] (g - 1), g
+        the i-th key, for degree >= 1.
 
         Each component takes the image under g -> g^(a_p), one index array
-        over the keys, and sums the coefficients in one `np.add.at`.  The
-        coefficients are exact integers (moduli (0,)), or known only mod m:
-        then the result is the class in Z/m (x) I^r/I^{r+1}, moduli (m,).  A
-        component with p not dividing m is zero there and is not read; one
-        with p | m must be fixed by the vector, e_p^r dividing p^(v_p(m))
-        (PrecisionError if not).  None when the element is not in I^r.
+        over the keys, and sums each row's coefficients by `np.add.at`.  They
+        are exact integers (moduli None), or row k is known only mod
+        moduli[k], in Z/moduli[k] (x) I^r/I^{r+1}.  A component with p not
+        dividing moduli[k] is zero there and is not read; one with p | it
+        must be fixed by the vector, e_p^r dividing p^(v_p(moduli[k]))
+        (PrecisionError if not).  None when some row is not in I^r.
         """
-        keys = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-        values = np.fromiter(coeffs.values(), dtype=np.int64, count=len(coeffs))
-        y = np.zeros(len(self.invariants), dtype=np.int64)
+        keys, coeffs = np.asarray(keys, dtype=np.int64), np.asarray(coeffs, dtype=np.int64)
+        moduli = tuple(moduli or (0,) * len(coeffs))
+        y = np.zeros((len(coeffs), len(self.invariants)), dtype=np.int64)
         for comp, part in zip(self._components, self._slices):
-            if m is not None and m % comp.p:
+            live = [k for k, m in enumerate(moduli) if m % comp.p == 0]
+            if not live:
                 continue
             # the keys with g^a = 1 (proj -1) land in an extra last slot
-            x = np.zeros(len(comp.elems) + 1, dtype=np.int64)
-            np.add.at(x, comp.proj[keys], values)
-            x = comp.smith_coords(x[:-1], m)
+            x = np.zeros((len(comp.elems) + 1, len(live)), dtype=np.int64)
+            for j, k in enumerate(live):
+                np.add.at(x[:, j], comp.proj[keys], coeffs[k])
+            x = comp.smith_coords(x[:-1].T, gcd(*(moduli[k] for k in live)) or None)
             if x is None:
                 return None
-            y[part] = x
-        return ClassTensor(self, (m or 0,), y[None])
+            y[live if len(live) < len(y) else slice(None), part] = x
+        return ClassTensor(self, moduli, y)
 
     def class_of(self, v: RingElt) -> ClassTensor:
         """Reduce an element of I^r to its class; raises if v is not in I^r."""
@@ -612,7 +614,8 @@ class AugQuot:
             return ClassTensor(self, (0,), [[v.aug()]])
         if v.aug() != 0:
             raise ValueError("element is not in the augmentation ideal")
-        c = self.class_of_sum(v.coeffs)
+        c = self.class_of_sum(np.fromiter(v.coeffs, np.int64, len(v.coeffs)),
+                              np.fromiter(v.coeffs.values(), np.int64, len(v.coeffs))[None])
         if c is None:
             raise ValueError("element does not lie in the expected ideal power")
         return c
@@ -949,7 +952,8 @@ class ClassTensor:
     def __neg__(self) -> ClassTensor:
         return self._with(self.quot, -self.rows)
 
-    def __mul__(self, k: int) -> ClassTensor:
+    def __mul__(self, k) -> ClassTensor:  # k an integer, or a list of one per row
+        k = np.array(k)[:, None] if isinstance(k, list) else k
         return self._with(self.quot, self.rows * k)
 
     __rmul__ = __mul__
@@ -999,14 +1003,6 @@ class ClassTensor:
             raise ValueError(f"the multiplier must be a class, moduli (0,), not {v.moduli}")
         target = aug_quot(self.level, self.degree + v.degree)
         return self._with(target, self.rows @ target.mult_matrix(self.quot, v))
-
-    def reduce(self, values, M: int) -> ClassTensor:
-        """The image under the map A -> Z/M (M = 0: Z) sending generator j to
-        values[j]: the row vector values @ rows, in exact integers."""
-        row = [sum(v * x for v, x in zip(values, col)) for col in self.rows.T.tolist()]
-        row = [x % g if g else x
-               for x, g in zip(row, (gcd(M, d) for d in self.quot.invariants))]
-        return ClassTensor(self.quot, (M,), [row])
 
     def __repr__(self):
         return (f"{type(self).__name__}(level={self.level}, degree={self.degree}, "

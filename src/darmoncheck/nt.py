@@ -12,7 +12,11 @@ class ResourceLimitError(RuntimeError):
 
 
 class BadAuxiliaryPrime(ValueError):
-    """An auxiliary prime hit a zero/undefined evaluation; pick another."""
+    """An auxiliary prime q hit a zero/undefined evaluation; pick another."""
+
+    def __init__(self, message: str, q: int | None = None):
+        super().__init__(message)
+        self.q = q
 
 
 # arithmetic mod p works in int64 while p * p stays below this
@@ -198,60 +202,67 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def discrete_logs(hs, g: int, p: int, order: int) -> np.ndarray:
-    """Solve g^x = h mod p, 0 <= x < order, for every h in hs in one batch.
+def discrete_logs(hs, gs, ps, orders) -> np.ndarray:
+    """Solve g_i^x = h mod p_i, 0 <= x < order_i, for every h in row i of hs.
 
-    One baby-step giant-step serves the whole batch: a sorted table of about
-    sqrt(order * len(hs)) baby steps g^j, then giant steps h * g^(-m i)
-    taken for every unresolved query together, a block of steps at a time.
-    Each x is the least solution.  The arithmetic is int64 while p*p fits in
-    it, and Python integers (object arrays) above that.  hs is a sequence
-    or a one-dimensional array (see `_residues`), and the logs come back as
-    an array of that dtype.  Raises ValueError when some h is not a power
-    of g.
+    hs has one row per modulus (see `_residues`), and one baby-step
+    giant-step serves all rows: a sorted table of about sqrt(order_i * k)
+    baby steps g_i^j per row, k the row length, then giant steps
+    h * g_i^(-m_i t) taken for every unresolved query together, a block of
+    steps at a time.  Keys carry their row, so one sort and one search serve
+    every modulus.  Each x is the least solution.  The arithmetic is int64
+    while max p_i^2 fits in it, and Python integers (object arrays) above
+    that; the logs come back as an array of that dtype, in the shape of hs.
+    Raises ValueError when some h is not a power of its row's g.
     """
-    dtype = int_dtype(p)
-    hs = _residues(hs, p)
-    if not len(hs):
+    hs = _residues(hs, ps)
+    if not hs.size:
         return hs
-    m = min(order, isqrt(order * len(hs)) + 1)
-    # sort keys g^j * m + j: equal powers keep the least j first
-    keys = _powers(g, m, p, dtype)
-    keys *= m
-    keys += np.arange(m)
-    keys.sort()
-    table, jay = keys // m, keys % m
-    giants = -(-order // m)
-    block = min(giants, max(1, _GIANT_BLOCK // len(hs)))
-    steps = _powers(pow(g, -m, p), block, p, dtype)
-    stride = pow(g, -m * block, p)
-    cur = hs
-    pending = np.arange(len(hs))
-    out = np.zeros(len(hs), dtype=dtype)
-    for i0 in range(0, giants, block):
-        vals = (np.multiply.outer(cur, steps) % p).ravel()
+    rows, k = hs.shape
+    ms = [min(o, isqrt(o * k) + 1) for o in orders]
+    width, span = max(ms), max(ps)
+    # value v in row i is keyed v + i * span; the baby steps are sorted by
+    # (g^j + i * span) * width + j, so equal powers keep the least j first
+    bound = rows * span * max(width, hs.size, _GIANT_BLOCK)
+    dtype = hs.dtype if bound < _INT64_LIMIT else object
+    offset = np.array([i * span for i in range(rows)], dtype=dtype)[:, None]
+    keys = (_powers(gs, width, ps).astype(dtype) + offset) * width + np.arange(width)
+    keys = np.sort(keys[np.arange(width) < np.array(ms)[:, None]])
+    table, jay = keys // width, keys % width
+    giants = [-(-o // m) for o, m in zip(orders, ms)]
+    block = min(max(giants), max(1, _GIANT_BLOCK // hs.size))
+    p = np.array(ps, dtype=hs.dtype)
+    steps = _powers([pow(g, -m, q) for g, m, q in zip(gs, ms, ps)], block, ps)
+    stride = np.array([pow(g, -m * block, q) for g, m, q in zip(gs, ms, ps)], dtype=hs.dtype)
+    m_of, order_of = np.array(ms, dtype=dtype), np.array(orders, dtype=dtype)
+    cur, pending = hs.ravel(), np.arange(hs.size)
+    row = pending // k
+    out = np.zeros(hs.size, dtype=hs.dtype)
+    for i0 in range(0, max(giants), block):
+        vals = cur[:, None] * steps[row] % p[row, None]
         # looking up sorted values is several times faster than scattered
-        # ones; the keys value * size + position keep each value's position
-        size = len(vals)
+        # ones; keys (value + row offset) * size + position keep positions
+        size = vals.size
+        vals = (vals.astype(dtype, copy=False) + offset[row]).ravel()
         keys = np.sort(vals * size + np.arange(size))
         vals, where = keys // size, keys % size
-        pos = np.minimum(np.searchsorted(table, vals), m - 1)
+        pos = np.minimum(np.searchsorted(table, vals), len(table) - 1)
         hit = table[pos] == vals
         # in position order, a query's first hit is at its least giant step
         where = where[hit].astype(np.int64)
         by_pos = np.argsort(where)
         where, j = where[by_pos], jay[pos[hit]][by_pos]
-        row, i = where // block, where % block
-        first = np.ones(len(row), dtype=bool)
-        first[1:] = row[1:] != row[:-1]
-        row = row[first]
-        out[pending[row]] = ((i0 + i[first]) * m + j[first]) % order
-        found = np.zeros(len(pending), dtype=bool)
-        found[row] = True
-        cur, pending = cur[~found], pending[~found]
+        query, i = where // block, where % block
+        first = np.ones(len(query), dtype=bool)
+        first[1:] = query[1:] != query[:-1]
+        query, r = query[first], row[query[first]]
+        out[pending[query]] = ((i0 + i[first]) * m_of[r] + j[first]) % order_of[r]
+        left = np.ones(len(pending), dtype=bool)
+        left[query] = False
+        cur, pending, row = cur[left], pending[left], row[left]
         if not len(pending):
-            return out
-        cur = cur * stride % p
+            return out.reshape(hs.shape)
+        cur = cur * stride[row] % p[row]
     raise ValueError("discrete log not found (h not in <g>?)")
 
 
@@ -261,36 +272,39 @@ def int_dtype(p: int):
     return np.int64 if p * p < _INT64_LIMIT else object
 
 
-def _residues(xs, p: int) -> np.ndarray:
-    """xs mod p as an array of `int_dtype(p)`.  An array is reduced by
-    numpy alone; any other sequence one Python integer at a time, since
-    numpy could read a mix of large and negative integers as floats."""
-    dtype = int_dtype(p)
+def _residues(xs, ps) -> np.ndarray:
+    """xs mod ps, row i mod ps[i], as a 2-d array of `int_dtype(max(ps))`.
+    An array is reduced by numpy alone; a sequence of equal rows one Python
+    integer at a time, since numpy could read big and negative ints as floats."""
+    dtype = int_dtype(max(ps))
     if isinstance(xs, np.ndarray):
-        return (xs % p).astype(dtype, copy=False)
-    return np.array([x % p for x in xs], dtype=dtype)
+        return (xs % np.array(ps, dtype=dtype)[:, None]).astype(dtype, copy=False)
+    return np.array([[int(x) % p for x in row] for row, p in zip(xs, ps)], dtype=dtype)
 
 
-def pow_vec(xs, e: int, p: int) -> np.ndarray:
-    """x^e mod p for every x in xs (a sequence or an array, see `_residues`;
-    e >= 0), by one square-and-multiply over the whole array."""
-    base = _residues(xs, p)
-    out = np.ones(len(base), dtype=base.dtype)
-    while e:
-        if e & 1:
-            out = out * base % p
-        e >>= 1
-        if e:
-            base = base * base % p
+def pow_vec(xs, es, ps) -> np.ndarray:
+    """x^e_i mod p_i for every x in row i of xs (rows as in `_residues`;
+    e_i >= 0), by one square-and-multiply over the whole array: each bit
+    squares every row, and multiplies in the rows whose exponent has it."""
+    base = _residues(xs, ps)
+    p = np.array(ps, dtype=base.dtype)[:, None]
+    out = np.ones_like(base)
+    for bit in range(max(es).bit_length()):
+        use = np.array([e >> bit & 1 for e in es], dtype=bool)[:, None]
+        out = np.where(use, out * base % p, out)
+        base = base * base % p
     return out
 
 
-def _powers(g: int, count: int, p: int, dtype) -> np.ndarray:
-    """g^0, g^1, ..., g^(count-1) mod p, by doubling."""
-    out = np.ones(1, dtype=dtype)
-    gk = g % p
-    while len(out) < count:
-        out = np.concatenate((out, out[:count - len(out)] * gk % p))
+def _powers(gs, count: int, ps) -> np.ndarray:
+    """g_i^0, g_i^1, ..., g_i^(count-1) mod p_i in row i, by doubling, as an
+    array of `int_dtype(max(ps))`."""
+    dtype = int_dtype(max(ps))
+    p = np.array(ps, dtype=dtype)[:, None]
+    out = np.ones((len(ps), 1), dtype=dtype)
+    gk = np.array([g % q for g, q in zip(gs, ps)], dtype=dtype)[:, None]
+    while out.shape[1] < count:
+        out = np.concatenate((out, out[:, :count - out.shape[1]] * gk % p), axis=1)
         gk = gk * gk % p
     return out
 

@@ -5,10 +5,7 @@ import random
 import time
 from math import gcd, prod
 
-import pytest
-
 from darmoncheck import cyclo, groupring as gr, kolysys as ks, nt
-from darmoncheck import quadfield as qf
 from darmoncheck.darmon import (prop94_residual, verify_base_case, verify_darmon,
                                 verify_preks_axiom)
 from darmoncheck.groupring import (ClassTensor, aug_quot, d_det, derangements,

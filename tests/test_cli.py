@@ -7,8 +7,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from darmoncheck import darmon, groupring as gr, nt, quadfield as qf
-from darmoncheck.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS,
-                             EXIT_RESOURCE, EXIT_USAGE, EXIT_VACUOUS, main)
+from darmoncheck.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE,
+                             EXIT_VACUOUS, main)
 
 
 def run(argv):
@@ -205,6 +205,41 @@ def test_theta_and_beta_commands():
     assert code == EXIT_PASS and out["r"] == 0
     assert [x["modulus"] for x in out["reductions"]] == [
         (x["q"] - 1) >> nt.valuation(x["q"] - 1, 2) for x in out["reductions"]]
+
+
+# (q, modulus, class) of every reduction of `theta`, and (q, modulus, value)
+# of `beta`, at the default five primes: the output of the per-prime loops
+# that the row-wise reduction replaced
+THETA_PINS = {
+    (5, 11): ("8661c80d548f6b6a", 55, 1, 0, [
+        (331, 5, [0, 3]), (661, 5, [0, 3]), (881, 5, [0, 4]), (991, 5, [0, 0]),
+        (1321, 5, [0, 2])]),
+    (5, 33): ("7970f904c1a335c8", 165, 1, 1, [
+        (331, 5, [0, 0, 1]), (661, 5, [0, 0, 1]), (991, 5, [0, 0, 0]),
+        (1321, 5, [0, 0, 4]), (2311, 5, [0, 0, 1])]),
+    (17, 26): ("92d2245b891eb4bf", 442, 2, 0, [
+        (15913, 9, [0, 2]), (19891, 9, [0, 2]), (23869, 9, [0, 1]), (27847, 9, [0, 2]),
+        (35803, 9, [0, 1])]),
+}
+BETA_PINS = {
+    (5, 11): (11, [1, 3], [(331, 5, 1), (661, 5, 1), (881, 5, 3), (991, 5, 0), (1321, 5, 4)]),
+    (5, 33): (11, [1, 0, 3], [(331, 5, 1), (661, 5, 1), (991, 5, 0), (1321, 5, 4),
+                              (2311, 5, 1)]),
+    (17, 26): (26, [0, 0], [(15913, 9, 3), (19891, 9, 3), (23869, 9, 6), (27847, 9, 0),
+                            (35803, 9, 6)]),
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(THETA_PINS))
+def test_theta_and_beta_output_is_pinned(d, n):
+    code, out = run(["theta", "--disc", str(d), "--level", str(n)])
+    assert code == EXIT_PASS
+    assert (out["alpha_fingerprint"], out["alpha_modulus"], out["r"], out["s"],
+            [(x["q"], x["modulus"], x["class"]) for x in out["reductions"]]) == THETA_PINS[d, n]
+    code, out = run(["beta", "--disc", str(d), "--level", str(n)])
+    assert code == EXIT_PASS
+    assert (out["n_plus"], out["class"],
+            [(x["q"], x["modulus"], x["value"]) for x in out["values"]]) == BETA_PINS[d, n]
 
 
 def test_beta_where_two_splits():

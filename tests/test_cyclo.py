@@ -7,10 +7,9 @@ import pytest
 
 from darmoncheck import nt
 from darmoncheck.groupring import gamma
-from darmoncheck.cyclo import (CycloNum, alpha, alpha_exponents, context,
-                               cyclo_to_quad, cyclotomic_poly,
-                               norm_relation_check, quad_to_cyclo, sqrt_disc,
-                               theta_prime)
+from darmoncheck.cyclo import (CycloNum, alpha, alpha_exponents, cyclo_to_quad,
+                               cyclotomic_poly, norm_relation_check, quad_to_cyclo,
+                               sqrt_disc, theta_prime)
 from darmoncheck.quadfield import QuadNum, fundamental_unit, make_field
 
 

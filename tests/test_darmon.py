@@ -14,11 +14,11 @@ from darmoncheck.darmon import (ConcreteModel, TensorElt, beta_class_at, beta_va
                                 regulator_from_basis, tensor_reduce,
                                 theta_class, theta_values, verify_base_case,
                                 verify_darmon, verify_preks_axiom,
-                                _ThetaLevels, _hom_at_level, _required_congruence)
+                                _ThetaLevels, _required_congruence)
 from darmoncheck.groupring import ClassTensor, RingElt, aug_quot, gamma
 from darmoncheck.kolysys import (LocalModel, check_ks, check_preks, inverse_transform,
                                  preks_holds, transform)
-from darmoncheck.quadfield import QuadNum, fundamental_unit, h_n, make_field, unit_basis
+from darmoncheck.quadfield import QuadNum, h_n, make_field, unit_basis
 
 F5 = make_field(5)
 
@@ -172,10 +172,15 @@ def test_theta_values_match_scalar_reference(d, n):
         c = th.twist_residue(g)
         tot = 0
         for a in units:
-            x = int(nt.discrete_logs([pow(h.zeta, a * c, q) - 1], h.g, q, q - 1)[0])
+            x = int(nt.discrete_logs([[pow(h.zeta, a * c, q) - 1]], [h.g], [q], [q - 1])[0, 0])
             tot += F.omega(a) * x
         expect[g] = tot % h.modulus
-    assert theta_values(th, h) == expect
+    assert _theta_values_by_element(th, h) == expect
+
+
+def _theta_values_by_element(th, h):
+    # the one row of theta_values at a single hom, keyed by element
+    return dict(zip(gamma(th.level).elements, theta_values(th, h)[0].tolist()))
 
 
 def _subgroup_log_theta_values(th, h):
@@ -191,7 +196,7 @@ def _subgroup_log_theta_values(th, h):
         for sign, exps in ((1, plus), (-1, minus)):
             for a in exps:
                 x = pow(pow(h.zeta, a * c, q) - 1, k, q)
-                tot += sign * int(nt.discrete_logs([x], pow(h.g, k, q), q, M)[0])
+                tot += sign * int(nt.discrete_logs([[x]], [pow(h.g, k, q)], [q], [M])[0, 0])
         out[g] = tot % M
     return out
 
@@ -216,7 +221,18 @@ def test_theta_values_array_path_matches_scalar_logs(d, n, big):
     h = make_reduction_hom(F, n, q)
     th = cyclo.theta_prime(F, n)
     assert th.r == {1: 0, 11: 1, 209: 2, 114: 3}[n]
-    assert theta_values(th, h) == _subgroup_log_theta_values(th, h)
+    assert _theta_values_by_element(th, h) == _subgroup_log_theta_values(th, h)
+
+
+@pytest.mark.parametrize("d, n", [(5, 1), (5, 11), (13, 21), (5, 209)])
+def test_theta_values_at_even_modulus(d, n, full_homs):
+    # into all of Z/(q - 1) the log of -1 is (q - 1)/2, not 0, so the values
+    # read off zeta^-j - 1 = -zeta^-j (zeta^j - 1) depend on it
+    F = make_field(d)
+    th = cyclo.theta_prime(F, n)
+    for h in full_homs(F, n, 2):
+        assert h.modulus % 2 == 0
+        assert _theta_values_by_element(th, h) == _subgroup_log_theta_values(th, h)
 
 
 def test_one_exponent_table_per_check(monkeypatch):
@@ -269,18 +285,16 @@ def test_theta_class_inert_closed_form(full_homs):
     th = theta_class(cyclo.theta_prime(F5, 33), h).parts[0]
     G = gamma(33)
     quot = aug_quot(33, 1)
-    h11 = _hom_at_level(F5, 11, h)
     thp = cyclo.theta_prime(F5, 11)
     acc = quot.zero()
     sigma11 = gamma(11).gens[11]
     g = 1
     for a in range(1, 10):
         g = g * sigma11 % 11
-        val = h11.alpha_value(11, thp.twist_residue(g))
+        val = h.alpha_value(11, thp.twist_residue(g))  # the level-33 hom at level 11
         acc = acc + (2 * val) * quot.class_of(
             RingElt.gen_minus_one(33, G.embed_from(11, g)))
-    h1 = _hom_at_level(F5, 1, h)
-    a1val = h1.alpha_value(1, 1)
+    a1val = h.alpha_value(1, 1)
     fr3 = gr._frob_lift(33, 3, 11)
     acc = acc - (2 * a1val) * quot.class_of(fr3)
     assert acc == th
@@ -342,6 +356,46 @@ def test_bad_prime_keeps_its_reason(monkeypatch):
         f"Gauss sum check failed at q={p.q}" for p in rep.primes]
 
 
+@pytest.mark.parametrize("wrong_sign", [False, True])
+def test_bad_primes_stay_independent_per_row(monkeypatch, wrong_sign):
+    # all primes of a check share one batch; a prime it rejects leaves with
+    # its reason (Gauss sum, then a zero theta residue, then a non-unit
+    # regulator value), and every other prime keeps its verdict and residual
+    from dataclasses import replace
+    from darmoncheck import darmon
+    real = darmon.make_reduction_hom
+    qs = find_aux_primes(F5, 11, 4)
+    full = verify_darmon(F5, 11, num_primes=4, wrong_sign=wrong_sign).primes
+    assert wrong_sign == any(any(p.residual) for p in full)
+    u = regulator(F5, 11).units[0]
+
+    def degenerate(h):
+        # sqrt(5) sent to the root of the numerator of u = a + b sqrt(5)
+        a, b = u.a.numerator * u.b.denominator, u.b.numerator * u.a.denominator
+        return replace(h, sqrt_disc=-a * pow(b, -1, h.q) % h.q)
+
+    def tweaked(bad):
+        def make(F, n, q):
+            if q == qs[1]:
+                raise nt.BadAuxiliaryPrime(f"Gauss sum check failed at q={q}")
+            return bad.get(q, lambda h: h)(real(F, n, q))
+        return make
+
+    monkeypatch.setattr(darmon, "make_reduction_hom", tweaked({}))
+    rep = verify_darmon(F5, 11, num_primes=3, wrong_sign=wrong_sign)
+    assert [p.q for p in rep.primes] == qs[:3]
+    assert rep.primes[1].reason == f"Gauss sum check failed at q={qs[1]}"
+    assert [rep.primes[0], rep.primes[2]] == [full[0], full[2]]
+    monkeypatch.setattr(darmon, "make_reduction_hom", tweaked(
+        {qs[2]: lambda h: degenerate(replace(h, zeta=1)), qs[3]: degenerate}))
+    rep = verify_darmon(F5, 11, num_primes=4, wrong_sign=wrong_sign)
+    assert [p.reason for p in rep.primes] == [
+        None, f"Gauss sum check failed at q={qs[1]}", f"zero value mod {qs[2]}",
+        f"degenerate value at q={qs[3]}"]
+    assert rep.primes[0] == full[0]
+    assert rep.verdict == ("fail" if any(full[0].residual) else "pass")
+
+
 def test_prop94_levels(full_homs):
     # in every Sylow component, 2 included
     for n in (11, 33):
@@ -353,10 +407,9 @@ def test_beta_depends_only_on_plus_part():
     # beta_{33+} = beta_11
     q = find_aux_primes(F5, 33, 1)[0]
     h = make_reduction_hom(F5, 33, q)
-    h11 = _hom_at_level(F5, 11, h)
     th33, th11 = (cyclo.theta_prime(F5, F5.n_plus(n)) for n in (33, 11))
     cls33, cls11 = beta_class_at(F5, 33), beta_class_at(F5, 11)
-    assert beta_value(th33, h11) == beta_value(th11, h11)
+    assert beta_value(th33, h) == beta_value(th11, h)
     assert cls33.quot.level == 33 and cls11.quot.level == 11
 
 
@@ -502,8 +555,9 @@ def test_restricted_hom_matches_full(d, n, full_homs):
 
         assert theta_class(th, h) == restricted(theta_class(th, full))
         assert tensor_reduce(reg, h) == restricted(tensor_reduce(reg, full))
-        assert (beta_value(th_plus, _hom_at_level(F, n_plus, h))
-                == beta_value(th_plus, _hom_at_level(F, n_plus, full)) % M)
+        (beta_m,) = beta_value(th_plus, h)
+        (beta_full,) = beta_value(th_plus, full)
+        assert beta_m == beta_full % M
         assert prop94_residual(F, n, h) == restricted(prop94_residual(F, n, full))
         assert prop94_residual(F, n, full).is_zero()
 
@@ -606,7 +660,7 @@ def test_theta_preks_canary():
                                  ("v", 33, 3, LocalModel((11,), (3,)))):
         caught = []
         for q in find_aux_primes(F5, n, 3):
-            levels = _ThetaLevels(F5, make_reduction_hom(F5, n, q), {})
+            levels = _ThetaLevels(F5, make_reduction_hom(F5, n, q))
             assert preks_holds(levels, model, axiom, n, ell)
             levels[11] = -levels[11]
             caught.append(not preks_holds(levels, model, axiom, n, ell))

@@ -13,8 +13,8 @@ from darmoncheck.darmon import find_aux_primes, make_reduction_hom, theta_class,
 from darmoncheck.groupring import (ClassTensor, PermData, RingElt, aug_quot, d_det,
                                    derangements, embed_class, frobenius, gamma,
                                    in_new_component, monomial_class, mult_classes,
-                                   perm_pi, perm_sign, permutations_of, pi_d,
-                                   single_orbit_nonfixed, smith_chain)
+                                   perm_pi, perm_sign, pi_d, single_orbit_nonfixed,
+                                   smith_chain)
 from darmoncheck.groupring import _frob_lift
 from darmoncheck import intmat
 from darmoncheck.intmat import hnf_mod, hnf_solve, hnf_solve_mod, snf_mod
@@ -636,11 +636,12 @@ def test_class_of_sum_modulus_must_fix_the_class():
     exact = q.class_of(v)
     for m in (144, 144 * 5, 144 * 16 * 27, 80, 9 * 7):
         want = gr.ClassTensor(q, (m,), exact.rows)
-        assert q.class_of_sum({g: c % m for g, c in v.coeffs.items()}, m) == want, m
+        coeffs = [[c % m for c in v.coeffs.values()]]
+        assert q.class_of_sum(list(v.coeffs), coeffs, (m,)) == want, m
         assert (want.parts[0] == exact) == (m % 144 == 0)
     for m in (12, 48, 72, 3 * 5):
         with pytest.raises(gr.PrecisionError):
-            q.class_of_sum(v.coeffs, m)
+            q.class_of_sum(list(v.coeffs), [list(v.coeffs.values())], (m,))
 
     def by_loop(q, coeffs, m=None):
         # the class by one loop over the coefficients per component
@@ -660,7 +661,7 @@ def test_class_of_sum_modulus_must_fix_the_class():
         F = make_field(d)
         q = aug_quot(n, F.r_of(n))
         h = make_reduction_hom(F, n, find_aux_primes(F, n, 1)[0])
-        vals = theta_values(cyclo.theta_prime(F, n), h)
+        vals = dict(zip(q.gamma.elements, theta_values(cyclo.theta_prime(F, n), h)[0].tolist()))
         M = h.modulus
         want = by_loop(q, vals, M) if q.degree else gr.ClassTensor(q, (M,), [[sum(vals.values())]])
         assert theta_class(cyclo.theta_prime(F, n), h) == want, (d, n)

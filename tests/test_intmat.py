@@ -4,7 +4,6 @@ import random
 from math import prod
 
 import numpy as np
-import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 

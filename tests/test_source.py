@@ -22,6 +22,23 @@ def test_no_assert_in_library():
     assert not found, found
 
 
+def test_every_import_is_read():
+    # a name imported but never read is dead weight, and no linter is
+    # installed to catch it; no module here re-exports what it imports
+    found = []
+    for path in sorted([*Path(darmoncheck.__file__).parent.glob("*.py"),
+                        *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                          for name in (alias.asname or alias.name.split(".")[0]
+                                       for alias in node.names) if name not in read]
+    assert not found, found
+
+
 def test_kolysys_imports_only_groupring_and_nt():
     # darmon imports kolysys for its local-model protocol, so an import of
     # darmon (or of a module that imports it) from kolysys would be circular
