@@ -4,9 +4,10 @@ The regulator side is exact: determinants of local symbols applied to an
 oriented unit basis, with coefficients in augmentation quotients.  It is a
 `TensorElt`, the `groupring.ClassTensor` with one free row per element of a
 basis of (1-tau)E_N, and every reduction of it through homomorphisms on the
-units (h, ord_at, the finite part at ell) is one product of rows of values
-with its rows (`TensorElt.evaluate`).  `del_lift` builds its local symbols,
-and `ConcreteModel` reads its local data at a split ell.  The two share one
+units (h, and the valuation and finite part at ell) is one product of rows
+of values with its rows (`TensorElt.evaluate`).  `del_lift` builds its local
+symbols, and `ConcreteModel` reads its local data at a split ell, each from
+one `quadfield.local_parts` call per unit and place.  The two share one
 convention: sigma_ell is the least primitive root mod ell, and the symbol at
 ell of a unit u is u^{-1} - 1 = -fin (sigma_ell - 1) mod I^2, fin the log of
 u to the base sigma_ell.  Both systems run through the pre-Kolyvagin checker
@@ -41,7 +42,7 @@ import numpy as np
 from . import cyclo, groupring as gr, kolysys, nt, quadfield as qf
 from .groupring import ClassTensor, RingElt, aug_quot, gamma
 from .nt import BadAuxiliaryPrime, ResourceLimitError
-from .quadfield import PrimePlace, QuadField, QuadNum, ord_at, unit_residue
+from .quadfield import PrimePlace, QuadField, QuadNum, local_parts
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,8 @@ def find_aux_primes(F: QuadField, n: int, count: int, bound: int = 10 ** 9):
 
 
 def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
-    """A reduction homomorphism at q (requires q = 1 mod L) into Z/M.
+    """A reduction homomorphism at a prime q = 1 mod L into Z/M (ValueError
+    for any other q: `nt.primitive_root` rejects a composite one).
 
     M is `_theta_modulus`.  sqrt(D) maps to the Gauss sum of the
     quadratic character `F.chi`.
@@ -265,8 +267,6 @@ def make_reduction_hom(F: QuadField, n: int, q: int) -> ReductionHom:
     mf = n * F.conductor
     if (q - 1) % mf:
         raise ValueError(f"{q} is not 1 mod {mf}")
-    if not nt.is_prime(q):
-        raise ValueError(f"{q} is not prime")
     g = nt.primitive_root(q)
     zeta = pow(g, (q - 1) // mf, q)
     f = F.conductor
@@ -307,14 +307,13 @@ def del_lift(F: QuadField, x: QuadNum, place: PrimePlace, n: int) -> RingElt:
     q != ell, and the inverse unit residue at q == ell (Gamma_2 is trivial).
     """
     G = gamma(n)
-    k = ord_at(x, place)
+    k, u = local_parts(x, place)
     ell = place.ell
     lift = RingElt(n)
     for q in G.primes:
         if q == 2:
             continue
         if q == ell:
-            u = unit_residue(x, place)
             lift = lift + RingElt.gen_minus_one(n, G.embed_from(ell, pow(u, -1, ell)))
         else:
             base = ell % q
@@ -345,20 +344,14 @@ def regulator_from_basis(F: QuadField, basis, places, n2: int) -> TensorElt:
         for j in range(len(basis))])
 
 
-def _fpart_dlogs(F: QuadField, xs, ell: int) -> list[int]:
-    """Discrete logs mod ell-1 of the finite (unit) parts of xs at the place."""
-    place = F.place_above(ell)
-    us = [unit_residue(x, place) for x in xs]
-    return nt.discrete_logs([us], [nt.primitive_root(ell)], [ell], [ell - 1])[0].tolist()
-
-
 @dataclass
 class ConcreteModel(kolysys.LocalModel):
     """The local data of h_n R_n: A is free on the units of the regulator.
 
-    At a split ell the finite part of a unit is the discrete log of its unit
-    residue at the place above ell (`_fpart_dlogs`), in Z/(ell-1); the
-    transverse part is its valuation there, in Z.
+    At a split ell both parts of a unit come from its `local_parts` at the
+    place above ell: the finite part is the discrete log of its unit residue
+    to the base sigma_ell, in Z/(ell-1), and the transverse part is its
+    valuation, in Z.
     """
 
     F: QuadField
@@ -366,9 +359,10 @@ class ConcreteModel(kolysys.LocalModel):
     inert: tuple[int, ...]
 
     def loc(self, x: TensorElt, ell: int) -> tuple[ClassTensor, ClassTensor]:
-        place, us = self.F.place_above(ell), x.units
-        return (x.evaluate([_fpart_dlogs(self.F, us, ell)], (ell - 1,)),
-                x.evaluate([[ord_at(y, place) for y in us]], (0,)))
+        place = self.F.place_above(ell)
+        parts = [local_parts(y, place) for y in x.units]
+        fin = nt.discrete_logs([[r for _, r in parts]], [nt.primitive_root(ell)], [ell], [ell - 1])
+        return x.evaluate(fin, (ell - 1,)), x.evaluate([[k for k, _ in parts]], (0,))
 
     def fs(self, fin: ClassTensor, ell: int, at_level: int) -> ClassTensor:
         """fin lifted to Z, times -(sigma_ell - 1): sigma_ell, the least

@@ -4,7 +4,10 @@ A field is Q(sqrt(d)) for squarefree d > 1 with discriminant D (= d or 4d)
 and conductor f = D.  The distinguished real embedding sends sqrt(d) to the
 positive root; all absolute values and orientations refer to it.  Class
 numbers come from cycles of reduced indefinite binary quadratic forms
-(narrow class group) combined with the norm of the fundamental unit.
+(narrow class group) combined with the norm of the fundamental unit.  The
+local datum of x at a place above a split ell, its valuation and its unit
+residue mod ell, comes from one routine, `local_parts`, which lifts sqrt(d)
+once, to ell^(v(N(x)) + 1).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, log, prod
+from math import gcd, isqrt, lcm, log, prod
 
 from . import nt
 from .nt import ResourceLimitError
@@ -231,89 +234,41 @@ def fundamental_unit(F: QuadField) -> QuadNum:
 
 
 # ---------------------------------------------------------------------------
-# lambda-adic valuations and residues (Hensel lifting of sqrt(d))
+# the local data at a split place: valuation and unit residue, from one
+# lift of sqrt(d) to ell^(v(N) + 1)
 
 
-def _hensel_sqrt(d: int, ell: int, root: int, prec: int) -> int:
-    """t with t^2 = d mod ell^prec and t = root mod ell (odd ell)."""
-    t, mod = root, ell
-    while mod < ell ** prec:
-        mod_next = min(mod * mod, ell ** prec)
-        # Newton step: t <- t - (t^2 - d) / (2t)
-        inv = pow(2 * t % mod_next, -1, mod_next)
-        t = (t - (t * t - d) * inv) % mod_next
-        mod = mod_next
-    return t % ell ** prec
+def local_parts(x: QuadNum, place: PrimePlace) -> tuple[int, int]:
+    """(k, residue): the valuation k of x != 0 at the place, and x/ell^k mod ell.
 
-
-def ord_at(x: QuadNum, place: PrimePlace) -> int:
-    """The place-adic valuation of x != 0 (exact)."""
+    Write x = (u + v sqrt(d))/den with integers u, v, den.  The place sends
+    sqrt(d) to the ell-adic root t of d with t = place.root, and x to
+    (u + v t)/den.  The values of u + v t at the two places multiply to
+    N = u^2 - d v^2, so its valuation is at most v(N), and t mod ell^prec,
+    prec = v(N) + 1, fixes both parts.  At ell = 2 the residue is 1, the only
+    unit of F_2.
+    """
     if x.is_zero():
         raise ValueError("valuation of 0")
-    ell = place.ell
+    ell, d, t = place.ell, x.d, place.root
+    den = lcm(x.a.denominator, x.b.denominator)
+    u, v = int(x.a * den), int(x.b * den)
+    prec = nt.valuation(u * u - d * v * v, ell) + 1
+    mod = ell ** prec
     if ell == 2:
-        return _ord_at_two(x, place)
-    den = (x.a.denominator * x.b.denominator) // gcd(x.a.denominator, x.b.denominator)
-    u = int(x.a * den)
-    v = int(x.b * den)
-    if v == 0:
-        return nt.valuation(u, ell) - nt.valuation(den, ell)
-    nrm = u * u - x.d * v * v
-    if nrm == 0:
-        raise ValueError("not a field element")
-    bound = nt.valuation(nrm, ell) + 1
-    t = _hensel_sqrt(x.d, ell, place.root, bound)
-    w = u + v * t
-    if w == 0:
-        return bound - nt.valuation(den, ell)  # cannot happen for genuine elements
-    return min(nt.valuation(w, ell), bound) - nt.valuation(den, ell)
-
-
-def _ord_at_two(x: QuadNum, place: PrimePlace) -> int:
-    """Valuation above a split 2 (d = 1 mod 8), via 2-adic square roots."""
-    den = (x.a.denominator * x.b.denominator) // gcd(x.a.denominator, x.b.denominator)
-    u = int(x.a * den)
-    v = int(x.b * den)
-    if v == 0:
-        return nt.valuation(u, 2) - nt.valuation(den, 2)
-    nrm = u * u - x.d * v * v
-    bound = nt.valuation(nrm, 2) + 3
-    # lift t^2 = d mod 2^bound with t = root mod 4 (fixes the place)
-    t, j = place.root, 3
-    while j < bound:
-        if (t * t - x.d) % (1 << (j + 1)):
-            t += 1 << (j - 1)
-        j += 1
-    w = u + v * t
-    if w == 0:
-        return bound - nt.valuation(den, 2)
-    return min(nt.valuation(w, 2), bound - 2) - nt.valuation(den, 2)
-
-
-def unit_residue(x: QuadNum, place: PrimePlace) -> int:
-    """Residue mod ell of x / ell^(ord) at the place (the local unit part)."""
-    ell = place.ell
-    k = ord_at(x, place)
-    if ell == 2:
-        return 1  # the only unit of the residue field F_2
-    den = (x.a.denominator * x.b.denominator) // gcd(x.a.denominator, x.b.denominator)
-    u = int(x.a * den)
-    v = int(x.b * den)
-    vd = nt.valuation(den, ell)
-    if v == 0:
-        w = u
-        vw = nt.valuation(u, ell)
-        res = (w // ell ** vw) % ell
+        # t^2 = d mod 2^(j+1) makes t right mod 2^j; each step fixes one bit,
+        # and t = root mod 4 (d = 1 mod 8) picks the place
+        for j in range(3, prec + 1):
+            if (t * t - d) % (2 << j):
+                t += 1 << (j - 1)
     else:
-        nrm = u * u - x.d * v * v
-        prec = nt.valuation(nrm, ell) + 2
-        t = _hensel_sqrt(x.d, ell, place.root, prec)
-        w = (u + v * t) % ell ** prec
-        vw = nt.valuation(w, ell)
-        res = (w // ell ** vw) % ell
-    if vw - vd != k:
-        raise ArithmeticError(f"residue valuation {vw - vd} != ord {k} at {place}")
-    return res * pow((den // ell ** vd) % ell, -1, ell) % ell
+        m = ell
+        while m < mod:  # Newton's step t - (t^2 - d)/(2t) doubles the digits that are right
+            m = min(m * m, mod)
+            t = (t - (t * t - d) * pow(2 * t, -1, m)) % m
+    w = (u + v * t) % mod
+    k, vd = nt.valuation(w, ell), nt.valuation(den, ell)
+    return k - vd, w // ell ** k * pow(den // ell ** vd, -1, ell) % ell
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +551,6 @@ class FormClassGroup:
         a, b, c = f
         return self.canonical((a, -b, c))
 
-    def power(self, f, k: int):
-        if k < 0:
-            return self.power(self.inverse(f), -k)
-        out = self.one
-        base = self.canonical(f)
-        while k:
-            if k & 1:
-                out = self.compose(out, base)
-            base = self.compose(base, base)
-            k >>= 1
-        return out
-
     def subgroup(self, gens) -> set:
         """Closure of the given classes (with inverses) under composition."""
         group = {self.one}
@@ -750,7 +693,7 @@ def _mixed_generator(F: QuadField, place: PrimePlace, k: int,
         except ResourceLimitError:
             continue
         for g in _norm_candidates(F, target, yb):
-            if ord_at(g, place) != k or ord_at(g, place.conj()) != 0:
+            if local_parts(g, place)[0] != k or local_parts(g, place.conj())[0] != 0:
                 continue
             if ideal_contained_support(F, g, [place.ell] + [q.ell for q in prior]):
                 return g
@@ -788,7 +731,7 @@ class UnitLattice:
         """
         c, v = [0] * len(self.basis), u
         for i in reversed(range(len(self.places))):
-            c[i + 1], rem = divmod(ord_at(v, self.places[i]), self.ords[i][i + 1])
+            c[i + 1], rem = divmod(local_parts(v, self.places[i])[0], self.ords[i][i + 1])
             if rem:
                 break
             v = v / self.basis[i + 1] ** c[i + 1]
@@ -831,7 +774,7 @@ def unit_basis(F: QuadField, n: int) -> UnitLattice:
         basis.append(eps)
     ords = []
     for i, place in enumerate(places):
-        ords.append([ord_at(e, place) for e in basis])
+        ords.append([local_parts(e, place)[0] for e in basis])
     lattice = UnitLattice(basis, ords, places)
     _orient(F, lattice)
     F._basis_cache[key] = lattice
@@ -861,7 +804,7 @@ def regulator_sign(F: QuadField, basis: list[QuadNum], places: list[PrimePlace])
     if len(basis) != r + 1:
         raise ValueError("basis size mismatch")
     # integer matrix rows i=1..r: -ord_{lambda_i}(eps_j) (log ell > 0 factors out)
-    M = [[-ord_at(e, pl) for e in basis] for pl in places]
+    M = [[-local_parts(e, pl)[0] for e in basis] for pl in places]
     cof = []
     for j in range(r + 1):
         minor = [[M[i][jj] for jj in range(r + 1) if jj != j] for i in range(r)]

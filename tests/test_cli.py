@@ -242,6 +242,31 @@ def test_theta_and_beta_output_is_pinned(d, n):
             [(x["q"], x["modulus"], x["value"]) for x in out["values"]]) == BETA_PINS[d, n]
 
 
+# (r, h_n, invariants, [(unit, class)]) of `regulator`: the regulator
+# coordinates that `darmon.del_lift` produces, at a level with two split
+# primes, one where 2 splits, one in a field of class number 2 and one at r = 3
+REGULATOR_PINS = {
+    (5, 209): (2, 1, [2, 2, 90], [
+        (("-3/2", "-1/2"), [0, 0, 0, 3, 3]), (("27/22", "7/22"), [0, 1, 1, 0, 2]),
+        (("43/38", "9/38"), [0, 0, 0, 3, 0])]),
+    (17, 26): (2, 1, [12], [(("-33", "-8"), [2, 1]), (("-21/13", "-4/13"), [0, 2])]),
+    (10, 39): (2, 1, [2, 2, 12], [
+        (("-11/9", "-2/9"), [0, 0, 0, 2]), (("59/39", "14/39"), [0, 0, 0, 2])]),
+    (73, 138): (3, 1, [2, 2, 22], [
+        (("-2281249", "-267000"), [0, 1, 1, 3]), (("-581/3", "-68/3"), [0, 1, 1, 0]),
+        (("7177/23", "840/23"), [0, 0, 0, 9])]),
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(REGULATOR_PINS))
+def test_regulator_output_is_pinned(d, n):
+    code, out = run(["regulator", "--disc", str(d), "--level", str(n)])
+    assert code == EXIT_PASS
+    assert (out["r"], out["h_n"], out["invariants"],
+            [((t["unit"]["a"], t["unit"]["b"]), t["class"]) for t in out["terms"]]
+            ) == REGULATOR_PINS[d, n]
+
+
 def test_beta_where_two_splits():
     # Gamma_2 is trivial, so sigma_2 - 1 = 0 and the derivative class at a
     # level where 2 splits is zero

@@ -52,6 +52,15 @@ def test_reduction_hom_zeta_order():
     assert nt.multiplicative_order(h.zeta, q) == 55
 
 
+@pytest.mark.parametrize("q", [56, 111, 45])
+def test_reduction_hom_rejects_a_composite_or_unfit_q(q):
+    # 56 and 111 are 1 mod nf = 55 but composite; 45 is not 1 mod 55.  Each
+    # is the caller's fault, not a BadAuxiliaryPrime that a check would skip
+    with pytest.raises(ValueError) as err:
+        make_reduction_hom(F5, 11, q)
+    assert not isinstance(err.value, nt.BadAuxiliaryPrime)
+
+
 def _residual_zero_under_two_generators(h1):
     # the residual's verdict under h1 and under the hom into the same Z/M
     # built from the next primitive root mod q
@@ -144,7 +153,7 @@ def test_finlem_no_transverse_part():
             continue
         pl = F5.place_above(ell)
         for e in ul.basis:
-            assert qf.ord_at(e, pl) == 0 and qf.ord_at(e, pl.conj()) == 0
+            assert qf.local_parts(e, pl)[0] == 0 and qf.local_parts(e, pl.conj())[0] == 0
 
 
 def test_reduction_hom_zero_residue():

@@ -9,9 +9,8 @@ import pytest
 from darmoncheck import nt
 from darmoncheck.quadfield import (QuadNum, class_group,
                                    fundamental_unit, h_n, ideal_of,
-                                   lambda_generator, make_field, ord_at,
-                                   prime_ideal, regulator_sign, unit_basis,
-                                   unit_residue)
+                                   lambda_generator, local_parts, make_field,
+                                   prime_ideal, regulator_sign, unit_basis)
 
 
 def brute_fundamental_unit(d):
@@ -141,7 +140,7 @@ def test_ord_at_against_ideal_powers():
     _, g = lambda_generator(F, pl)
     eps = fundamental_unit(F)
     for x in (g, g * g, g * g.conj(), (g ** 3) / 11, eps, g / g.conj()):
-        v = ord_at(x, pl)
+        v = local_parts(x, pl)[0]
         den = x.a.denominator * x.b.denominator
         y = x * den
         vy = 0
@@ -152,7 +151,7 @@ def test_ord_at_against_ideal_powers():
         while dd % 11 == 0:
             dd //= 11
             v_den += 1
-        assert ord_at(y, pl) == vy and v == vy - v_den
+        assert local_parts(y, pl)[0] == vy and v == vy - v_den
 
 
 def test_ord_norm_compatibility():
@@ -165,7 +164,7 @@ def test_ord_norm_compatibility():
         if x.is_zero():
             continue
         n = x.norm()
-        v_l = ord_at(x, pl) + ord_at(x, pl.conj())
+        v_l = local_parts(x, pl)[0] + local_parts(x, pl.conj())[0]
         v_n = 0
         num, den = abs(n.numerator), n.denominator
         while num % 11 == 0:
@@ -186,8 +185,30 @@ def test_unit_residue_multiplicative():
     xs = [eps, g, g.conj(), eps * g, g / g.conj()]
     for _ in range(20):
         a, b = rng.choice(xs), rng.choice(xs)
-        assert (unit_residue(a * b, pl)
-                == unit_residue(a, pl) * unit_residue(b, pl) % 11)
+        assert (local_parts(a * b, pl)[1]
+                == local_parts(a, pl)[1] * local_parts(b, pl)[1] % 11)
+
+
+@pytest.mark.parametrize("d, ell", [(17, 2), (41, 2), (73, 2), (10, 3)])
+def test_local_parts_against_ideal_powers(d, ell):
+    # at both places above 2, where sqrt(d) is lifted bit by bit, and at an
+    # odd ell in a field of class number 2: k is the largest power of the
+    # prime ideal P holding x, and x - r ell^k lies in P^(k+1)
+    F = make_field(d)
+    eps = fundamental_unit(F)
+    for pl in (F.place_above(ell), F.place_above(ell).conj()):
+        lam = prime_ideal(F, pl)
+        _, g = lambda_generator(F, pl)
+        xs = [g ** j * g.conj() ** i * eps ** e * c for j in range(6) for i in (0, 1)
+              for e in (-1, 0, 1) for c in (1, -3, ell, 5 * ell * ell)]
+        parts = [local_parts(x, pl) for x in xs]
+        for x, (k, r) in zip(xs, parts):
+            assert lam.pow(k).contains_num(x) and not lam.pow(k + 1).contains_num(x)
+            assert lam.pow(k + 1).contains_num(x - r * ell ** k)
+        rng = random.Random(d)
+        for _ in range(30):
+            a, b = rng.randrange(len(xs)), rng.randrange(len(xs))
+            assert local_parts(xs[a] * xs[b], pl)[1] == parts[a][1] * parts[b][1] % ell
 
 
 def test_unit_basis_and_orientation():

@@ -118,6 +118,7 @@ def test_every_cache_is_cleared_by_the_benchmark(workloads):
 # reads it; every other library name has a caller in src/ or perfbench/
 TEST_ONLY = {
     "cyclo_to_quad": "test_cyclo.py::test_quad_cyclo_roundtrip",
+    "CycloNum.zeta": "test_cyclo.py::test_field_arithmetic",
     "ThetaElt.coefficient": "test_cyclo.py::test_theta_coefficient_reduction_consistency",
     "prop94_residual": "test_darmon.py::test_prop94_levels",
     "frobenius": "test_groupring.py::test_frobenius",
@@ -140,8 +141,9 @@ def _references(paths):
     """(identifier, path, line, kind) for every name the files use: kind
     "name" for a bare name or an import, "module" for an attribute of a
     `darmoncheck` module alias (in a dotted name in a string too, as
-    perfbench/tracing.py names what it wraps), "attr" for any other
-    attribute or word of a dotted name in a string."""
+    perfbench/tracing.py names what it wraps), ("self", path, C) for an
+    attribute of self inside class C, "attr" for any other attribute or
+    word of a dotted name in a string."""
     modules = {p.stem for p in Path(darmoncheck.__file__).parent.glob("*.py")}
     out = []
     for path in paths:
@@ -150,6 +152,10 @@ def _references(paths):
                    if isinstance(node, ast.ImportFrom)
                    and (node.level or node.module == "darmoncheck")
                    for alias in node.names if alias.name in modules}
+        # ast.walk visits an outer class before the classes it nests
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.append((node.id, path, node.lineno, "name"))
@@ -157,7 +163,8 @@ def _references(paths):
                 out.append((node.name.split(".")[-1], path, node.lineno, "name"))
             elif isinstance(node, ast.Attribute):
                 on_module = isinstance(node.value, ast.Name) and node.value.id in aliases
-                out.append((node.attr, path, node.lineno, "module" if on_module else "attr"))
+                kind = ("self", path, owner[id(node)]) if id(node) in owner else "attr"
+                out.append((node.attr, path, node.lineno, "module" if on_module else kind))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and re.fullmatch(r"[\w.]+", node.value)):
                 words = node.value.split(".")
@@ -169,14 +176,16 @@ def _references(paths):
 def _definitions(paths):
     """(label, name, path, node, kinds) for every module-level def or class
     and every public method.  A module-level name is called through a bare
-    name, an import or its module; a method through any attribute."""
+    name, an import or its module; a method of class C through an attribute
+    of anything but self, or of self inside C."""
     out = []
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out.append((node.name, node.name, path, node, {"name", "module"}))
             if isinstance(node, ast.ClassDef):
-                out += [(f"{node.name}.{m.name}", m.name, path, m, {"attr", "module"})
+                out += [(f"{node.name}.{m.name}", m.name, path, m,
+                         {"attr", "module", ("self", path, node.name)})
                         for m in node.body if isinstance(m, ast.FunctionDef)
                         and not m.name.startswith("_")]
     return out
