@@ -13,14 +13,37 @@ and the orders o_i of its cyclic factors <s_i>, so `_Lattices` keeps them on
 gamma(n_p), where every degree and every level with the same n_p share them.
 The embedding of G_p in Gamma_n is kept on gamma(n).
 
-Each I(G_p)^r / I(G_p)^{r+1} is computed in a truncation of Z[G_p], whose
-rank does not depend on |G_p|:
+Each I(G_p)^r / I(G_p)^{r+1} is read in the monomials of Z[G_p]:
 
 * The monomials x^beta = prod (s_i - 1)^(beta_i), 0 <= beta_i < o_i, are a
   Z-basis of Z[G_p], since Z[C_o] = Z[x]/((1+x)^o - 1).  The change from
   group elements is unitriangular: s^a = sum over beta of
   prod_i C(a_i, beta_i) x^beta, and x^beta = sum over a <= beta of
-  prod_i (-1)^(beta_i - a_i) C(beta_i, a_i) s^a.
+  prod_i (-1)^(beta_i - a_i) C(beta_i, a_i) s^a.  So the monomial
+  coordinates of sum over h of x_h (h - 1) are y = x Mom, with
+  Mom[h, beta] = prod_i C(digit_i(h), beta_i): binomial moments of the
+  mixed-radix digits (`_Lattices.moments`, which both paths below share).
+
+Where r <= 2 or r < p the quotient has explicit coordinates, the moments
+(`_Lattices._moment_degree`): I^r/I^{r+1} = Sym^r(G_p), the sum over
+|beta| = r of Z/d_beta, d_beta the least o_i over the support of beta,
+with basis the classes of the x^beta over all such beta, not cut at
+o_i - 1 (I/I^2 = G_p and I^2/I^3 = SP^2(G_p) at every p, Passi, LNM 715).
+The x^beta with |beta| >= r + 1 lie in I^{r+1}, and
+o_i x_i = -sum over j >= 2 of C(o_i, j) x_i^j, where o_i divides C(o_i, j)
+for j < p.  So a lower term t d_beta x^beta moves only multiples of d_beta
+to higher monomials of the same support: x is in I^r exactly when every
+lower moment y_beta (|beta| < r) is 0 mod d_beta, and its class is
+(y_beta mod d_beta), |beta| = r, with one correction at r = 2.  There the
+term j = 2 at a square survives when p = 2: y_(e_i) = o_i t, and
+t o_i x_i = -t C(o_i, 2) x_i^2 mod I^3, so the class at x_i^2 is
+y_(2e_i) - (o_i - 1)/2 y_(e_i).  For odd p the correction is a multiple
+of o_i and vanishes.  (At p = 2 the square of a factor C_2 is thus a basis
+class though x_i^2 = -2 x_i is no monomial of Z[C_2].)  No normal form runs.
+
+Every other degree (r >= 3 and r >= p) is computed in a truncation of
+Z[G_p], whose rank does not depend on |G_p| (`_Lattices._lattice_degree`):
+
 * H_{r+1}, the span of the x^beta with |beta| >= r + 1, lies in I^{r+1},
   which lies in I^r.  So I^r/I^{r+1} = (I^r/H_{r+1}) / (I^{r+1}/H_{r+1}),
   two lattices in Z^N, N = #{beta : 1 <= |beta| <= r, beta_i < o_i}: 15
@@ -34,41 +57,52 @@ rank does not depend on |G_p|:
   e_p I(G_p)^r lies in I(G_p)^{r+1} for e_p = exponent(G_p) (see intmat).
   I^r/H_{r+1} is I^r/H_r, the lattice of the degree below, beside the
   monomials of degree r, which all lie in I^r.
-* The monomial coordinates of sum over h of x_h (h - 1) are x Mom, with
-  Mom[h, beta] = prod_i C(digit_i(h), beta_i): binomial moments of the
-  mixed-radix digits.
+* Each degree keeps C = m_r B_r^(-1) mod e_p^r, B_r the Hermite basis of
+  I(G_p)^r/H_{r+1} and m_r = e_p^(r-1) (integral, as m_r Z^N lies in it):
+  y is in I(G_p)^r exactly when y C = 0 mod m_r, and y C / m_r are its
+  coordinates over B_r.  The Smith form runs only on the positions S where
+  the relation matrix B_{r+1} C / m_r has a pivot other than 1.
 
-A class holds the nontrivial Smith coordinates of each Sylow component, in
-order of p, each reduced mod its elementary divisor (one row of a
-`ClassTensor`, below).  `_Sylow.smith_coords` is the one place where
-(g-1)-coordinates become Smith coordinates, by one matrix product.  Each
-degree keeps C = m_r B_r^(-1) mod e_p^r, B_r the Hermite basis of
-I(G_p)^r/H_{r+1} and m_r = e_p^(r-1) (integral, as m_r Z^N lies in it):
-y is in I(G_p)^r exactly when y C = 0 mod m_r, and y C / m_r are its
-coordinates over B_r.  The product with Mom is folded into the same matrix.
-Reducing x mod e_p^r first changes neither, because
+A class holds the nontrivial coordinates of each Sylow component, in order
+of p, each reduced mod its elementary divisor (one row of a `ClassTensor`,
+below); within a component they ascend, as in a Smith form.
+`_Sylow.smith_coords` is the one place where (g-1)-coordinates become
+class coordinates, by one product x CV mod e_p^r on both paths: the first
+columns of CV must give 0 mod m_r (membership), the others, divided by
+m_r, are the class.  On the moment path these columns are m_r / d_beta and
+m_r times the moments (and the correction); on the lattice path they are
+Mom times the columns of C and of C times the Smith transform.  Reducing x
+mod e_p^r first changes nothing, because
 e_p^r Z^k = e_p (e_p^(r-1) Z^k) lies in e_p I(G_p)^r, which lies in
 I(G_p)^{r+1}.  So a vector known only mod m has a class in
 component p when e_p^r divides p^(v_p(m)), and `PrecisionError` is raised
 when p | m and it does not; for p not dividing m the component of
 Z/m (x) I^r/I^{r+1} is zero.  The least m that fixes every component, the
 product of the e_p^r, is `AugQuot.precision`; the theta side in `darmon`
-takes its odd part.  The Smith form itself runs only on the positions S
-where the relation matrix B_{r+1} C / m_r has a pivot other than 1
-(`_Lattices.degree`).
+takes its odd part.
 
 The induced maps on classes are integer matrices, built the first time they
 are used and kept read-only on the quotient they start from (the products on
 the one they land in), so they die with it.  A group homomorphism maps G_p
 into the Sylow p-subgroup of its target, so the matrices of pi_d and of the
-inclusions of levels are block-diagonal over p; each block maps the kept
-lifts of one component through the homomorphism, which moves mixed-radix
-digits (`_Sylow.image_index`), and reduces them in one product.  Products
-of classes vanish across primes, and within G_p they are bilinear, so
+inclusions of levels are block-diagonal over p.  They move the factors
+<s_l> with their primes l (`_Sylow.factor_index`), and send those of the
+primes l not dividing d to 1.  On the moment path a block is that move on
+exponents: x^beta goes to the basis class x'^beta' of beta moved to the
+target's factors, or to 0 when beta touches a factor sent to 1
+(`_Sylow.monomial_map`).  On the lattice path it maps the lifts of one
+component through the homomorphism, which moves mixed-radix digits
+(`_Sylow.image_index`), and reduces them in one product.  Products of
+classes vanish across primes, and within G_p they are bilinear, so
 multiplying by a class v is the matrix `AugQuot.mult_matrix(qa, v)`,
 contracted once from one table of structure constants per component and
 kept on the product's quotient by the degrees of qa and v and v's row (all
-three share one level).
+three share one level).  Into a moment-path degree the table is
+x^alpha x^beta = x^(alpha + beta); into a lattice-path degree it multiplies
+lifts.  The lifts, group-ring representatives of the basis classes, are
+built on first read (`_Lattices.lifts`: on the moment path x^beta itself,
+a Kronecker product of each factor's (s - 1)^b), so only `AugQuot.lift`
+and the maps and products of the lattice path pay for them.
 
 Both sides of Darmon's formula and the synthetic Kolyvagin systems take
 values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
@@ -276,21 +310,28 @@ class RingElt:
 
 class _Lattices:
     """I(G_p)^r / I(G_p)^{r+1} for G_p a product of cyclic p-groups of
-    `orders`, computed in the truncations Z[G_p]/H_{r+1} (module docstring).
+    `orders` (module docstring).
 
-    Per degree r it keeps the Hermite basis of I^{r+1}/H_{r+1} (`high`) and
-    the data of `degree`; per (order, power, cut) the Hermite basis of the
-    cyclic factor's I(C_o)^a (`cyclic`).  All are built on first use, and
-    the degrees share them.
+    A degree with r <= 2 or r < p is read by moments (`_moment_degree`);
+    every other one is computed in the truncation Z[G_p]/H_{r+1}
+    (`_lattice_degree`), from the Hermite basis of I^{r+1}/H_{r+1} per
+    degree r (`high`) and that of the cyclic factor's I(C_o)^a per
+    (order, power, cut) (`cyclic`).  All are built on first use, and the
+    degrees share them.
     """
 
     def __init__(self, orders: tuple[int, ...]):
         self.orders = orders
         self.ep = max(orders)
+        self.p = nt.prime_factors(self.ep)[0]
         # mixed-radix digits of the elements other than 1, first digit fastest
         self.digits = np.array(np.unravel_index(np.arange(1, prod(orders)), orders, order="F"))
         self.highs: dict[int, np.ndarray] = {}
         self.degrees: dict[int, tuple] = {}
+        # by degree: the lifts as (rows over monomials, or None for the
+        # monomials themselves; their exponents), and the lifts once read
+        self._reps: dict[int, tuple] = {}
+        self._lifts: dict[int, np.ndarray] = {}
         self._cyclic: dict[tuple, list[list[int]]] = {}
         self._monomials: dict[int, np.ndarray] = {}
 
@@ -307,6 +348,41 @@ class _Lattices:
             self._monomials[r] = np.array(sorted(betas, key=lambda b: (sum(b), b)),
                                           dtype=np.int64).reshape(-1, len(self.orders))
         return self._monomials[r]
+
+    def moments(self, betas: np.ndarray, mod: int) -> np.ndarray:
+        """Mom[h, j] = prod_i C(digit_i(h), betas[j, i]) mod `mod`, one row
+        per element h != 1: the coordinate of h - 1 at x^(betas[j])."""
+        mom = np.ones((self.digits.shape[1], len(betas)), dtype=np.int64)
+        for o, dig, beta in zip(self.orders, self.digits, betas.T):
+            binom = np.array([[comb(a, b) % mod for b in range(int(beta.max(initial=0)) + 1)]
+                              for a in range(o)], dtype=np.int64)
+            mom = mom * binom[dig[:, None], beta] % mod
+        return mom
+
+    def elements(self, betas: np.ndarray) -> np.ndarray:
+        """x^beta = prod_i (s_i - 1)^(beta_i) in (g-1)-coordinates, one row
+        per beta: the Kronecker product over the factors of
+        (s - 1)^b = sum over a <= b of (-1)^(b - a) C(b, a) s^(a mod o)."""
+        out = np.ones((len(betas), 1), dtype=np.int64)
+        for o, beta in zip(self.orders, betas.T):
+            f = np.zeros((int(beta.max(initial=0)) + 1, o), dtype=np.int64)
+            for b in range(len(f)):
+                for a in range(b + 1):
+                    f[b, a % o] += (-1) ** (b - a) * comb(b, a)
+            out = (f[beta][:, :, None] * out[:, None, :]).reshape(len(betas), -1)
+        return out[:, 1:]  # x^beta has augmentation 0: drop the identity
+
+    def lifts(self, r: int) -> np.ndarray:
+        """Representatives of the basis classes of degree r, exact and valid
+        mod I^{r+1}, in (g-1)-coordinates, one per row; built on first read
+        (only `AugQuot.lift` and the maps and products of the lattice path
+        read them)."""
+        if r not in self._lifts:
+            self.degree(r)
+            rows, betas = self._reps[r]
+            x = self.elements(betas)
+            self._lifts[r] = _frozen(x if rows is None else rows @ x)
+        return self._lifts[r]
 
     def cyclic(self, o: int, a: int, R: int) -> list[list[int]]:
         """Hermite basis of I(C_o)^a (a >= 1) in the monomials x, ..., x^R
@@ -335,13 +411,12 @@ class _Lattices:
         """Hermite basis of I^{r+1}/H_{r+1} on `monomials(r)`; it contains
         e_p^r Z^N.  With one factor it is the cyclic basis itself."""
         if r not in self.highs:
-            mod = self.ep ** r
-            check_modulus(mod)
             cuts = self.cuts(r)
             if len(cuts) == 1:
                 B = np.array(self.cyclic(self.ep, r + 1, cuts[0]), dtype=np.int64)
                 self.highs[r] = B.reshape(cuts[0], cuts[0])
             else:
+                mod = self.ep ** r
                 cols = np.ravel_multi_index(self.monomials(r).T, [c + 1 for c in cuts])
                 self.highs[r] = hnf_mod(self._products(r, mod)[:, cols], mod)
         return self.highs[r]
@@ -381,9 +456,60 @@ class _Lattices:
         return M
 
     def degree(self, r: int) -> tuple:
-        """(B_r, CV, invariants, V, lifts) of I^r/I^{r+1}.
+        """(CV, invariants, betas) of I^r/I^{r+1}, r >= 1.
 
-        B_r is the Hermite basis of I^r/H_{r+1}: that of I^r/H_r (`high`
+        One product x CV of (g-1)-coordinates x, mod e_p^r, gives both the
+        membership test and the class (`_Sylow.smith_coords`).  betas are
+        the exponents of the basis monomials on the moment path, None on the
+        lattice path.  Raises ResourceLimitError when e_p^r is too large for
+        int64 products.
+        """
+        if r not in self.degrees:
+            check_modulus(self.ep ** r)
+            data = self._moment_degree(r) if r <= 2 or r < self.p else self._lattice_degree(r)
+            _frozen(data[0])  # shared by every quotient that reads it
+            self.degrees[r] = data
+        return self.degrees[r]
+
+    def _moment_degree(self, r: int) -> tuple:
+        """Degree r <= 2 or r < p: I^r/I^{r+1} = Sym^r(G_p), the sum over
+        |beta| = r of Z/d_beta, d_beta the least o_i over the support of
+        beta, with basis the classes of the x^beta (module docstring).
+
+        x lies in I^r exactly when every lower moment y_beta (|beta| < r)
+        is 0 mod d_beta, and its class is (y_beta mod d_beta), |beta| = r,
+        at r = 2 corrected at each square by the wrap term of
+        o_i x_i = -C(o_i, 2) x_i^2 mod I^3.  In the format of the lattice
+        path, with m_r = e_p^(r-1): the membership columns are
+        m_r / d_beta times the moments, the class columns m_r times them.
+        """
+        mod, m_r = self.ep ** r, self.ep ** (r - 1)
+        low = self.monomials(r - 1)  # every |beta| < r, as no beta_i reaches o_i
+        factors = np.arange(len(self.orders))
+        # the multisets of r factors, counted per factor
+        top = (np.array(list(itertools.combinations_with_replacement(factors, r)))[:, :, None]
+               == factors).sum(axis=1)
+        def least(betas):  # d_beta of each row
+            return np.where(betas > 0, self.orders, self.ep).min(axis=1)
+
+        # by d_beta, then beta: the invariants ascend, as a Smith form's do
+        top = top[np.lexsort(np.vstack([top.T[::-1], least(top)]))]
+        CV = np.hstack([self.moments(low, mod) * (m_r // least(low)),
+                        self.moments(top, mod) * m_r])
+        if r == 2:
+            # the class of x is y_(2e_i) - (y_(e_i) / o_i) C(o_i, 2) at x_i^2;
+            # e_p C(o_i, 2) / o_i = e_p (o_i - 1) / 2 is an integer
+            sq = np.flatnonzero(top.max(axis=1) == 2)
+            i = top[sq].argmax(axis=1)
+            o = np.array(self.orders)[i]
+            CV[:, len(low) + sq] -= self.digits[i].T * (self.ep * (o - 1) // 2)
+        self._reps[r] = None, top
+        return CV % mod, tuple(int(d) for d in least(top)), top
+
+    def _lattice_degree(self, r: int) -> tuple:
+        """Degree r >= 3 with r >= p, through the Hermite chain.
+
+        B_r, the Hermite basis of I^r/H_{r+1}, is that of I^r/H_r (`high`
         of r - 1) beside the monomials of degree r, which all lie in I^r.
         It contains m_r Z^N for m_r = e_p^(r-1), so C = m_r B_r^(-1) is
         integral; it is kept mod e_p^r.  Then y lies in I^r exactly when
@@ -395,56 +521,34 @@ class _Lattices:
         S.  Back substitution expresses every basis vector through those of
         S (the map T, with T[s] = e_s), so Smith form runs on the |S| x |S|
         block X[S] T alone; V = T V_S, and the lifts are the rows of W_S at
-        the positions S, times B_r, taken back to group elements.
+        the positions S, times B_r, as monomials.
 
-        The monomial coordinates of the (g-1)-coordinates x are y = x Mom,
-        Mom[h, beta] = prod_i C(digit_i(h), beta_i), and x^beta is
-        sum over a <= beta of prod_i (-1)^(beta_i - a_i) C(beta_i, a_i) s^a.
-        CV is Mom times the columns of C that are not 0 mod m_r (the others
-        pass every y, and in degree 1 all do) and C V, mod e_p^r, so that one
-        product x CV gives both the membership test and the Smith coordinates
-        (`_Sylow.smith_coords`).
+        CV is the binomial moments Mom (`moments`) times the columns of C
+        that are not 0 mod m_r (the others pass every y) and C V, mod e_p^r.
         """
-        if r not in self.degrees:
-            ep, betas = self.ep, self.monomials(r)
-            k, m_r, mod = len(betas), ep ** (r - 1), ep ** r
-            low = np.eye(k, dtype=np.int64)
-            C = low.copy()  # B_1 = Id
-            if r > 1:
-                prev = self.high(r - 1)
-                low[:len(prev), :len(prev)] = prev
-                C = hnf_solve_mod(low, m_r * C, mod)
-            Z = matmul_mod(self.high(r), C, mod)
-            if np.any(Z % m_r):
-                raise ValueError("I^{r+1} is not inside I^r")
-            X = Z // m_r
-            S = np.flatnonzero(np.diagonal(X) != 1)
-            T = np.zeros((k, len(S)), dtype=np.int64)
-            T[S, np.arange(len(S))] = 1
-            for c in range(k - 1, -1, -1):
-                if X[c, c] == 1:
-                    T[c] = -(X[c, c + 1:] @ T[c + 1:]) % ep
-            d, V, W = snf_mod(X[S] @ T % ep, ep)
-            keep = [i for i, di in enumerate(d) if di > 1]
-            V = T @ V[:, keep] % ep
-            mom = np.ones((self.digits.shape[1], k), dtype=np.int64)
-            inv = np.ones((k, self.digits.shape[1]), dtype=np.int64)
-            for o, dig, beta in zip(self.orders, self.digits, betas.T):
-                top = int(beta.max())
-                binom = np.array([[comb(a, b) % mod for b in range(top + 1)] for a in range(o)])
-                sign = np.array([[(1 - 2 * ((b - a) % 2)) * comb(b, a) for a in range(o)]
-                                 for b in range(top + 1)])
-                mom = mom * binom[dig[:, None], beta] % mod
-                inv = inv * sign[beta[:, None], dig]
-            # representatives of the kept Smith basis, exact and valid mod
-            # I^{r+1}, in (g-1)-coordinates
-            lifts = W[keep] @ low[S] @ inv
-            CV = matmul_mod(mom, np.hstack([C[:, np.any(C % m_r, axis=0)],
-                                            matmul_mod(C, V, mod)]), mod)
-            for a in (low, CV, V, lifts):  # shared by every quotient that reads them
-                a.setflags(write=False)
-            self.degrees[r] = low, CV, tuple(d[i] for i in keep), V, lifts
-        return self.degrees[r]
+        ep, betas = self.ep, self.monomials(r)
+        k, m_r, mod = len(betas), ep ** (r - 1), ep ** r
+        low = np.eye(k, dtype=np.int64)
+        prev = self.high(r - 1)
+        low[:len(prev), :len(prev)] = prev
+        C = hnf_solve_mod(low, m_r * np.eye(k, dtype=np.int64), mod)
+        Z = matmul_mod(self.high(r), C, mod)
+        if np.any(Z % m_r):
+            raise ValueError("I^{r+1} is not inside I^r")
+        X = Z // m_r
+        S = np.flatnonzero(np.diagonal(X) != 1)
+        T = np.zeros((k, len(S)), dtype=np.int64)
+        T[S, np.arange(len(S))] = 1
+        for c in range(k - 1, -1, -1):
+            if X[c, c] == 1:
+                T[c] = -(X[c, c + 1:] @ T[c + 1:]) % ep
+        d, V, W = snf_mod(X[S] @ T % ep, ep)
+        keep = [i for i, di in enumerate(d) if di > 1]
+        V = T @ V[:, keep] % ep
+        self._reps[r] = W[keep] @ low[S], betas
+        CV = matmul_mod(self.moments(betas, mod),
+                        np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)]), mod)
+        return CV, tuple(d[i] for i in keep), None
 
 
 class PrecisionError(ArithmeticError):
@@ -458,16 +562,22 @@ class _Sylow:
     Reads the lattices of G_p from gamma(n_p), n_p the product of the
     primes l | n with p | l - 1: G_p of Gamma_n is G_p of Gamma_{n_p}, as
     the other factors of Gamma_n have order prime to p.  g maps to its
-    p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).
+    p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).  On the moment path
+    (r <= 2 or r < p) `betas` are the exponents of the basis monomials;
+    `lifts` are built on first read.
     """
 
     def __init__(self, G: UnitGroupMod, p: int, r: int):
-        lattices, self.elems, self.proj, self.owners = G.sylow(p)
-        self.p, self.degree, self.ep, self.orders = p, r, lattices.ep, lattices.orders
-        self.basis, self.CV, self.invariants, self.V, self.lifts = lattices.degree(r)
+        self.lattices, self.elems, self.proj, self.owners = G.sylow(p)
+        self.p, self.degree, self.ep, self.orders = p, r, self.lattices.ep, self.lattices.orders
+        self.CV, self.invariants, self.betas = self.lattices.degree(r)
+
+    @property
+    def lifts(self) -> np.ndarray:
+        return self.lattices.lifts(self.degree)
 
     def smith_coords(self, x: np.ndarray, m: int | None = None) -> np.ndarray | None:
-        """Smith coordinates, not yet reduced, of elements of I(G_p)^r.
+        """Class coordinates, not yet reduced, of elements of I(G_p)^r.
 
         x holds (g-1)-coordinates, one vector or one per row, as exact
         integers, or known only mod m: that fixes the class when e_p^r
@@ -484,20 +594,43 @@ class _Sylow:
             return None
         return z[..., j:] // m_r
 
-    def image_index(self, tc: _Sylow, d: int) -> np.ndarray:
-        """Where g -> (g mod d, included in tc's level) sends each element.
+    def factor_index(self, tc: _Sylow, d: int) -> list[int]:
+        """Where g -> (g mod d, included in tc's level) sends each cyclic
+        factor: the position in tc of its prime l, or -1 when l does not
+        divide d (the factor maps to 1)."""
+        return [tc.owners.index(l) if d % l == 0 else -1 for l in self.owners]
 
-        Index in tc.elems of the image of each element of self.elems (-1
-        for 1): the digits of the primes l | d move to the positions of l in
-        tc, the others are dropped.
-        """
-        digits = np.unravel_index(np.arange(1, len(self.elems) + 1), self.orders, order="F")
-        steps = dict(zip(tc.owners, np.cumprod((1,) + tc.orders[:-1])))
+    def image_index(self, tc: _Sylow, d: int) -> np.ndarray:
+        """Index in tc.elems of the image of each element of self.elems (-1
+        for 1) under the map of `factor_index`: its digits move with their
+        factors, those of the dropped factors go."""
+        steps = np.cumprod((1,) + tc.orders[:-1])
         idx = np.full(len(self.elems), -1)
-        for l, dig in zip(self.owners, digits):
-            if d % l == 0:
-                idx += dig * steps[l]
+        for j, dig in zip(self.factor_index(tc, d), self.lattices.digits):
+            if j >= 0:
+                idx += dig * steps[j]
         return idx
+
+    def basis_index(self, betas: np.ndarray) -> np.ndarray:
+        """Position of each row of betas among this degree's basis monomials
+        (moment path)."""
+        at = {b: i for i, b in enumerate(map(tuple, self.betas.tolist()))}
+        return np.array([at[b] for b in map(tuple, betas.tolist())], dtype=np.int64)
+
+    def monomial_map(self, tc: _Sylow, d: int) -> np.ndarray:
+        """The matrix of the map of `factor_index` on the moment path:
+        x^beta goes to x'^(beta with its exponents moved to tc's factors),
+        or to 0 when beta touches a factor that maps to 1."""
+        moved = np.zeros((len(self.betas), len(tc.orders)), dtype=np.int64)
+        kept = np.ones(len(self.betas), dtype=bool)
+        for i, j in enumerate(self.factor_index(tc, d)):
+            if j < 0:
+                kept &= self.betas[:, i] == 0
+            else:
+                moved[:, j] = self.betas[:, i]
+        M = np.zeros((len(self.betas), len(tc.betas)), dtype=np.int64)
+        M[np.flatnonzero(kept), tc.basis_index(moved[kept])] = 1
+        return M
 
     def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Every product of a row of A with a row of B in Z[G_p].
@@ -524,8 +657,8 @@ class AugQuot:
     In degree r >= 1 the quotient is the direct sum of the same quotients
     for the Sylow subgroups G_p of Gamma_n, one `_Sylow` component per prime
     p dividing e = exponent(Gamma_n).  A class is the one-row `ClassTensor`
-    of the components' nontrivial Smith coordinates, concatenated in order
-    of p; `invariants` are the matching elementary divisors (prime powers,
+    of the components' class coordinates (moments or Smith coordinates),
+    concatenated in order of p; `invariants` are the matching elementary divisors (prime powers,
     not a Smith chain: see `smith_chain`).
     """
 
@@ -657,9 +790,11 @@ class AugQuot:
         the inclusion (d divides both levels).
 
         It maps G_p into the Sylow p-subgroup of dst.gamma, so the matrix is
-        block-diagonal over p: a block sends the kept lifts of a component
-        through the map into the (g-1)-coordinates of the target's component
-        and reduces all of them in one product.
+        block-diagonal over p.  On the moment path a block moves the
+        exponents of each basis monomial to the target's factors
+        (`_Sylow.monomial_map`); on the lattice path it sends the lifts of
+        a component through the map into the (g-1)-coordinates of the
+        target's component and reduces all of them in one product.
         """
         if self.degree == 0:
             return np.eye(1, dtype=np.int64)  # the augmentation commutes with the map
@@ -667,6 +802,9 @@ class AugQuot:
         target = {c.p: (c, part) for c, part in zip(dst._components, dst._slices)}
         for comp, rows in zip(self._components, self._slices):
             tc, cols = target[comp.p]
+            if comp.betas is not None:
+                M[rows, cols] = comp.monomial_map(tc, d)
+                continue
             if not comp.invariants or not tc.invariants:
                 continue
             idx = comp.image_index(tc, d)
@@ -700,8 +838,10 @@ class AugQuot:
         """Structure constants of the product qa x qb -> self, per component.
 
         Block p has entry [i, j] = the class in component p of the product of
-        the lifts of the i-th basis class of qa and the j-th of qb, both in
-        component p; products across components vanish.
+        the i-th basis class of qa and the j-th of qb, both in component p;
+        products across components vanish.  On the moment path (of the
+        product's degree, and so of both factors') x^alpha x^beta =
+        x^(alpha + beta); on the lattice path the lifts are multiplied.
         """
         key = (qa.degree, qb.degree)
         if key not in self._mult_tables:
@@ -710,7 +850,10 @@ class AugQuot:
             for ca, cb, ct in zip(qa._components, qb._components, self._components):
                 T = np.zeros((len(ca.invariants), len(cb.invariants), len(ct.invariants)),
                              dtype=np.int64)
-                if T.size:
+                if ct.betas is not None:
+                    i, j = np.divmod(np.arange(T.shape[0] * T.shape[1]), T.shape[1])
+                    T[i, j, ct.basis_index(ca.betas[i] + cb.betas[j])] = 1
+                elif T.size:
                     # e_p^R * I(G_p) lies in I(G_p)^{R+1}, so the factors may
                     # be reduced mod e_p^R without changing the product's class
                     X = ct.products(ca.lifts % ct.ep ** R, cb.lifts % ct.ep ** R)

@@ -383,8 +383,7 @@ def test_sylow_build_matches_full_rank():
         index_high = prod(int(high[c, c]) for c in range(len(high)))  # [I : I^{r+1}]
         assert _elementary_divisors(d) == sorted(q.invariants), (n, r)
         assert prod(d) == q.order == index_high // index_low, (n, r)
-        assert index_low == prod(int(c.basis[i, i]) for c in q._components
-                                 for i in range(len(c.basis))), (n, r)
+        assert index_low == prod(aug_quot(n, j).order for j in range(1, r)), (n, r)
         assert smith_chain(q.invariants) == [x for x in d if x > 1], (n, r)
 
 
@@ -451,13 +450,15 @@ class _Calls(list):
     def __init__(self):
         super().__init__()
         self.widths = []
+        self.others = []
 
 
 @pytest.fixture
 def cold(monkeypatch):
     """Empty gamma and aug_quot caches for one test, and the moduli of the
     hnf_mod calls that groupring makes meanwhile; `widths` holds their
-    column counts."""
+    column counts, `others` the names of its snf_mod and hnf_solve_mod
+    calls."""
     monkeypatch.setattr(gr, "gamma", lru_cache(maxsize=None)(gr.UnitGroupMod))
     monkeypatch.setattr(gr, "aug_quot", lru_cache(maxsize=None)(gr.AugQuot))
     moduli = _Calls()
@@ -468,7 +469,17 @@ def cold(monkeypatch):
         moduli.widths.append(rows.shape[1])
         return real(rows, m)
 
+    def named(name):
+        f = getattr(gr, name)
+
+        def call(*args):
+            moduli.others.append(name)
+            return f(*args)
+        return call
+
     monkeypatch.setattr(gr, "hnf_mod", counting)
+    for name in ("snf_mod", "hnf_solve_mod"):
+        monkeypatch.setattr(gr, name, named(name))
     return moduli
 
 
@@ -491,10 +502,10 @@ def test_sylow_coordinates_are_mixed_radix():
 
 
 def test_chain_is_built_once_per_level(cold):
-    # Gamma_255 = C_2 x C_4 x C_16 is a 2-group: degrees 1, 2 and 3 need
-    # I^2/H_2, I^3/H_3 and I^4/H_4, one hnf_mod each (I^r/H_{r+1} is
-    # I^r/H_r beside the monomials of degree r)
-    for t in (1, 2, 3):
+    # Gamma_255 = C_2 x C_4 x C_16 is a 2-group, read by moments up to
+    # degree 2: degrees 3 and 4 need I^3/H_3, I^4/H_4 and I^5/H_5, one
+    # hnf_mod each (I^r/H_{r+1} is I^r/H_r beside the monomials of degree r)
+    for t in (3, 4):
         gr.aug_quot(255, t)
     assert len(cold) == 3
 
@@ -506,12 +517,22 @@ def test_quotient_builds_stay_narrow(cold):
     assert max(cold.widths) == 15, cold.widths
 
 
+def test_moment_degrees_make_no_normal_form(cold):
+    # every component of these is read by moments (r <= 2, or r < p):
+    # G_2 = C_2 x C_4 x C_16 in degrees 1 and 2, and G_2 = C_2 x C_4 and
+    # G_3 = C_3 x C_3 of Gamma_91 in degree 2
+    for n, r in ((255, 1), (255, 2), (91, 2)):
+        gr.aug_quot(n, r)
+    assert not cold and not cold.others, (list(cold), cold.others)
+
+
 def test_levels_with_the_same_n_p_share_lattices(cold):
     # 273 = 3 * 7 * 13 and 91 = 7 * 13 have the same Sylow 3-subgroup
-    # C_3 x C_3 (n_3 = 91), so the second build makes no 3-power hnf_mod call
-    gr.aug_quot(91, 2)
+    # C_3 x C_3 (n_3 = 91), so the second build makes no 3-power hnf_mod
+    # call; degree 3 takes the lattice path at p = 2 and p = 3
+    gr.aug_quot(91, 3)
     cold.clear()
-    gr.aug_quot(273, 2)
+    gr.aug_quot(273, 3)
     assert cold and not [m for m in cold if m % 3 == 0], cold
     assert gr.gamma(273).sylow(3)[0] is gr.gamma(91).sylow(3)[0]
 
@@ -523,22 +544,23 @@ def test_degree_order_does_not_matter(cold):
         out = {}
         for t in order:
             q = gr.aug_quot(n, t)
-            out[t] = (q.invariants, [(c.basis.tolist(), c.V.tolist(), c.lifts.tolist())
-                                     for c in q._components])
+            out[t] = (q.invariants, [(c.CV.tolist(), c.lifts.tolist()) for c in q._components])
         return out
 
+    # the lattice path shares the Hermite bases of I^r/H_r between degrees
     for n in (105, 210, 255, 330):
-        assert data((1, 2, 3)) == data((3, 2, 1)), n
+        assert data((2, 3, 4)) == data((4, 3, 2)), n
 
 
 def test_cleared_caches_rebuild_the_lattices(cold):
-    gr.aug_quot(255, 2)
+    # degree 3 of the 2-group Gamma_255 takes the lattice path
+    gr.aug_quot(255, 3)
     assert len(cold) == 2
-    gr.aug_quot(255, 2)
+    gr.aug_quot(255, 3)
     assert len(cold) == 2
     gr.gamma.cache_clear()
     gr.aug_quot.cache_clear()
-    gr.aug_quot(255, 2)
+    gr.aug_quot(255, 3)
     assert len(cold) == 4
 
 
@@ -607,6 +629,51 @@ def test_smith_coords_against_exact_membership():
                 assert zero == (hnf_solve(high_py, x, as_python=True) is not None), (n, r)
                 outcomes.add(zero)
         assert outcomes == {True, False}, (n, r)
+
+
+def test_moment_path_against_the_full_rank_chain():
+    # every Sylow component (G_p, r) read by moments (r <= 2, or r < p) at
+    # the tier-1 levels, while e_p^r fits the int64 path; 255 has
+    # G_2 = C_2 x C_4 x C_16, so its squares x_i^2 carry the correction.
+    # The moment map is onto the invariants and kills I^{r+1}, and
+    # I^r/I^{r+1} has the same order, so it is the isomorphism
+    rng = random.Random(29)
+    seen, zeros, insides = set(), set(), set()
+    for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155, 1173):
+        G = gamma(n)
+        for p in nt.prime_factors(G.exponent):
+            elems, orders = G.sylow(p)[1], G.sylow(p)[0].orders
+            gens = [elems[prod(orders[:j]) - 1] for j in range(len(orders))]
+            r = 1
+            while (r <= 2 or r < p) and max(orders) ** r < 1 << 31:
+                comp = gr._Sylow(G, p, r)
+                assert comp.betas is not None, (n, p, r)
+                d, low, high = _full_rank_chain(G.mult, list(elems), gens, comp.ep, r)
+                assert list(comp.invariants) == [x for x in d if x > 1], (n, p, r)
+                inv, k = np.array(comp.invariants), len(elems)
+                # onto: the images of a basis of I^r generate the invariants
+                Y = comp.smith_coords(low) % inv
+                cokernel, _, _ = snf_mod(np.vstack([Y, np.diag(inv)]), comp.ep)
+                assert set(cokernel) == {1}, (n, p, r)
+                # I^{r+1} goes to 0
+                assert not (comp.smith_coords(high) % inv).any(), (n, p, r)
+                low_py, high_py = low.tolist(), high.tolist()
+                for _ in range(8):
+                    u = np.array([rng.randrange(-2, 3) if rng.random() < 0.3 else 0
+                                  for _ in range(k)], dtype=np.int64)
+                    x = u @ (low if rng.random() < 0.7 else high)
+                    zero = not (comp.smith_coords(x) % inv).any()
+                    assert zero == (hnf_solve(high_py, x, as_python=True) is not None), (n, p, r)
+                    zeros.add(zero)
+                    v = x + rng.choice([1, p, comp.ep]) * np.eye(1, k, rng.randrange(k),
+                                                                 dtype=np.int64)[0]
+                    inside = hnf_solve(low_py, v, as_python=True) is not None
+                    assert (comp.smith_coords(v) is not None) == inside, (n, p, r)
+                    insides.add(inside)
+                seen.add((orders, r))
+                r += 1
+    assert ((2, 4, 16), 2) in seen and ((11,), 8) in seen and ((5,), 4) in seen
+    assert zeros == insides == {True, False}
 
 
 def test_cyclic_bases_are_hermite_forms():
@@ -688,7 +755,7 @@ def test_matmul_bound_edge_gives_the_same_classes(cold, monkeypatch):
                 v = v * RingElt.gen_minus_one(255, rng.choice(G.elements[1:]))
             classes.append(q.class_of(v).rows.tolist())
         comp = q._components[0]
-        return (q.invariants, comp.V.tolist(), comp.lifts.tolist(), classes,
+        return (q.invariants, comp.CV.tolist(), comp.lifts.tolist(), classes,
                 q.pi_matrix(15).tolist(), q.pi_matrix(17).tolist())
 
     fast = data()

@@ -134,6 +134,7 @@ TEST_ONLY = {
     "prime_ideal": "test_quadfield.py::test_lambda_generator_examples",
     "QuadIdeal.contains_num": "test_quadfield.py::test_ord_at_against_ideal_powers",
     "QuadIdeal.pow": "test_quadfield.py::test_ord_at_against_ideal_powers",
+    "regulator_sign": "test_quadfield.py::test_unit_basis_and_orientation",
 }
 
 
