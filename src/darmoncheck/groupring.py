@@ -83,26 +83,31 @@ takes its odd part.
 
 The induced maps on classes are integer matrices, built the first time they
 are used and kept read-only on the quotient they start from (the products on
-the one they land in), so they die with it.  A group homomorphism maps G_p
-into the Sylow p-subgroup of its target, so the matrices of pi_d and of the
-inclusions of levels are block-diagonal over p.  They move the factors
-<s_l> with their primes l (`_Sylow.factor_index`), and send those of the
-primes l not dividing d to 1.  On the moment path a block is that move on
-exponents: x^beta goes to the basis class x'^beta' of beta moved to the
-target's factors, or to 0 when beta touches a factor sent to 1
-(`_Sylow.monomial_map`).  On the lattice path it maps the lifts of one
-component through the homomorphism, which moves mixed-radix digits
-(`_Sylow.image_index`), and reduces them in one product.  Products of
-classes vanish across primes, and within G_p they are bilinear, so
-multiplying by a class v is the matrix `AugQuot.mult_matrix(qa, v)`,
+the one they land in), so they die with it.  They act on monomial exponents
+on both paths.  A degree is read from the exponent rows `gens`: on the
+moment path the basis monomials, on the lattice path all of
+`monomials(r)`, with `reps` (the basis classes as rows over gens) and
+`reader` (the columns [C | C V] that read monomial coordinates, so that
+CV = Mom reader); on the moment path both are the identity, None.  A group
+homomorphism maps G_p into the Sylow p-subgroup of its target, so the
+matrices of pi_d and of the inclusions of levels are block-diagonal over p,
+and it sends x_l = s_l - 1 to x'_l, or to 0 when s_l goes to 1 (Passi,
+LNM 715; `_Sylow.factor_index`).  So a block moves the exponents of each
+monomial of gens to the target's factors, or sends it to 0 when it touches
+a dropped factor, applies the source's reps and lets the target read.
+Products of classes vanish across primes, and within G_p they are bilinear,
+so multiplying by a class v is the matrix `AugQuot.mult_matrix(qa, v)`,
 contracted once from one table of structure constants per component and
 kept on the product's quotient by the degrees of qa and v and v's row (all
-three share one level).  Into a moment-path degree the table is
-x^alpha x^beta = x^(alpha + beta); into a lattice-path degree it multiplies
-lifts.  The lifts, group-ring representatives of the basis classes, are
-built on first read (`_Lattices.lifts`: on the moment path x^beta itself,
-a Kronecker product of each factor's (s - 1)^b), so only `AugQuot.lift`
-and the maps and products of the lattice path pay for them.
+three share one level).  The table is x^alpha x^beta = x^(alpha + beta)
+over the factors' gens, placed on the product's gens (`_Sylow.place`): by
+index on the moment path, and on the lattice path through the wrap
+x^o = -sum over 0 < j < o of C(o, j) x^j of each factor, cut above degree R;
+then the factors' reps and the product's read.  No map builds a |G_p|-long
+vector.  The lifts, group-ring representatives of the basis classes, are
+built on first read (`_Lattices.lifts`: reps times the x^beta, each a
+Kronecker product of its factors' (s - 1)^b) and serve only `AugQuot.lift`,
+which checks the maps and products in the group ring.
 
 Both sides of Darmon's formula and the synthetic Kolyvagin systems take
 values in A (x) I_n^r/I_n^{r+1} for a finitely generated abelian group
@@ -222,13 +227,6 @@ def gamma(n: int) -> UnitGroupMod:
     return UnitGroupMod(n)
 
 
-def frobenius(q: int, n: int) -> int:
-    """The Frobenius element at q in Gamma_n, i.e. the residue q mod n."""
-    if n > 1 and gcd(q, n) != 1:
-        raise ValueError(f"{q} is not coprime to the level {n}")
-    return q % n
-
-
 class RingElt:
     """A sparse element of Z[Gamma_n]."""
 
@@ -312,12 +310,12 @@ class _Lattices:
     """I(G_p)^r / I(G_p)^{r+1} for G_p a product of cyclic p-groups of
     `orders` (module docstring).
 
-    A degree with r <= 2 or r < p is read by moments (`_moment_degree`);
-    every other one is computed in the truncation Z[G_p]/H_{r+1}
-    (`_lattice_degree`), from the Hermite basis of I^{r+1}/H_{r+1} per
-    degree r (`high`) and that of the cyclic factor's I(C_o)^a per
-    (order, power, cut) (`cyclic`).  All are built on first use, and the
-    degrees share them.
+    Every degree is read from the monomials x^beta of its `gens`.  A degree
+    with r <= 2 or r < p is read by moments (`_moment_degree`); every other
+    one is computed in the truncation Z[G_p]/H_{r+1} (`_lattice_degree`),
+    from the Hermite basis of I^{r+1}/H_{r+1} per degree r (`high`) and that
+    of the cyclic factor's I(C_o)^a per (order, power, cut) (`cyclic`).  All
+    are built on first use, and the degrees share them.
     """
 
     def __init__(self, orders: tuple[int, ...]):
@@ -328,10 +326,8 @@ class _Lattices:
         self.digits = np.array(np.unravel_index(np.arange(1, prod(orders)), orders, order="F"))
         self.highs: dict[int, np.ndarray] = {}
         self.degrees: dict[int, tuple] = {}
-        # by degree: the lifts as (rows over monomials, or None for the
-        # monomials themselves; their exponents), and the lifts once read
-        self._reps: dict[int, tuple] = {}
         self._lifts: dict[int, np.ndarray] = {}
+        self._places: dict[int, np.ndarray] = {}
         self._cyclic: dict[tuple, list[list[int]]] = {}
         self._monomials: dict[int, np.ndarray] = {}
 
@@ -374,15 +370,36 @@ class _Lattices:
 
     def lifts(self, r: int) -> np.ndarray:
         """Representatives of the basis classes of degree r, exact and valid
-        mod I^{r+1}, in (g-1)-coordinates, one per row; built on first read
-        (only `AugQuot.lift` and the maps and products of the lattice path
-        read them)."""
+        mod I^{r+1}, in (g-1)-coordinates, one per row: reps times the x^beta
+        of gens (`degree`).  Built on first read; only `AugQuot.lift` reads
+        them."""
         if r not in self._lifts:
-            self.degree(r)
-            rows, betas = self._reps[r]
-            x = self.elements(betas)
-            self._lifts[r] = _frozen(x if rows is None else rows @ x)
+            _, _, gens, reps, _ = self.degree(r)
+            x = self.elements(gens)
+            self._lifts[r] = _frozen(x if reps is None else reps @ x)
         return self._lifts[r]
+
+    def places(self, r: int) -> np.ndarray:
+        """x^beta over the gens of degree r, one row per beta with every
+        beta_i <= r, in C order; built on first read (`_Sylow.place`).
+
+        Per factor, x^e is itself up to the top exponent c of gens in that
+        factor, and past it x^e = -sum over 0 < j < o of C(o, j) x^(e-o+j),
+        as Z[C_o] = Z[x]/((1+x)^o - 1); the terms of the Kronecker product
+        that are no monomial of gens have degree above r, in H_{r+1}.  On
+        the moment path c = r, so no exponent wraps and the rows are 0/1.
+        """
+        if r not in self._places:
+            gens = self.degree(r)[2]
+            cuts = gens.max(axis=0)
+            out = np.ones((1, 1), dtype=np.int64)
+            for o, c in zip(self.orders, cuts):
+                W = np.eye(r + 1, c + 1, dtype=np.int64)
+                for k in range(max(o, c + 1), r + 1):
+                    W[k] = -sum(comb(o, j) * W[k - o + j] for j in range(1, o))
+                out = (out[:, None, :, None] * W[:, None]).reshape(len(out) * (r + 1), -1)
+            self._places[r] = _frozen(out[:, np.ravel_multi_index(gens.T, cuts + 1)])
+        return self._places[r]
 
     def cyclic(self, o: int, a: int, R: int) -> list[list[int]]:
         """Hermite basis of I(C_o)^a (a >= 1) in the monomials x, ..., x^R
@@ -456,13 +473,17 @@ class _Lattices:
         return M
 
     def degree(self, r: int) -> tuple:
-        """(CV, invariants, betas) of I^r/I^{r+1}, r >= 1.
+        """(CV, invariants, gens, reps, reader) of I^r/I^{r+1}, r >= 1.
 
         One product x CV of (g-1)-coordinates x, mod e_p^r, gives both the
-        membership test and the class (`_Sylow.smith_coords`).  betas are
-        the exponents of the basis monomials on the moment path, None on the
-        lattice path.  Raises ResourceLimitError when e_p^r is too large for
-        int64 products.
+        membership test and the class (`_Sylow.smith_coords`).  gens are the
+        exponent rows of the monomials the degree is read from: the basis
+        monomials on the moment path, where reps and reader are None (the
+        identity), and `monomials(r)` on the lattice path, where the rows of
+        reps are the basis classes over gens and y reader reads monomial
+        coordinates y as y CV reads (g-1)-coordinates (CV = Mom reader).
+        Raises ResourceLimitError when e_p^r is too large for int64
+        products.
         """
         if r not in self.degrees:
             check_modulus(self.ep ** r)
@@ -503,8 +524,7 @@ class _Lattices:
             i = top[sq].argmax(axis=1)
             o = np.array(self.orders)[i]
             CV[:, len(low) + sq] -= self.digits[i].T * (self.ep * (o - 1) // 2)
-        self._reps[r] = None, top
-        return CV % mod, tuple(int(d) for d in least(top)), top
+        return CV % mod, tuple(int(d) for d in least(top)), top, None, None
 
     def _lattice_degree(self, r: int) -> tuple:
         """Degree r >= 3 with r >= p, through the Hermite chain.
@@ -520,11 +540,12 @@ class _Lattices:
         I^{r+1}) are upper triangular with unit diagonal outside a small set
         S.  Back substitution expresses every basis vector through those of
         S (the map T, with T[s] = e_s), so Smith form runs on the |S| x |S|
-        block X[S] T alone; V = T V_S, and the lifts are the rows of W_S at
-        the positions S, times B_r, as monomials.
+        block X[S] T alone; V = T V_S, and reps are the rows of W_S at the
+        positions S, times B_r: the basis classes over the monomials.
 
-        CV is the binomial moments Mom (`moments`) times the columns of C
-        that are not 0 mod m_r (the others pass every y) and C V, mod e_p^r.
+        The reader is the columns of C that are not 0 mod m_r (the others
+        pass every y) beside C V, mod e_p^r; CV is the binomial moments Mom
+        (`moments`) times it.
         """
         ep, betas = self.ep, self.monomials(r)
         k, m_r, mod = len(betas), ep ** (r - 1), ep ** r
@@ -545,10 +566,9 @@ class _Lattices:
         d, V, W = snf_mod(X[S] @ T % ep, ep)
         keep = [i for i, di in enumerate(d) if di > 1]
         V = T @ V[:, keep] % ep
-        self._reps[r] = W[keep] @ low[S], betas
-        CV = matmul_mod(self.moments(betas, mod),
-                        np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)]), mod)
-        return CV, tuple(d[i] for i in keep), None
+        reader = np.hstack([C[:, np.any(C % m_r, axis=0)], matmul_mod(C, V, mod)])
+        return (matmul_mod(self.moments(betas, mod), reader, mod), tuple(d[i] for i in keep),
+                betas, W[keep] @ low[S], reader)
 
 
 class PrecisionError(ArithmeticError):
@@ -562,15 +582,17 @@ class _Sylow:
     Reads the lattices of G_p from gamma(n_p), n_p the product of the
     primes l | n with p | l - 1: G_p of Gamma_n is G_p of Gamma_{n_p}, as
     the other factors of Gamma_n have order prime to p.  g maps to its
-    p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).  On the moment path
-    (r <= 2 or r < p) `betas` are the exponents of the basis monomials;
-    `lifts` are built on first read.
+    p-part g^a (a = 1 mod e_p, a = 0 mod e/e_p).  The degree is read from
+    the monomials x^beta of `gens` (`_Lattices.degree`): the induced maps
+    move their exponents (`place`), take them to the basis classes
+    (`spread`) and read the result (`read`).  `lifts` are built on first
+    read.
     """
 
     def __init__(self, G: UnitGroupMod, p: int, r: int):
         self.lattices, self.elems, self.proj, self.owners = G.sylow(p)
         self.p, self.degree, self.ep, self.orders = p, r, self.lattices.ep, self.lattices.orders
-        self.CV, self.invariants, self.betas = self.lattices.degree(r)
+        self.CV, self.invariants, self.gens, self.reps, self.reader = self.lattices.degree(r)
 
     @property
     def lifts(self) -> np.ndarray:
@@ -588,8 +610,12 @@ class _Sylow:
         mod = self.ep ** self.degree
         if m is not None and m % mod:
             raise PrecisionError(f"p^v_p({m}) < e_p^r = {mod} for p = {self.p}")
-        z = matmul_mod(x, self.CV, mod)
-        j, m_r = self.CV.shape[1] - len(self.invariants), self.ep ** (self.degree - 1)
+        return self._split(matmul_mod(x, self.CV, mod))
+
+    def _split(self, z: np.ndarray) -> np.ndarray | None:
+        """The class columns of z = y CV or y reader, divided by m_r; None
+        when a membership column is not 0 mod m_r."""
+        j, m_r = z.shape[-1] - len(self.invariants), self.ep ** (self.degree - 1)
         if np.any(z[..., :j] % m_r):
             return None
         return z[..., j:] // m_r
@@ -600,55 +626,31 @@ class _Sylow:
         divide d (the factor maps to 1)."""
         return [tc.owners.index(l) if d % l == 0 else -1 for l in self.owners]
 
-    def image_index(self, tc: _Sylow, d: int) -> np.ndarray:
-        """Index in tc.elems of the image of each element of self.elems (-1
-        for 1) under the map of `factor_index`: its digits move with their
-        factors, those of the dropped factors go."""
-        steps = np.cumprod((1,) + tc.orders[:-1])
-        idx = np.full(len(self.elems), -1)
-        for j, dig in zip(self.factor_index(tc, d), self.lattices.digits):
-            if j >= 0:
-                idx += dig * steps[j]
-        return idx
+    def place(self, betas: np.ndarray) -> np.ndarray:
+        """x^beta for each row of betas (entries at most r), one row over
+        `gens`: an index into `_Lattices.places`."""
+        strides = (self.degree + 1) ** np.arange(len(self.orders) - 1, -1, -1)
+        return self.lattices.places(self.degree)[betas @ strides]
 
-    def basis_index(self, betas: np.ndarray) -> np.ndarray:
-        """Position of each row of betas among this degree's basis monomials
-        (moment path)."""
-        at = {b: i for i, b in enumerate(map(tuple, self.betas.tolist()))}
-        return np.array([at[b] for b in map(tuple, betas.tolist())], dtype=np.int64)
+    def spread(self, y: np.ndarray, mod: int) -> np.ndarray:
+        """reps @ y mod `mod`, y indexed by `gens` along its first axis: the
+        same for the representatives of the basis classes; y itself on the
+        moment path, where reps is None."""
+        if self.reps is None:
+            return y
+        z = matmul_mod(self.reps, y.reshape(len(y), -1), mod)
+        return z.reshape(len(self.reps), *y.shape[1:])
 
-    def monomial_map(self, tc: _Sylow, d: int) -> np.ndarray:
-        """The matrix of the map of `factor_index` on the moment path:
-        x^beta goes to x'^(beta with its exponents moved to tc's factors),
-        or to 0 when beta touches a factor that maps to 1."""
-        moved = np.zeros((len(self.betas), len(tc.orders)), dtype=np.int64)
-        kept = np.ones(len(self.betas), dtype=bool)
-        for i, j in enumerate(self.factor_index(tc, d)):
-            if j < 0:
-                kept &= self.betas[:, i] == 0
-            else:
-                moved[:, j] = self.betas[:, i]
-        M = np.zeros((len(self.betas), len(tc.betas)), dtype=np.int64)
-        M[np.flatnonzero(kept), tc.basis_index(moved[kept])] = 1
-        return M
-
-    def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Every product of a row of A with a row of B in Z[G_p].
-
-        Rows are elements of I(G_p) in (g-1)-coordinates; row i * len(B) + j
-        of the result is A[i] * B[j], again in (g-1)-coordinates.
-        """
-        a = np.hstack([-A.sum(axis=1, keepdims=True), A])  # identity first
-        b = np.hstack([-B.sum(axis=1, keepdims=True), B])
-        orders = np.array(self.orders)[:, None]
-        digits = np.array(np.unravel_index(np.arange(a.shape[1]), self.orders, order="F"))
-        out = np.zeros((len(A), len(B), a.shape[1]), dtype=np.int64)
-        for g in range(a.shape[1]):
-            # h -> gh permutes G_p: add the digits of g
-            gh = np.ravel_multi_index((digits + digits[:, g:g + 1]) % orders,
-                                      self.orders, order="F")
-            out[:, :, gh] += a[:, g, None, None] * b[None, :, :]
-        return out[:, :, 1:].reshape(len(A) * len(B), -1)
+    def read(self, y: np.ndarray) -> np.ndarray:
+        """The reduced classes of the rows y over `gens`, elements of I^r
+        mod H_{r+1}: y reader on the lattice path, and y itself on the
+        moment path, where gens are the basis and `place` gives 0/1 rows."""
+        if self.reader is None:
+            return y
+        z = self._split(matmul_mod(y, self.reader, self.ep ** self.degree))
+        if z is None:
+            raise ArithmeticError("image does not lie in the expected ideal power")
+        return z % np.array(self.invariants, dtype=np.int64)
 
 
 class AugQuot:
@@ -790,11 +792,11 @@ class AugQuot:
         the inclusion (d divides both levels).
 
         It maps G_p into the Sylow p-subgroup of dst.gamma, so the matrix is
-        block-diagonal over p.  On the moment path a block moves the
-        exponents of each basis monomial to the target's factors
-        (`_Sylow.monomial_map`); on the lattice path it sends the lifts of
-        a component through the map into the (g-1)-coordinates of the
-        target's component and reduces all of them in one product.
+        block-diagonal over p.  A block sends x_l = s_l - 1 to x'_l, or to 0
+        where s_l goes to 1 (`_Sylow.factor_index`): the exponents of each
+        monomial of gens move to the target's factors, and a monomial that
+        touches a dropped factor goes to 0.  The source's reps take these
+        to its basis classes, and the target reads them.
         """
         if self.degree == 0:
             return np.eye(1, dtype=np.int64)  # the augmentation commutes with the map
@@ -802,19 +804,12 @@ class AugQuot:
         target = {c.p: (c, part) for c, part in zip(dst._components, dst._slices)}
         for comp, rows in zip(self._components, self._slices):
             tc, cols = target[comp.p]
-            if comp.betas is not None:
-                M[rows, cols] = comp.monomial_map(tc, d)
-                continue
-            if not comp.invariants or not tc.invariants:
-                continue
-            idx = comp.image_index(tc, d)
-            hit = idx >= 0
-            X = np.zeros((len(comp.invariants), len(tc.elems)), dtype=np.int64)
-            np.add.at(X.T, idx[hit], comp.lifts[:, hit].T)
-            Y = tc.smith_coords(X)
-            if Y is None:
-                raise ArithmeticError("image does not lie in the expected ideal power")
-            M[rows, cols] = Y % np.array(tc.invariants)
+            # the exponents moved to tc's factors, and those of the dropped
+            # factors (index -1) summed in a last column
+            A = np.eye(len(tc.orders) + 1, dtype=np.int64)[comp.factor_index(tc, d)]
+            moved = comp.gens @ A
+            y = tc.place(moved[:, :-1]) * (moved[:, -1:] == 0)
+            M[rows, cols] = tc.read(comp.spread(y, tc.ep ** self.degree))
         return M
 
     def pi_matrix(self, d: int) -> np.ndarray:
@@ -839,29 +834,23 @@ class AugQuot:
 
         Block p has entry [i, j] = the class in component p of the product of
         the i-th basis class of qa and the j-th of qb, both in component p;
-        products across components vanish.  On the moment path (of the
-        product's degree, and so of both factors') x^alpha x^beta =
-        x^(alpha + beta); on the lattice path the lifts are multiplied.
+        products across components vanish.  Each pair of monomials of the
+        factors' gens multiplies as x^alpha x^beta = x^(alpha + beta), placed
+        on the product's gens (`_Sylow.place`); the factors' reps take the
+        pairs to pairs of basis classes, and the product's degree reads them.
+        e_p^R I(G_p) lies in I(G_p)^{R+1}, so all of it runs mod e_p^R.
         """
         key = (qa.degree, qb.degree)
         if key not in self._mult_tables:
-            R = self.degree
             blocks = []
             for ca, cb, ct in zip(qa._components, qb._components, self._components):
-                T = np.zeros((len(ca.invariants), len(cb.invariants), len(ct.invariants)),
-                             dtype=np.int64)
-                if ct.betas is not None:
-                    i, j = np.divmod(np.arange(T.shape[0] * T.shape[1]), T.shape[1])
-                    T[i, j, ct.basis_index(ca.betas[i] + cb.betas[j])] = 1
-                elif T.size:
-                    # e_p^R * I(G_p) lies in I(G_p)^{R+1}, so the factors may
-                    # be reduced mod e_p^R without changing the product's class
-                    X = ct.products(ca.lifts % ct.ep ** R, cb.lifts % ct.ep ** R)
-                    Y = ct.smith_coords(X)
-                    if Y is None:
-                        raise ArithmeticError("product does not lie in the expected ideal power")
-                    T[:] = (Y % np.array(ct.invariants)).reshape(T.shape)
-                blocks.append(_frozen(T))
+                mod = ct.ep ** self.degree
+                y = ct.place((ca.gens[:, None] + cb.gens[None]).reshape(-1, len(ct.orders)))
+                y = ca.spread(y.reshape(len(ca.gens), len(cb.gens), -1), mod)
+                y = cb.spread(y.swapaxes(0, 1), mod).swapaxes(0, 1)
+                T = ct.read(y.reshape(-1, y.shape[2]))
+                blocks.append(_frozen(T.reshape(len(ca.invariants), len(cb.invariants),
+                                                len(ct.invariants))))
             self._mult_tables[key] = blocks
         return self._mult_tables[key]
 

@@ -784,30 +784,26 @@ def unit_basis(F: QuadField, n: int) -> UnitLattice:
 def _orient(F: QuadField, lat: UnitLattice) -> None:
     """Flip basis elements so the regulator determinant is positive; the
     valuations are those kept in `lat.ords`."""
-    sign = _regulator_sign(F, lat.basis, lat.ords)
+    sign = regulator_sign(F, lat.basis, lat.ords)
     if sign == 0:
         raise RuntimeError("degenerate unit basis")
     if sign < 0:
         lat.basis[-1] = QuadNum(F.d, 1) / lat.basis[-1]
         for row in lat.ords:
             row[-1] = -row[-1]
-        if _regulator_sign(F, lat.basis, lat.ords) <= 0:
+        if regulator_sign(F, lat.basis, lat.ords) <= 0:
             raise ArithmeticError("unit basis orientation did not flip")
 
 
-def regulator_sign(F: QuadField, basis: list[QuadNum], places: list[PrimePlace]) -> int:
-    """Exact sign of det(log |eps_j|_{lambda_i}) with lambda_0 archimedean."""
-    if len(basis) != len(places) + 1:
-        raise ValueError("basis size mismatch")
-    return _regulator_sign(F, basis, [[local_parts(e, pl)[0] for e in basis] for pl in places])
-
-
-def _regulator_sign(F: QuadField, basis: list[QuadNum], ords: list[list[int]]) -> int:
-    """`regulator_sign` from the valuations ords[i][j] = ord_{lambda_i}(eps_j).
+def regulator_sign(F: QuadField, basis: list[QuadNum], ords: list[list[int]]) -> int:
+    """Exact sign of det(log |eps_j|_{lambda_i}) with lambda_0 archimedean,
+    from the valuations ords[i][j] = ord_{lambda_i}(eps_j), i >= 1.
 
     Expanding along integer rows leaves sum_j c_j log|eps_j| with integer
     cofactors c_j; its sign is the exact sign of (prod eps_j^{c_j})^2 - 1.
     """
+    if len(basis) != len(ords) + 1:
+        raise ValueError("basis size mismatch")
     r = len(ords)
     # integer matrix rows i=1..r: -ord_{lambda_i}(eps_j) (log ell > 0 factors out)
     M = [[-v for v in row] for row in ords]

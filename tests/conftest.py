@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from darmoncheck import nt
+from darmoncheck import nt, quadfield as qf
 from darmoncheck.darmon import make_reduction_hom
 from darmoncheck.groupring import aug_quot
 
@@ -30,6 +30,18 @@ def _full_homs(F, n, count):
 @pytest.fixture
 def full_homs():
     return _full_homs
+
+
+def _sign_at(F, basis, places):
+    """`quadfield.regulator_sign` of the basis, with its valuations at the
+    places taken by `local_parts`."""
+    return qf.regulator_sign(F, basis, [[qf.local_parts(e, pl)[0] for e in basis]
+                                        for pl in places])
+
+
+@pytest.fixture
+def sign_at():
+    return _sign_at
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 from darmoncheck import cyclo, groupring as gr, nt
 from darmoncheck.darmon import find_aux_primes, make_reduction_hom, theta_class, theta_values
 from darmoncheck.groupring import (ClassTensor, PermData, RingElt, aug_quot, d_det,
-                                   derangements, embed_class, frobenius, gamma,
+                                   derangements, embed_class, gamma,
                                    in_new_component, monomial_class, mult_classes,
                                    perm_pi, perm_sign, pi_d, single_orbit_nonfixed,
                                    smith_chain)
@@ -70,14 +70,6 @@ def test_generators_generate():
                     span.add(y)
                     frontier.append(y)
         assert len(span) == G.phi
-
-
-def test_frobenius():
-    assert frobenius(19, 11) == 8
-    assert frobenius(11, 19) == 11
-    assert frobenius(2, 1) == 0  # the identity of the trivial group
-    with pytest.raises(ValueError):
-        frobenius(11, 33)
 
 
 def test_ring_axioms_sample():
@@ -425,7 +417,9 @@ def test_induced_maps_match_their_definitions():
     def rand(q):
         return ClassTensor(q, (0,), [[rng.randrange(d) for d in q.invariants]])
 
-    for n in (35, 105, 195, 209, 210, 330, 483, 1155):
+    # 255 has G_2 = C_2 x C_4 x C_16: its products into the lattice degree 3
+    # wrap x^2 = -2 x in the factor C_2
+    for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155):
         w = len(nt.prime_factors(n))
         for r in range(1, w + 1):
             q = aug_quot(n, r)
@@ -564,22 +558,28 @@ def test_cleared_caches_rebuild_the_lattices(cold):
     assert len(cold) == 4
 
 
-def test_image_index_matches_per_element_images():
-    # the digit index of pi_d and of the inclusions of levels against the
-    # images of the elements one at a time
+def test_factor_index_matches_generator_images():
+    # pi_d and the inclusions of levels send the generator s_l of each
+    # cyclic factor of G_p to the generator of the factor that factor_index
+    # names, or to 1; s_l sits at the mixed-radix index with one digit 1
+    def generators(comp):
+        return [comp.elems[prod(comp.orders[:j]) - 1] for j in range(len(comp.orders))]
+
+    def images(comp, tc, d, G):
+        gens = generators(tc)
+        return [gens[j] if j >= 0 else G.identity for j in comp.factor_index(tc, d)]
+
     for n in (35, 105, 195, 209, 210, 255, 330, 483, 1155):
         G = gamma(n)
         q = aug_quot(n, 1)
+        target = {c.p: c for c in q._components}
         for d in nt.divisors(n):
             for comp in q._components:
-                want = [comp.proj[G.project(g, d)] for g in comp.elems]
-                assert comp.image_index(comp, d).tolist() == want, (n, d, comp.p)
-            low = aug_quot(d, 1)
-            target = {c.p: c for c in q._components}
-            for comp in low._components:
-                tc = target[comp.p]
-                want = [tc.proj[G.embed_from(d, g)] for g in comp.elems]
-                assert comp.image_index(tc, d).tolist() == want, (d, n, comp.p)
+                want = images(comp, comp, d, G)
+                assert [G.project(s, d) for s in generators(comp)] == want, (n, d, comp.p)
+            for comp in aug_quot(d, 1)._components:
+                want = images(comp, target[comp.p], d, G)
+                assert [G.embed_from(d, s) for s in generators(comp)] == want, (d, n, comp.p)
 
 
 def test_smith_coords_against_exact_membership():
@@ -620,11 +620,13 @@ def test_smith_coords_against_exact_membership():
                     e0 = np.eye(1, k, dtype=np.int64)[0]  # s_1 - 1 is not in I^2
                     assert comp.smith_coords(e0) is None, (n, r, comp.p)
             for _ in range(6):
-                # x = c (g_1 - 1) ... (g_r - 1) + y, y in I^{r+1}
-                x = np.eye(1, k, prng.randrange(k), dtype=np.int64)
-                for _ in range(r - 1):
-                    x = comp.products(x, np.eye(1, k, prng.randrange(k), dtype=np.int64))
-                x = prng.choice([1, 2, comp.p, comp.ep]) * x[0] + rand(high)
+                # x = c (g_1 - 1) ... (g_r - 1) + y, y in I^{r+1}, the
+                # product taken in the group ring, with g_i in G_p
+                v = RingElt.unit(n)
+                for _ in range(r):
+                    v = v * RingElt.gen_minus_one(n, comp.elems[prng.randrange(k)])
+                x = np.array([v.coeffs.get(g, 0) for g in comp.elems], dtype=np.int64)
+                x = prng.choice([1, 2, comp.p, comp.ep]) * x + rand(high)
                 zero = not (comp.smith_coords(x) % inv).any()
                 assert zero == (hnf_solve(high_py, x, as_python=True) is not None), (n, r)
                 outcomes.add(zero)
@@ -647,7 +649,7 @@ def test_moment_path_against_the_full_rank_chain():
             r = 1
             while (r <= 2 or r < p) and max(orders) ** r < 1 << 31:
                 comp = gr._Sylow(G, p, r)
-                assert comp.betas is not None, (n, p, r)
+                assert comp.reps is None and comp.reader is None, (n, p, r)
                 d, low, high = _full_rank_chain(G.mult, list(elems), gens, comp.ep, r)
                 assert list(comp.invariants) == [x for x in d if x > 1], (n, p, r)
                 inv, k = np.array(comp.invariants), len(elems)

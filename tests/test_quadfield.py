@@ -10,7 +10,7 @@ from darmoncheck import nt
 from darmoncheck.quadfield import (QuadNum, class_group,
                                    fundamental_unit, h_n, ideal_of,
                                    lambda_generator, local_parts, make_field,
-                                   prime_ideal, regulator_sign, unit_basis)
+                                   prime_ideal, unit_basis)
 
 
 def brute_fundamental_unit(d):
@@ -211,12 +211,12 @@ def test_local_parts_against_ideal_powers(d, ell):
             assert local_parts(xs[a] * xs[b], pl)[1] == parts[a][1] * parts[b][1] % ell
 
 
-def test_unit_basis_and_orientation():
+def test_unit_basis_and_orientation(sign_at):
     F = make_field(5)
     ul = unit_basis(F, 11)
     assert len(ul.basis) == 2  # rank r+1
     assert ul.ords[0][0] == 0 and ul.ords[0][1] == -1  # nested, oriented
-    assert regulator_sign(F, ul.basis, ul.places) > 0
+    assert sign_at(F, ul.basis, ul.places) > 0
     ul2 = unit_basis(F, 209)
     assert len(ul2.basis) == 3
     # triangular valuation structure

@@ -121,7 +121,6 @@ TEST_ONLY = {
     "CycloNum.zeta": "test_cyclo.py::test_field_arithmetic",
     "ThetaElt.coefficient": "test_cyclo.py::test_theta_coefficient_reduction_consistency",
     "prop94_residual": "test_darmon.py::test_prop94_levels",
-    "frobenius": "test_groupring.py::test_frobenius",
     "subgroup_order": "test_acceptance.py::test_criterion_3_augmentation_structure",
     "AugQuot.lift": "test_groupring.py::test_lift_then_class_with_three_components",
     "cyclic_model": "test_kolysys.py::test_cyclic_model_checkers_run",
@@ -134,7 +133,6 @@ TEST_ONLY = {
     "prime_ideal": "test_quadfield.py::test_lambda_generator_examples",
     "QuadIdeal.contains_num": "test_quadfield.py::test_ord_at_against_ideal_powers",
     "QuadIdeal.pow": "test_quadfield.py::test_ord_at_against_ideal_powers",
-    "regulator_sign": "test_quadfield.py::test_unit_basis_and_orientation",
 }
 
 
